@@ -147,8 +147,13 @@ class EllipticSolutionModel:
         _, dp = self._w.eval(z * self.params.omega)
         return self.params.alpha * self.params.omega * dp
 
-    def log_abs(self, z: complex) -> float:
-        return math.log(abs(self.evaluate(z)))
+    def evaluate_many(self, z: np.ndarray) -> np.ndarray:
+        """``evaluate`` on an array; infinite at poles instead of raising."""
+        p, _, _ = self._w.eval_many(np.asarray(z) * self.params.omega)
+        return self.params.alpha * (p - self._p_omega)
+
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(self.evaluate_many(z)))
 
     def _scaled_lattice(self, radius: float, offset: complex) -> List[complex]:
         om = self.params.omega
@@ -283,8 +288,8 @@ class ExponentialModel:
     def log_derivative(self, z: complex) -> complex:
         return self.rho
 
-    def log_abs(self, z: complex) -> float:
-        return math.log(abs(self.C)) - self.p * math.pi * complex(z).imag
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        return math.log(abs(self.C)) - self.p * math.pi * np.imag(z)
 
     def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
         return []
@@ -561,8 +566,9 @@ class RationalNumericModel:
     def evaluate(self, z: complex) -> complex:
         return self._horner(self.num, z) / self._horner(self.den, z)
 
-    def log_abs(self, z: complex) -> float:
-        return math.log(abs(self.evaluate(z)))
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        return np.log(np.abs(self._horner(self.num, z) / self._horner(self.den, z)))
 
     def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
         return [(p, 1) for p in self._poles if abs(p) <= radius]

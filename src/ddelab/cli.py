@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +24,6 @@ from . import __version__
 from .analytic import (
     EllipticSolutionModel,
     ExponentialModel,
-    ParamDomainError,
     continuum_limit,
     elliptic_params,
     mkdv_reduction_check,
@@ -32,7 +31,6 @@ from .analytic import (
     verify_exponential,
 )
 from .cascade import (
-    CascadeError,
     SeedKind,
     confinement_report,
     polynomial_blowup,
@@ -193,7 +191,7 @@ def _run_nev(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
         )
         model = EllipticSolutionModel(params)
         table = characteristic_table(model, grid)
-        ratios = ratio_checks(model, entry.eq, grid)
+        ratios = ratio_checks(table, entry.eq)
         result = {
             "table": table.export(),
             "growth": growth_estimates(table).export(),
@@ -223,24 +221,27 @@ _RUNNERS = {
 
 
 def _run_entries(entries, runner, args) -> Tuple[List[Dict[str, Any]], bool, List[float]]:
-    """Run one analysis over all entries, in parallel, assembled in order."""
+    """Run one analysis over all entries, one after another, in corpus order.
 
-    def wrapped(entry: CorpusEntry):
+    A failure stays with its entry: whatever the runner raises is recorded
+    in that entry's row as ``error`` and ``error_type``, its traceback goes
+    to standard error, and the batch goes on with the next entry.
+    """
+    rows: List[Dict[str, Any]] = []
+    any_failed = False
+    timings: List[float] = []
+    for entry in entries:
         start = time.perf_counter()
         try:
             result, failed = runner(entry, args)
-        except (RequestError, ParamDomainError, CascadeError, ValueError) as exc:
-            result, failed = {"error": str(exc)}, True
-        return {"id": entry.id, **result}, failed, time.perf_counter() - start
-
-    if len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(entries))) as pool:
-            outcomes = list(pool.map(wrapped, entries))
-    else:
-        outcomes = [wrapped(e) for e in entries]
-    rows = [row for row, _, _ in outcomes]
-    any_failed = any(failed for _, failed, _ in outcomes)
-    timings = [elapsed for _, _, elapsed in outcomes]
+        except Exception as exc:
+            print(f"entry {entry.id!r} failed:", file=sys.stderr)
+            traceback.print_exc()
+            result = {"error": str(exc), "error_type": type(exc).__name__}
+            failed = True
+        rows.append({"id": entry.id, **result})
+        any_failed = any_failed or failed
+        timings.append(time.perf_counter() - start)
     return rows, any_failed, timings
 
 
@@ -298,7 +299,7 @@ def _render_text(report: Dict[str, Any], timings: List[float]) -> str:
     for row, elapsed in zip(report["entries"], timings):
         parts = [f"  {row['id']:30s}"]
         if "error" in row:
-            parts.append(f"ERROR: {row['error']}")
+            parts.append(f"ERROR ({row['error_type']}): {row['error']}")
             failures += 1
         elif "verdict" in row:
             v = row["verdict"]

@@ -7,7 +7,15 @@ lives in the proximity integral.  That integral is taken over each circle
 by locating the crossings of log|f| = 0 first and then applying iterated
 trapezoid refinement with Richardson extrapolation on every smooth arc in
 between; a radius is nudged by one part in a million when a pole sits
-within a thousandth of it.
+within a thousandth of it.  An arc whose refinement reaches the level cap
+unsettled marks its table row ``settled: false``.
+
+Models are sampled on arrays: ``log_abs`` takes an array of points and
+returns an array, so the 1024-node scan of a circle, each bisection step
+over all its crossings, and each refinement level over all its arcs are
+one batch each.  Batches are cut into slices of at most 2048 points, which
+bounds the working memory of one Weierstrass evaluation without costing
+time.
 
 Order and hyper-order estimates are least-squares slopes over the sampled
 grid, reported with confidence widths and never as asymptotic claims.
@@ -15,16 +23,14 @@ grid, reported with confidence widths and never as asymptotic claims.
 
 from __future__ import annotations
 
-import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import DelayDiffEq, EqKind, rational_degree
-from .wp import PoleSignal, WeierstrassP
+from .wp import WeierstrassP
 
 _JITTER = 1e-6
 _POLE_PROXIMITY = 1e-3
@@ -50,8 +56,11 @@ class WpModel:
     def evaluate(self, z: complex) -> complex:
         return self.engine.eval(z)[0]
 
-    def log_abs(self, z: complex) -> float:
-        return math.log(abs(self.evaluate(z)))
+    def evaluate_many(self, z: np.ndarray) -> np.ndarray:
+        return self.engine.eval_many(z)[0]
+
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        return np.log(np.abs(self.evaluate_many(z)))
 
     def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
         return [(p, 2) for p in self.engine.lattice_points_in_disk(radius)]
@@ -91,7 +100,7 @@ class PowerModel:
     def evaluate(self, z: complex) -> complex:
         return self.base.evaluate(z) ** self.k
 
-    def log_abs(self, z: complex) -> float:
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
         return self.k * self.base.log_abs(z)
 
     def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
@@ -107,8 +116,8 @@ class PowerModel:
 class ShiftedReciprocalModel:
     """1/(f - a): poles where f hits a, zeros where f has poles.
 
-    Needs the base model to expose value_points for nonzero a; used for the
-    first-main-theorem sanity measurement.
+    Needs the base model to expose evaluate_many, and value_points for
+    nonzero a; used for the first-main-theorem sanity measurement.
     """
 
     tag = "shifted-reciprocal"
@@ -122,8 +131,8 @@ class ShiftedReciprocalModel:
     def evaluate(self, z: complex) -> complex:
         return 1.0 / (self.base.evaluate(z) - self.a)
 
-    def log_abs(self, z: complex) -> float:
-        return -math.log(abs(self.base.evaluate(z) - self.a))
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        return -np.log(np.abs(self.base.evaluate_many(z) - self.a))
 
     def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
         if self.a == 0:
@@ -172,91 +181,123 @@ def counting_data(points: Sequence[Tuple[complex, int]], r: float) -> Tuple[int,
 # proximity side: crossing-split circle quadrature
 
 
-class QuadratureError(ArithmeticError):
-    """Raised when the proximity integral fails to settle at a radius."""
+# new sample points are handed to a model at most this many at a time; the
+# temporaries of one Weierstrass batch stay small however many arcs refine
+_CHUNK = 2048
 
 
-def _safe_log_abs(model, r: float, theta: float) -> float:
-    try:
-        return model.log_abs(r * cmath.exp(1j * theta))
-    except (PoleSignal, ZeroDivisionError, OverflowError):
-        pass
-    except ValueError:
-        # log(0): an exact zero on the circle contributes nothing to log+
-        return -1e300
-    try:
-        return model.log_abs(r * cmath.exp(1j * (theta + 1e-9)))
-    except (PoleSignal, ValueError, ZeroDivisionError, OverflowError):
-        return -1e300
+class Proximity(NamedTuple):
+    """m(r, f), and whether every arc's quadrature settled below the cap."""
+
+    m: float
+    settled: bool
 
 
-def _romberg(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Iterated trapezoid with Richardson extrapolation on [a, b]."""
+def _sample_circle(model, r: float, theta: np.ndarray) -> np.ndarray:
+    """log|f(r e^{i theta})| at every angle, clamped for the quadrature.
+
+    A pole, an overflow or any other non-finite value is retried once at
+    theta + 1e-9; an exact zero (log 0), or a retry that fails too, gives
+    -1e300, which contributes nothing to log+.
+    """
+    out = np.empty(theta.shape)
+    with np.errstate(all="ignore"):
+        for start in range(0, theta.size, _CHUNK):
+            t = theta[start:start + _CHUNK]
+            v = np.array(model.log_abs(r * np.exp(1j * t)), dtype=float)
+            bad = np.isnan(v) | (v == np.inf)
+            if bad.any():
+                again = np.asarray(
+                    model.log_abs(r * np.exp(1j * (t[bad] + 1e-9))), dtype=float
+                )
+                v[bad] = np.where(np.isfinite(again), again, -np.inf)
+            v[v == -np.inf] = -1e300
+            out[start:start + t.size] = v
+    return out
+
+
+def _romberg(
+    fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, tol: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Iterated trapezoid with Richardson extrapolation on every [a_k, b_k].
+
+    Each level samples the new midpoints of all intervals still refining in
+    one call of ``fn``.  An interval stops at its first level >= 3 whose
+    extrapolated value moved by at most tol_k * (1 + |value|); after level
+    13 the rest stop unsettled.  Returns the estimates and the settled flags.
+    """
+    k = a.size
+    estimate = np.empty(k)
+    settled = np.zeros(k, dtype=bool)
+    live = np.arange(k)
     h = b - a
-    rows: List[List[float]] = [[h * (fn(a) + fn(b)) / 2.0]]
+    ends = fn(np.concatenate([a, b]))
+    prev = (h * (ends[:k] + ends[k:]) / 2.0)[:, None]
     for level in range(1, 14):
-        h /= 2.0
-        count = 1 << (level - 1)
-        s = sum(fn(a + (2 * i + 1) * h) for i in range(count))
-        first = rows[-1][0] / 2.0 + h * s
-        row = [first]
-        for j, prev in enumerate(rows[-1]):
+        h = h / 2.0
+        odd = 2.0 * np.arange(1 << (level - 1)) + 1.0
+        x = a[live][:, None] + odd[None, :] * h[:, None]
+        s = fn(x.ravel()).reshape(x.shape).sum(axis=1)
+        row = np.empty((live.size, level + 1))
+        row[:, 0] = prev[:, 0] / 2.0 + h * s
+        for j in range(level):
             factor = 4.0 ** (j + 1)
-            row.append((factor * row[j] - prev) / (factor - 1.0))
-        rows.append(row)
-        settled = abs(row[-1] - rows[-2][-1]) <= tol * (1.0 + abs(row[-1]))
-        if level >= 3 and settled:
-            return row[-1]
-    return rows[-1][-1]
+            row[:, j + 1] = (factor * row[:, j] - prev[:, j]) / (factor - 1.0)
+        moved = np.abs(row[:, -1] - prev[:, -1])
+        settles = (moved <= tol[live] * (1.0 + np.abs(row[:, -1]))) & (level >= 3)
+        done = settles | (level == 13)
+        estimate[live[done]] = row[done, -1]
+        settled[live[done]] = settles[done]
+        live, prev, h = live[~done], row[~done], h[~done]
+        if live.size == 0:
+            break
+    return estimate, settled
 
 
-def proximity(model, r: float, tol: float = _QUAD_TOL) -> float:
+def proximity(model, r: float, tol: float = _QUAD_TOL) -> Proximity:
     """m(r, f): mean of log+|f| over the circle of radius r.
 
     The circle is scanned for sign changes of log|f|, each crossing is
     bisected to machine precision, and every positive arc is integrated
     separately; the kinks of log+ then never sit inside an integration
     interval.  The radius is jittered away from any pole modulus within
-    the proximity window so the scan sees finite values.
+    the proximity window so the scan sees finite values.  The scan, each
+    bisection step and each refinement level sample all their points in
+    one batch.
     """
     r_used = _jittered_radius(model, r)
 
-    def g(theta: float) -> float:
-        return _safe_log_abs(model, r_used, theta)
+    def g(theta: np.ndarray) -> np.ndarray:
+        return _sample_circle(model, r_used, theta)
 
     step = 2.0 * math.pi / _SCAN_NODES
-    vals = [g(i * step) for i in range(_SCAN_NODES)]
-    vals.append(vals[0])
-    crossings: List[float] = []
-    for i in range(_SCAN_NODES):
-        va, vb = vals[i], vals[i + 1]
-        if (va > 0.0) == (vb > 0.0):
-            continue
-        lo, hi = i * step, (i + 1) * step
-        flo = va
+    vals = g(np.arange(_SCAN_NODES) * step)
+    positive = vals > 0.0
+    cells = np.flatnonzero(positive != np.roll(positive, -1))
+    if cells.size == 0:
+        # one sign all round: the whole circle is a single arc
+        a, b = np.array([0.0]), np.array([2.0 * math.pi])
+    else:
+        lo = cells * step
+        hi = (cells + 1) * step
+        flo = vals[cells]
         for _ in range(60):
             mid = (lo + hi) / 2.0
             fm = g(mid)
-            if (flo > 0.0) == (fm > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        crossings.append((lo + hi) / 2.0)
-
-    if not crossings:
-        if all(v <= 0.0 for v in vals):
-            return 0.0
-        total = _romberg(g, 0.0, 2.0 * math.pi, tol * 2.0 * math.pi)
-        return total / (2.0 * math.pi)
-
-    bounds = crossings + [crossings[0] + 2.0 * math.pi]
-    total = 0.0
-    for a, b in zip(bounds, bounds[1:]):
-        if g((a + b) / 2.0) <= 0.0:
-            continue
-        seg_tol = tol * max(b - a, 1e-3)
-        total += _romberg(g, a, b, seg_tol)
-    return total / (2.0 * math.pi)
+            same = (flo > 0.0) == (fm > 0.0)
+            lo = np.where(same, mid, lo)
+            flo = np.where(same, fm, flo)
+            hi = np.where(same, hi, mid)
+        crossings = (lo + hi) / 2.0
+        bounds = np.append(crossings, crossings[0] + 2.0 * math.pi)
+        a, b = bounds[:-1], bounds[1:]
+    positive_arc = g((a + b) / 2.0) > 0.0
+    a, b = a[positive_arc], b[positive_arc]
+    if a.size == 0:
+        return Proximity(0.0, True)
+    seg_tol = tol * np.maximum(b - a, 1e-3)
+    totals, settled = _romberg(g, a, b, seg_tol)
+    return Proximity(sum(totals.tolist(), 0.0) / (2.0 * math.pi), bool(settled.all()))
 
 
 def _jittered_radius(model, r: float) -> float:
@@ -286,6 +327,7 @@ class NevRow:
     nbar_zero: int
     N_zero: float
     Nbar_zero: float
+    settled: bool
 
     def export(self) -> dict:
         return {
@@ -293,6 +335,7 @@ class NevRow:
             "N": self.N, "N_bar": self.N_bar, "m": self.m, "T": self.T,
             "n_zero": self.n_zero, "nbar_zero": self.nbar_zero,
             "N_zero": self.N_zero, "Nbar_zero": self.Nbar_zero,
+            "settled": self.settled,
         }
 
 
@@ -323,7 +366,7 @@ def log_grid(r_min: float, r_max: float, count: int = 24) -> List[float]:
 
 
 def characteristic_table(
-    model, r_grid: Sequence[float], tol: float = _QUAD_TOL, parallel: bool = True
+    model, r_grid: Sequence[float], tol: float = _QUAD_TOL
 ) -> NevTable:
     """Counting and proximity data for each radius of an increasing grid."""
     grid = list(r_grid)
@@ -333,18 +376,13 @@ def characteristic_table(
     poles = model.poles_upto(r_max)
     zeros = model.zeros_upto(r_max)
 
-    def build_row(r: float) -> NevRow:
+    rows = []
+    for r in grid:
         n, n_bar, N, N_bar = counting_data(poles, r)
         nz, nbz, Nz, Nbz = counting_data(zeros, r)
-        m = proximity(model, r, tol)
-        return NevRow(r, n, n_bar, N, N_bar, m, m + N, nz, nbz, Nz, Nbz)
-
-    if parallel and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-            rows = tuple(pool.map(build_row, grid))
-    else:
-        rows = tuple(build_row(r) for r in grid)
-    return NevTable(model=model.describe(), rows=rows)
+        m, settled = proximity(model, r, tol)
+        rows.append(NevRow(r, n, n_bar, N, N_bar, m, m + N, nz, nbz, Nz, Nbz, settled))
+    return NevTable(model=model.describe(), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +509,17 @@ class RatioReport:
 
 
 def ratio_checks(
-    model,
+    table: NevTable,
     eq: Optional[DelayDiffEq],
-    r_grid: Sequence[float],
     power_table: Optional[Tuple[NevTable, NevTable]] = None,
-    tol: float = _QUAD_TOL,
 ) -> RatioReport:
     """Per-radius ratios against the zero-density threshold of 3/4.
 
-    Reports the distinct-zero share of the characteristic, the two sides
-    of the degree-gap bound for the rational-in-w class, and the observed
+    Reads an already built characteristic table.  Reports the
+    distinct-zero share of the characteristic, the two sides of the
+    degree-gap bound for the rational-in-w class, and the observed
     characteristic ratio of a power pair when one is supplied.
     """
-    table = characteristic_table(model, r_grid, tol)
     deg_gap = None
     if eq is not None and eq.kind == EqKind.LOG_DERIV:
         deg_gap = rational_degree(eq).deg_map - 3

@@ -1,0 +1,43 @@
+"""Checks for the batch front-end's handling of entries that fail."""
+
+import json
+
+from ddelab import cli
+from ddelab.corpus import demo_corpus_text
+
+
+def test_one_failing_entry_does_not_abort_the_batch(monkeypatch, tmp_path, capsys):
+    ids = [entry["id"] for entry in json.loads(demo_corpus_text())["entries"]]
+    victim = ids[1]
+    real = cli._RUNNERS["classify"]
+
+    def runner(entry, args):
+        if entry.id == victim:
+            return 1 / 0
+        return real(entry, args)
+
+    monkeypatch.setitem(cli._RUNNERS, "classify", runner)
+    out = tmp_path / "report.json"
+    code = cli.run(["classify", "--format", "json", "--out", str(out)])
+    assert code == cli.EXIT_ANALYSIS_FAIL
+    err = capsys.readouterr().err
+    assert f"entry {victim!r} failed:" in err and "ZeroDivisionError" in err
+    rows = json.loads(out.read_text())["entries"]
+    assert [row["id"] for row in rows] == ids
+    failed = [row for row in rows if "error" in row]
+    assert failed == [
+        {"id": victim, "error": "division by zero", "error_type": "ZeroDivisionError"}
+    ]
+    assert all("verdict" in row for row in rows if row["id"] != victim)
+
+
+def test_text_report_names_the_error_type(monkeypatch, capsys):
+    def runner(entry, args):
+        raise ArithmeticError("sampling failed to avoid the singular set")
+
+    monkeypatch.setitem(cli._RUNNERS, "verify", runner)
+    code = cli.run(["verify", "--entry", "confined-basic"])
+    assert code == cli.EXIT_ANALYSIS_FAIL
+    text = capsys.readouterr().out
+    assert "ERROR (ArithmeticError): sampling failed" in text
+    assert text.rstrip().endswith("1 entries, 1 failed")

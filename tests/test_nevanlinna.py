@@ -18,6 +18,7 @@ from ddelab.analytic import (
     RationalNumericModel,
     elliptic_params,
 )
+import ddelab.nevanlinna as nevanlinna
 from ddelab.fieldelem import FieldElem
 from ddelab.model import FactoredDenominator, WPoly, make_log_deriv
 from ddelab.nevanlinna import (
@@ -98,27 +99,62 @@ class TestProximity:
         for p in (1, 2):
             model = ExponentialModel(C=1.0, p=p)
             for r in (3.0, 50.0, 1e6):
-                assert proximity(model, r) == pytest.approx(p * r, rel=1e-8)
+                assert proximity(model, r).m == pytest.approx(p * r, rel=1e-8)
 
     def test_modulus_below_one_gives_zero(self):
         model = RationalNumericModel([1.0], [-2.0, 1.0])  # 1/(z - 2)
-        assert proximity(model, 1.0) == 0.0
+        assert proximity(model, 1.0) == (0.0, True)
 
     def test_pole_on_the_circle_is_jittered_not_fatal(self):
         model = RationalNumericModel([1.0], [-2.0, 1.0])
-        value = proximity(model, 2.0)
+        value = proximity(model, 2.0).m
         assert math.isfinite(value)
         # hand value of the arc integral for 1/(z-2) on |z| = 2
         assert value == pytest.approx(0.1597, abs=2e-3)
 
     def test_refinement_stability(self, elliptic_model):
         r = 5.5
-        coarse = proximity(elliptic_model, r, tol=1e-9)
-        fine = proximity(elliptic_model, r, tol=1e-12)
+        coarse = proximity(elliptic_model, r, tol=1e-9).m
+        fine = proximity(elliptic_model, r, tol=1e-12).m
         assert abs(coarse - fine) <= 1e-8 * (1.0 + abs(fine))
 
 
+class TestSettled:
+    def test_radius_jittered_next_to_a_pole_is_unsettled(self, elliptic_model):
+        # the smallest nonzero pole modulus: the jitter leaves the pole 2e-6
+        # off the circle, a spike no 13-level refinement resolves
+        nearest = min(abs(p) for p, _ in elliptic_model.poles_upto(3.0) if p != 0)
+        table = characteristic_table(elliptic_model, [nearest, 3.0])
+        assert [row.settled for row in table.rows] == [False, True]
+        assert table.export()["rows"][0]["settled"] is False
+        assert "settled" not in table.to_csv()
+
+    def test_demo_grid_settles_everywhere(self, elliptic_table):
+        assert all(row.settled for row in elliptic_table.rows)
+
+    def test_exponential_rows_settle(self):
+        for p in (1, 3):
+            model = ExponentialModel(C=0.7 - 0.2j, p=p)
+            table = characteristic_table(model, log_grid(10.0, 1e12, 24))
+            assert all(row.settled for row in table.rows)
+
+
 class TestCharacteristicTable:
+    # m of the demo elliptic model on log_grid(1, 16, 24), recorded from the
+    # scalar quadrature that sampled one point per call
+    SCALAR_M = {
+        0: 0.15143793455384358,
+        5: 0.1618533069634601,
+        11: 0.5455357233760701,
+        17: 0.4430226327340257,
+        23: 0.31951487096163345,
+    }
+
+    def test_batched_quadrature_matches_scalar_record(self, elliptic_table):
+        for index, m in self.SCALAR_M.items():
+            assert elliptic_table.rows[index].m == pytest.approx(m, rel=1e-9)
+        assert round(growth_estimates(elliptic_table).order, 3) == 2.047
+
     def test_rational_characteristic_is_degree_log_r(self):
         # (z^3 + 2)/(z - 5): degree 3, so T(r) = 3 log r + O(1)
         model = RationalNumericModel([2.0, 0.0, 0.0, 1.0], [-5.0, 1.0])
@@ -185,8 +221,20 @@ class TestGrowthEstimates:
 
 
 class TestRatioChecks:
-    def test_zero_share_near_one_for_the_confined_solution(self, elliptic_model):
-        report = ratio_checks(elliptic_model, None, log_grid(1.0, 16.0, 24))
+    def test_reads_the_given_table_without_building_one(self, monkeypatch, elliptic_table):
+        calls = []
+        for name in ("characteristic_table", "proximity"):
+            real = getattr(nevanlinna, name)
+            monkeypatch.setattr(
+                nevanlinna, name,
+                lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+            )
+        report = ratio_checks(elliptic_table, None)
+        assert calls == []
+        assert [row.r for row in report.rows] == [row.r for row in elliptic_table.rows]
+
+    def test_zero_share_near_one_for_the_confined_solution(self, elliptic_table):
+        report = ratio_checks(elliptic_table, None)
         top = report.rows[len(report.rows) // 2 :]
         assert report.threshold == 0.75
         for row in top:
@@ -201,7 +249,7 @@ class TestRatioChecks:
         quartic = WPoly([fe(0), fe(0), fe(0), fe(0), fe(1)])
         den = FactoredDenominator(((fe(1), 1),), None)
         eq = make_log_deriv(a=fe(1), p_poly=quartic, q_factors=den)
-        report = ratio_checks(model, eq, log_grid(2.0, 8.0, 8))
+        report = ratio_checks(characteristic_table(model, log_grid(2.0, 8.0, 8)), eq)
         for row in report.rows:
             assert row.degree_gap_lhs is not None
             base_T = row.degree_gap_lhs / 1.0  # gap is 1
@@ -214,9 +262,7 @@ class TestRatioChecks:
         grid = log_grid(1.0, 9.0, 12)
         base_tab = characteristic_table(base, grid)
         pow_tab = characteristic_table(PowerModel(base, 2), grid)
-        report = ratio_checks(
-            base, None, grid, power_table=(base_tab, pow_tab)
-        )
+        report = ratio_checks(base_tab, None, power_table=(base_tab, pow_tab))
         usable = [r.power_ratio for r in report.rows if r.power_ratio is not None]
         for value in usable[-6:]:
             assert 1.8 <= value <= 2.2

@@ -11,13 +11,20 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
+from ddelab.analytic import EllipticSolutionModel, elliptic_params
+from ddelab.nevanlinna import characteristic_table, growth_estimates, log_grid
 from ddelab.wp import DegenerateLatticeError, PoleSignal, WeierstrassP
 
 # Gamma(1/4)^2 / sqrt(8*pi), the real period of the square lattice with
 # invariants (4, 0); the classical arclength constant of the lemniscate.
 LEMNISCATE = 2.6220575542921196
+
+
+# a generic rotation and rescaling of the demo lattice (4, 1), omega = 1 + 0.3i
+ROTATION = 1.1 * cmath.exp(0.7j)
 
 
 def tail_coefficients(g2, g3, terms):
@@ -80,6 +87,42 @@ class TestEvaluation:
                 assert abs(dp1 - dp0) <= 1e-10 * (1 + abs(dp0))
 
 
+class TestEvalMany:
+    @pytest.mark.parametrize(
+        "g2, g3",
+        [
+            (4.0, 1.0),
+            ((4.0 * ROTATION**-4).conjugate(), (1.0 * ROTATION**-6).conjugate()),
+        ],
+    )
+    def test_matches_scalar_eval(self, g2, g3):
+        w = WeierstrassP(g2, g3)
+        rng = np.random.default_rng(17)
+        z = rng.uniform(-12, 12, 11_951) + 1j * rng.uniform(-12, 12, 11_951)
+        lattice = np.array(
+            [m * w.omega1 + n * w.omega2 for m in range(-3, 4) for n in range(-3, 4)]
+        )
+        points = np.concatenate([z, lattice]).reshape(2, -1)
+        p, dp, pole = w.eval_many(points)
+        assert p.shape == dp.shape == pole.shape == points.shape
+        p, dp, pole = p.ravel(), dp.ravel(), pole.ravel()
+        assert not pole[: z.size].any()
+        assert pole[z.size :].all()
+        assert np.isinf(p[pole]).all() and np.isinf(dp[pole]).all()
+        for k in range(z.size):
+            ps, dps = w.eval(complex(z[k]))
+            assert abs(p[k] - ps) <= 1e-10 * abs(ps)
+            assert abs(dp[k] - dps) <= 1e-10 * abs(dps)
+
+    def test_scalar_and_empty_input_keep_their_shape(self):
+        w = WeierstrassP(4.0, 1.0)
+        p, dp, pole = w.eval_many(0.3 + 0.2j)
+        assert p.shape == () and not pole
+        assert p == pytest.approx(w.eval(0.3 + 0.2j)[0], rel=1e-12)
+        p, _, pole = w.eval_many(np.array([], dtype=complex))
+        assert p.shape == pole.shape == (0,)
+
+
 class TestLatticeGeometry:
     def test_pole_raises_signal_with_location(self):
         w = WeierstrassP(4.0, 1.0)
@@ -126,6 +169,23 @@ class TestLatticeGeometry:
         mods = [abs(p) for p in pts]
         assert mods == sorted(mods)
         assert pts == w.lattice_points_in_disk(radius)
+
+    def test_rotated_lattice_keeps_the_origin_pole_exact(self):
+        # a running sum of periods used to leave the origin near 1e-15
+        w = WeierstrassP(4.0 * ROTATION**-4, 1.0 * ROTATION**-6)
+        pts = w.lattice_points_in_disk(16.0)
+        assert pts[0] == 0j
+        assert all(abs(p) > 1e-3 for p in pts[1:])
+
+    def test_rotated_elliptic_solution_has_order_two(self):
+        params = elliptic_params(
+            g2=4.0 * ROTATION**-4, g3=1.0 * ROTATION**-6,
+            omega=(1.0 + 0.3j) * ROTATION, lam=1.0,
+        )
+        model = EllipticSolutionModel(params)
+        assert model.poles_upto(4.0)[0] == (0j, 2)
+        table = characteristic_table(model, log_grid(1.0, 16.0, 24))
+        assert abs(growth_estimates(table).order - 2.0) <= 0.25
 
     def test_offset_enumeration_shifts_the_grid(self):
         w = WeierstrassP(4.0, 1.0)
