@@ -56,6 +56,12 @@ class VerifierReport:
         }
 
 
+def _check_samples(samples: int) -> None:
+    """A residual check over no sample points would pass without testing."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 # ---------------------------------------------------------------------------
 # elliptic solution family of the confined class with constant coefficient
 
@@ -211,6 +217,7 @@ def verify_elliptic_family(
     individually singular; `perturb` is added to lam to let callers observe
     the linear response of the residual.
     """
+    _check_samples(samples)
     model = EllipticSolutionModel(params)
     lam = params.lam + perturb
     rng = Random(seed)
@@ -336,6 +343,7 @@ def verify_exponential(
     keeps |Im z| small enough that |w| stays within a few orders of C, so
     the reported residual measures the identity rather than float overflow.
     """
+    _check_samples(samples)
     model = ExponentialModel(C, p)
     rng = Random(seed)
     b_factor = model.rho
@@ -494,6 +502,7 @@ def mkdv_reduction_check(
     residuals at randomly drawn data measure only rounding.  `perturb` is
     added to the forward-shift rule as a negative control.
     """
+    _check_samples(samples)
     if lam * nu == 0:
         raise ParamDomainError("the reduction needs lam*nu nonzero")
     rng = Random(seed)

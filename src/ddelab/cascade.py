@@ -13,6 +13,17 @@ a(zhat) and the next coefficient is a'(zhat).  The moving-coefficient
 presentation used in resonance bookkeeping attributes the drift of the
 double-pole coefficient to the residue; ``simple_pole_residue`` performs
 that conversion (strict c_{-1} minus the zhat-derivative of strict c_{-2}).
+
+Window width has one policy, and it lives here: ``run_cascade`` decides it.
+Every seed starts with a one-coefficient window, the least that shows the
+seed's order.  The cascade doubles the width, up to ``MAX_TRUNCATION`` (128),
+and replays from the seed only when something the caller reads is not yet
+certified: an order (the window shows only zeros, or a denominator series
+vanishes to the end of its window), or the strict c_{-1} and c_{-2} at
+offset 3 that ``confinement_report`` and ``simple_pole_residue`` read when
+the pole orders do not grow geometrically.  Certified orders and
+coefficients are exact, so no result depends on the width at which it was
+read.
 """
 
 from __future__ import annotations
@@ -21,9 +32,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Mapping, Optional, Tuple
 
-from .fieldelem import FieldElem, rf_derivative, rf_shift
+from .fieldelem import FieldElem
 from .laurent import (
-    DEFAULT_TRUNCATION,
     MAX_TRUNCATION,
     CompositionIndeterminateError,
     LaurentSeries,
@@ -89,8 +99,8 @@ class LocalData:
     """Window of Laurent series keyed by integer offset from the base point."""
 
     window: Dict[int, LaurentSeries]
-    seed: Optional[SeedSpec] = None
-    width: int = DEFAULT_TRUNCATION
+    seed: SeedSpec
+    width: int
 
 
 def seed_local_data(
@@ -98,10 +108,10 @@ def seed_local_data(
     p: int,
     regular_name: str = "K",
     leading_name: str = "alpha",
-    width: int = DEFAULT_TRUNCATION,
     root: Optional[FieldElem] = None,
 ) -> LocalData:
-    return SeedSpec(kind, p, regular_name, leading_name, root).build(width)
+    """Seed data with a one-coefficient window; ``run_cascade`` widens it."""
+    return SeedSpec(kind, p, regular_name, leading_name, root).build(1)
 
 
 def cascade_step(eq: DelayDiffEq, state: LocalData, j: int) -> LaurentSeries:
@@ -156,26 +166,27 @@ def run_cascade(
     eq: DelayDiffEq,
     seed: LocalData,
     steps: int,
-    max_width: int = MAX_TRUNCATION,
 ) -> SingularityPattern:
     """Iterate the normal form for the given number of steps.
 
-    Truncation is adaptive: when an order cannot be certified at the current
-    window the seed is regrown at double the width and the cascade replays.
-    At the width cap the pattern ends with a flagged, uncertified entry.
+    Starts at the seed's width, 1 from ``seed_local_data``.  The seed is
+    rebuilt at double the width, up to ``MAX_TRUNCATION`` (128), and the
+    cascade replays when an order is not certified (a window of zeros, or a
+    denominator series that vanishes to the end of its window), or when,
+    without geometric growth of the pole orders, the window at offset 3
+    ends before the c_-1 and c_-2 that the confinement verdict reads.  At
+    the cap the pattern ends with a flagged, uncertified entry instead.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    width = seed.width
     state = seed
     while True:
         result = _attempt(eq, state, steps)
         if result is not None:
             return result
-        if state.seed is None or width >= max_width:
+        if state.width >= MAX_TRUNCATION:
             return _attempt(eq, state, steps, flag_failures=True)
-        width = min(2 * width, max_width)
-        state = state.seed.build(width)
+        state = state.seed.build(min(2 * state.width, MAX_TRUNCATION))
 
 
 def _attempt(
@@ -213,11 +224,15 @@ def _attempt(
         entries.append(PatternEntry(
             offset=j + 1, order=order, leading=s.leading, series=s,
         ))
+    # unless the pole orders grow geometrically, the verdict reads the strict
+    # c_-1 and c_-2 at offset 3; a window that holds c_-1 holds c_-2 too
+    if not flag_failures and steps >= 3 and _geometric_ratio(entries) is None:
+        try:
+            entries[2].series.coefficient(-1)
+        except SeriesWindowError:
+            return None
     return SingularityPattern(
-        entries=tuple(entries),
-        seed=seed.seed if seed.seed is not None
-        else SeedSpec(SeedKind.ZERO_OF_W, 1),
-        eq_name=eq.name,
+        entries=tuple(entries), seed=seed.seed, eq_name=eq.name,
     )
 
 
@@ -251,21 +266,21 @@ def gamma_of(a: FieldElem, b: FieldElem) -> FieldElem:
     Independent closed-form oracle for the offset-3 residue; the cascade must
     reproduce gamma(zhat)/alpha on the nose.
     """
-    a1 = rf_shift(a, 1)
-    a2 = rf_shift(a, 2)
-    b2 = rf_shift(b, 2)
+    a1 = a.shift(1)
+    a2 = a.shift(2)
+    b2 = b.shift(2)
     den = a - _TWO * a1
     if den.is_zero:
         raise ValueError("formula singular; use cascade directly")
-    ap = rf_derivative(a)
-    ap1 = rf_shift(ap, 1)
+    ap = a.derivative()
+    ap1 = ap.shift(1)
     first = (a * b2 - (_TWO * a1 - a) * b) / den
     second = _TWO * a2 * (a * ap1 - a1 * ap) / (den * den)
     return first - second
 
 
 def second_difference(a: FieldElem) -> FieldElem:
-    return rf_shift(a, 2) - _TWO * rf_shift(a, 1) + a
+    return a.shift(2) - _TWO * a.shift(1) + a
 
 
 @dataclass(frozen=True)

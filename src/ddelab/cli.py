@@ -2,9 +2,13 @@
 
 Reports are deterministic: the JSON body is a pure function of the corpus
 text, the subcommand, the flags, and the tool version.  Wall-clock timings
-therefore appear only in the text rendering.  Output files are written to a
-sibling temp file and moved into place, so readers never observe a partial
-report.
+therefore appear only in the text rendering.  The report's ``config_hash``
+covers exactly those inputs: the corpus text (empty for ``limit``), the
+``--entry`` filter, the ``--seed``, the subcommand and the tool version.
+Series window widths are not an input: the cascade sizes its own window.
+
+Output files are written to a sibling temp file and moved into place, so
+readers never observe a partial report.
 """
 
 from __future__ import annotations
@@ -111,9 +115,7 @@ def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     if seed_kind is None:
         raise RequestError(f"unknown cascade seed {seed_name!r}")
     if entry.kind == EqKind.INVERSE_SQUARE:
-        pattern = run_cascade(
-            entry.eq, seed_local_data(seed_kind, order, width=args.truncation), steps
-        )
+        pattern = run_cascade(entry.eq, seed_local_data(seed_kind, order), steps)
         verdict = confinement_report(pattern, entry.eq)
         return {"pattern": pattern.export(), "confinement": verdict.export()}, False
     if entry.kind == EqKind.LOG_DERIV and rational_degree(entry.eq).deg_den == 0:
@@ -247,13 +249,12 @@ def _run_entries(entries, runner, args) -> Tuple[List[Dict[str, Any]], bool, Lis
 
 def _run_limit(args) -> Tuple[List[Dict[str, Any]], bool, List[float]]:
     start = time.perf_counter()
-    truncation = max(int(args.truncation), 7)
-    dp = continuum_limit(truncation=truncation)
+    dp = continuum_limit()
     vanishing = [k for k in range(7) if dp.eps_coefficient(k).is_zero]
     leading = dp.leading_eps_order()
     row = {
         "id": "slow-modulation-limit",
-        "truncation": truncation,
+        "truncation": dp.order_cap,
         "vanishing_orders": vanishing,
         "leading_order": leading,
         "leading_coefficient": str(dp.eps_coefficient(5)),
@@ -278,7 +279,6 @@ def _config_hash(corpus_text: str, args, subcommand: str) -> str:
             "entry_filter": sorted(getattr(args, "entry", None) or []),
             "seed": args.seed,
             "subcommand": subcommand,
-            "truncation": args.truncation,
             "version": __version__,
         },
         sort_keys=True,
@@ -376,11 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here (atomic)")
         p.add_argument("--seed", type=int, default=0, help="verifier sampling seed")
         p.add_argument(
-            "--truncation", type=int, default=8,
-            help="series window width / expansion depth (cascades regrow "
-            "adaptively when this is too small to certify an order)",
-        )
-        p.add_argument(
             "--format", choices=("json", "text"), default="text",
             help="report format",
         )
@@ -434,10 +429,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "version": __version__,
         "subcommand": subcommand,
         "seed": args.seed,
-        "truncation": args.truncation,
-        "config_hash": _config_hash(corpus_text, args, subcommand)
-        if subcommand != "limit"
-        else _config_hash("", args, subcommand),
+        "config_hash": _config_hash(corpus_text, args, subcommand),
         "entries": rows,
     }
     body = (

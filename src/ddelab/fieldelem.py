@@ -18,9 +18,10 @@ multivariate gcds:
   by a unit of Q(i), giving a deterministic sign convention.
 
 Rational functions of the distinguished variable ``z`` are FieldElems whose
-function-field variable is ``z``; other symbols act as constants.  ``rf_shift``
-and ``rf_derivative`` implement the shift z -> z + c (c a Gaussian integer is
-the intended use, though any exact constant works) and d/dz.
+function-field variable is ``z``; other symbols act as constants.
+``FieldElem.shift`` and ``FieldElem.derivative`` implement the shift
+z -> z + c (c a Gaussian integer is the intended use, though any exact
+constant works) and d/dz.
 """
 
 from __future__ import annotations
@@ -191,23 +192,6 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"FieldElem({self})"
-
-
-# Rational functions in z are FieldElems by convention.
-RatFunc = FieldElem
-
-
-def frac_is_zero(x: FieldElem) -> bool:
-    """Exact zero test (numerator test; fractions need not be reduced)."""
-    return x.is_zero
-
-
-def rf_shift(r: FieldElem, c: Coeffish, var: str = "z") -> FieldElem:
-    return r.shift(c, var)
-
-
-def rf_derivative(r: FieldElem, var: str = "z") -> FieldElem:
-    return r.derivative(var)
 
 
 # -- reduction pipeline ------------------------------------------------------------

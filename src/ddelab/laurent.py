@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .fieldelem import FieldElem, _as_univariate, _from_univariate, _reduce_many, _ulist_divmod
 from .gaussian import ONE, GaussianRational
@@ -319,9 +319,6 @@ class LaurentSeries:
         vals = [n.scale(self.lo + k) for k, n in enumerate(self.nums)]
         return LaurentSeries._raw(self.lo - 1, self.den, vals, self.exact)
 
-    def map_coeffs(self, fn: Callable[[FieldElem], FieldElem]) -> "LaurentSeries":
-        return LaurentSeries(self.lo, [fn(c) for c in self.coeffs], self.exact)
-
     def canonical(self) -> "LaurentSeries":
         """Cancel den factors shared by the whole window.
 
@@ -334,11 +331,6 @@ class LaurentSeries:
             return self
         den, nums = _reduce_many(self.den, list(self.nums))
         return LaurentSeries._raw(self.lo, den, nums, self.exact)
-
-    def truncate(self, width: int) -> "LaurentSeries":
-        if len(self.nums) <= width:
-            return self
-        return LaurentSeries._raw(self.lo, self.den, list(self.nums[:width]), False)
 
     # -- comparison and display -----------------------------------------------
 

@@ -25,15 +25,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .exprparse import parse_expression
-from .fieldelem import FieldElem, rf_derivative, rf_shift
+from .fieldelem import FieldElem
 from .gaussian import GaussianRational, gauss, gaussian_sqrt
-from .laurent import (
-    DEFAULT_TRUNCATION,
-    LaurentSeries,
-    compose_rational,
-    series_of_ratfunc,
-)
+from .laurent import LaurentSeries, compose_rational, series_of_ratfunc
 from .mpoly import MPoly
 
 _ZERO = FieldElem.const(0)
@@ -106,9 +100,6 @@ class WPoly:
 
     def scale(self, c: FieldElem) -> "WPoly":
         return WPoly([c * a for a in self.coeffs])
-
-    def map_coeffs(self, fn) -> "WPoly":
-        return WPoly([fn(a) for a in self.coeffs])
 
     def __add__(self, other: "WPoly") -> "WPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -349,7 +340,7 @@ def normal_form_series(
     eq: DelayDiffEq,
     offset,
     w: LaurentSeries,
-    width: int = DEFAULT_TRUNCATION,
+    width: int,
 ) -> LaurentSeries:
     """Evaluate N at z = zhat + offset + t with w given as a series in t."""
     wp = w.derivative()
@@ -374,14 +365,14 @@ def exact_residual(eq: DelayDiffEq, w: FieldElem) -> FieldElem:
     """w(z+1) - w(z-1) - N for a rational candidate; zero iff it solves."""
     if w.is_zero:
         raise ZeroDivisionError("candidate w identically zero")
-    wp = rf_derivative(w)
+    wp = w.derivative()
     if eq.kind == EqKind.PURE_LOG_DERIV:
         n = eq.b - eq.a * wp / w
     elif eq.kind == EqKind.LOG_DERIV:
         n = eq.p_poly.evaluate(w) / eq.q_poly.evaluate(w) - eq.a * wp / w
     else:
         n = (eq.a * wp + eq.b * w) / (w * w) + eq.c
-    return rf_shift(w, 1) - rf_shift(w, -1) - n
+    return w.shift(1) - w.shift(-1) - n
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +415,14 @@ class DDPolynomial:
         def deriv(m: int) -> FieldElem:
             while m not in derivs:
                 k = max(derivs)
-                derivs[k + 1] = rf_derivative(derivs[k])
+                derivs[k + 1] = derivs[k].derivative()
             return derivs[m]
 
         total = _ZERO
         for coeff, mono in self.terms:
             prod = coeff
             for (shift, order), e in mono:
-                prod = prod * rf_shift(deriv(order), shift) ** e
+                prod = prod * deriv(order).shift(shift) ** e
             total = total + prod
         return total
 
@@ -476,42 +467,6 @@ def cleared_polynomial(eq: DelayDiffEq) -> DDPolynomial:
             continue
         terms.append((_ZERO - pk, {W: k + 1}))
     return DDPolynomial.build(terms)
-
-
-# ---------------------------------------------------------------------------
-# the z -> -z mirror, used to run cascades backward
-
-
-def _flip_z(r: FieldElem) -> FieldElem:
-    return r.compose_var("z", MPoly.const(-1) * MPoly.var("z"))
-
-
-def mirror(eq: DelayDiffEq) -> DelayDiffEq:
-    """Transform v(z) = w(-z); backward steps of eq are forward steps here."""
-    neg = _ZERO - _ONE
-    if eq.kind == EqKind.PURE_LOG_DERIV:
-        return make_pure_log_deriv(
-            _flip_z(eq.a), neg * _flip_z(eq.b), name=eq.name + "~mirror"
-        )
-    if eq.kind == EqKind.INVERSE_SQUARE:
-        return make_inverse_square(
-            _flip_z(eq.a), neg * _flip_z(eq.b), neg * _flip_z(eq.c),
-            name=eq.name + "~mirror",
-        )
-    p_m = eq.p_poly.map_coeffs(lambda c: neg * _flip_z(c))
-    factors = tuple((_flip_z(r), m) for r, m in eq.q_factors.factors) \
-        if eq.q_factors else None
-    q_f = FactoredDenominator(
-        factors,
-        eq.q_factors.residual.map_coeffs(_flip_z) if eq.q_factors and eq.q_factors.residual else None,
-    ) if factors is not None else None
-    if q_f is None:
-        q_m = eq.q_poly.map_coeffs(_flip_z)
-        return DelayDiffEq(
-            EqKind.LOG_DERIV, a=_flip_z(eq.a), p_poly=p_m, q_poly=q_m,
-            name=eq.name + "~mirror",
-        )
-    return make_log_deriv(_flip_z(eq.a), p_m, q_f, name=eq.name + "~mirror")
 
 
 # ---------------------------------------------------------------------------
@@ -574,47 +529,3 @@ def quadratic_roots(q: WPoly) -> Optional[Tuple[FieldElem, FieldElem]]:
         (_ZERO - beta - sqrt_disc) * half,
     )
 
-
-# ---------------------------------------------------------------------------
-# corpus entry parsing
-
-
-def parse_equation(entry: Mapping) -> DelayDiffEq:
-    """Build an equation from a corpus entry dict (see the corpus module)."""
-    kind_raw = entry.get("class")
-    try:
-        kind = EqKind(kind_raw)
-    except ValueError:
-        raise EquationError(f"unknown equation class {kind_raw!r}")
-    name = str(entry.get("id", ""))
-
-    def coeff(key: str, required: bool) -> FieldElem:
-        if key not in entry:
-            if required:
-                raise EquationError(f"entry {name!r} is missing {key!r}")
-            return _ZERO
-        return parse_expression(str(entry[key]), ("z",))
-
-    if kind == EqKind.PURE_LOG_DERIV:
-        return make_pure_log_deriv(coeff("a", True), coeff("b", True), name)
-    if kind == EqKind.INVERSE_SQUARE:
-        return make_inverse_square(
-            coeff("a", True), coeff("b", True), coeff("c", False), name
-        )
-    if "p_coeffs" not in entry or "q_factors" not in entry:
-        raise EquationError(
-            f"entry {name!r} needs p_coeffs and q_factors for log-deriv"
-        )
-    p = WPoly([parse_expression(str(s), ("z",)) for s in entry["p_coeffs"]])
-    factors = []
-    for f in entry["q_factors"]:
-        root = parse_expression(str(f["root"]), ("z",))
-        factors.append((root, int(f.get("mult", 1))))
-    residual = None
-    if "q_residual" in entry:
-        residual = WPoly(
-            [parse_expression(str(s), ("z",)) for s in entry["q_residual"]]
-        )
-    return make_log_deriv(
-        coeff("a", True), p, FactoredDenominator(tuple(factors), residual), name
-    )

@@ -408,9 +408,6 @@ class MPoly:
             out[key] = c
         return MPoly(self.vars, out)
 
-    def map_coeffs(self, fn) -> "MPoly":
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -218,9 +218,6 @@ class WeierstrassP:
         n = round(ic * z.real + id_ * z.imag)
         return z - m * self.omega1 - n * self.omega2
 
-    def nearest_lattice_point(self, z: complex) -> complex:
-        return z - self.reduce(z)
-
     def eval(self, z: complex) -> Tuple[complex, complex]:
         """(p(z), p'(z)), raising PoleSignal on lattice points."""
         u = self.reduce(complex(z))

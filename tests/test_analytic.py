@@ -247,6 +247,24 @@ class TestReductionToMkdv:
             mkdv_reduction_check(lam=0.0, nu=1.0)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda n: verify_elliptic_family(
+            elliptic_params(g2=4.0, g3=1.0, omega=0.37 + 0.11j, lam=1.0), samples=n
+        ),
+        lambda n: verify_exponential(fe_const(1), p=1, C=1.0, samples=n),
+        lambda n: mkdv_reduction_check(lam=2.0, nu=1.0, samples=n),
+    ],
+    ids=["elliptic", "exponential", "mkdv"],
+)
+def test_verifier_without_samples_is_rejected(check, samples):
+    # with no sample point the residual maximum is 0.0: a pass that tests nothing
+    with pytest.raises(ValueError, match="samples"):
+        check(samples)
+
+
 class TestRationalNumericModel:
     def test_evaluation_and_inventories(self):
         # f(z) = (z^2 - 1) / (z - 3)

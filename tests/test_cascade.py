@@ -14,14 +14,14 @@ from ddelab.cascade import (
     seed_local_data,
     simple_pole_residue,
 )
-from ddelab.fieldelem import FieldElem, rf_shift
+from ddelab.corpus import load_demo_corpus
+from ddelab.fieldelem import FieldElem
 from ddelab.model import (
     FactoredDenominator,
     WPoly,
     make_inverse_square,
     make_log_deriv,
     make_pure_log_deriv,
-    mirror,
 )
 
 Z = FieldElem.var("z")
@@ -30,8 +30,8 @@ ALPHA = FieldElem.var("alpha")
 ONE = FieldElem.const(1)
 
 
-def zero_seed(p, width=4):
-    return seed_local_data(SeedKind.ZERO_OF_W, p, width=width)
+def zero_seed(p):
+    return seed_local_data(SeedKind.ZERO_OF_W, p)
 
 
 def log_deriv_triple(a, p):
@@ -39,8 +39,8 @@ def log_deriv_triple(a, p):
     ahat = at_base_point(a)
     return (
         ahat * FieldElem.const(-p),
-        at_base_point(rf_shift(a, 1)),
-        at_base_point(rf_shift(a, 2)) - ahat * FieldElem.const(p),
+        at_base_point(a.shift(1)),
+        at_base_point(a.shift(2)) - ahat * FieldElem.const(p),
     )
 
 
@@ -91,7 +91,7 @@ class TestLogDerivativeChain:
         eq = make_pure_log_deriv(a=ONE, b=Z)
         pat = run_cascade(eq, zero_seed(1), 3)
         assert pat.entry_at(3).order == 0
-        expected = at_base_point(rf_shift(Z, 2) - rf_shift(Z, 1))
+        expected = at_base_point(Z.shift(2) - Z.shift(1))
         assert pat.entry_at(3).leading == expected == ONE
 
 
@@ -109,7 +109,7 @@ class TestInverseSquareChain:
 
     def test_perturbed_family_keeps_simple_pole(self):
         eq = make_inverse_square(a=ONE, b=Z)
-        pat = run_cascade(eq, zero_seed(1, width=5), 4)
+        pat = run_cascade(eq, zero_seed(1), 4)
         assert [e.order for e in pat.entries] == [-2, 1, -1, 0]
         assert pat.entry_at(1).leading == ONE / ALPHA
         assert pat.entry_at(2).leading == -ALPHA
@@ -122,8 +122,8 @@ class TestInverseSquareChain:
     def test_fourth_step_value_is_minus_alpha_shift_over_obstruction(self):
         a, b = ONE, Z
         eq = make_inverse_square(a=a, b=b)
-        pat = run_cascade(eq, zero_seed(1, width=5), 4)
-        expected = -ALPHA * at_base_point(rf_shift(a, 3)) / at_base_point(gamma_of(a, b))
+        pat = run_cascade(eq, zero_seed(1), 4)
+        expected = -ALPHA * at_base_point(a.shift(3)) / at_base_point(gamma_of(a, b))
         assert pat.entry_at(4).leading == expected
 
     def test_quadratic_coefficient_leaves_double_pole(self):
@@ -183,7 +183,7 @@ class TestPolynomialBlowup:
     def test_geometric_growth_verdict(self):
         w4 = WPoly([FieldElem.const(0)] * 4 + [ONE])
         eq = make_log_deriv(a=FieldElem.const(0), p_poly=w4, q_factors=FactoredDenominator((), None))
-        pat = run_cascade(eq, seed_local_data(SeedKind.POLE_OF_W, 1, width=4), 3)
+        pat = run_cascade(eq, seed_local_data(SeedKind.POLE_OF_W, 1), 3)
         verdict = confinement_report(pat, eq)
         assert verdict.kind == "exponential-order-growth"
         assert verdict.ratio == 4
@@ -203,23 +203,32 @@ class TestReproducibility:
     def test_leadings_do_not_depend_on_window_width(self):
         a = FieldElem.const(2) * Z**3 - Z + ONE
         eq = make_pure_log_deriv(a=a, b=ONE)
-        pats = [run_cascade(eq, zero_seed(1, width=w), 3) for w in (4, 6)]
+        seed = SeedSpec(SeedKind.ZERO_OF_W, 1)
+        pats = [run_cascade(eq, seed.build(w), 3) for w in (1, 2, 3, 8)]
         for j in (1, 2, 3):
-            assert pats[0].entry_at(j).order == pats[1].entry_at(j).order
-            assert pats[0].entry_at(j).leading == pats[1].entry_at(j).leading
+            for pat in pats[1:]:
+                assert pat.entry_at(j).order == pats[0].entry_at(j).order
+                assert pat.entry_at(j).leading == pats[0].entry_at(j).leading
+
+    def test_verdict_coefficient_regrows_a_narrow_window(self):
+        # orders -3, 2, -3: a one-coefficient window at offset 3 holds only
+        # c_-3, and the bounded-pole-chain witness is c_-2
+        eq = {e.id: e for e in load_demo_corpus()}["confined-basic"].eq
+        seed = SeedSpec(SeedKind.ZERO_OF_W, 2)
+        verdicts = []
+        for width in (1, 8):
+            pat = run_cascade(eq, seed.build(width), 3)
+            assert [e.order for e in pat.entries] == [-3, 2, -3]
+            verdicts.append(confinement_report(pat, eq).export())
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["kind"] == "bounded-pole-chain"
+        assert verdicts[0]["witness"] == "0"
 
     def test_repeated_runs_export_identically(self):
         eq = make_pure_log_deriv(a=Z, b=ONE)
         first = run_cascade(eq, zero_seed(1), 3).export()
         second = run_cascade(eq, zero_seed(1), 3).export()
         assert first == second
-
-    def test_mirrored_equation_flips_the_chain(self):
-        eq = make_pure_log_deriv(a=Z, b=ONE)
-        pat = run_cascade(mirror(eq), zero_seed(1), 3)
-        assert pat.entry_at(1).leading == ZHAT
-        assert pat.entry_at(2).leading == -ZHAT - ONE
-        assert pat.entry_at(3).leading == FieldElem.const(-2)
 
 
 class TestSeedValidation:

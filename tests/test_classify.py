@@ -187,13 +187,13 @@ class TestInverseSquareExtraction:
     def test_consistent_verdict_agrees_with_confined_cascade(self):
         eq = build_normal_form(1, 2, 3)
         assert classify_inverse_square(eq).outcome == Outcome.CONSISTENT_BRANCH_A
-        pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1, width=4), 3)
+        pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
         assert confinement_report(pat, eq).kind == "confined"
 
     def test_obstructed_verdict_agrees_with_pole_tail_cascade(self):
         eq = make_inverse_square(a=ONE, b=Z)
         assert classify_inverse_square(eq).outcome == Outcome.VIOLATES_NECESSARY_CONDITION
-        pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1, width=4), 3)
+        pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
         assert confinement_report(pat, eq).kind == "simple-pole-tail"
 
 

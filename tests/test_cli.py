@@ -41,3 +41,11 @@ def test_text_report_names_the_error_type(monkeypatch, capsys):
     text = capsys.readouterr().out
     assert "ERROR (ArithmeticError): sampling failed" in text
     assert text.rstrip().endswith("1 entries, 1 failed")
+
+
+def test_window_width_is_not_an_input(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.run(["classify", "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    assert "truncation" not in json.loads(out.read_text())
+    assert cli.run(["cascade", "--truncation", "8"]) == cli.EXIT_USAGE
+    assert "--truncation" in capsys.readouterr().err
