@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .analytic import (
+    EllipticParams,
     EllipticSolutionModel,
     ExponentialModel,
     continuum_limit,
@@ -91,6 +92,24 @@ def _confined_triple(entry: CorpusEntry) -> Tuple[complex, complex, complex]:
     return _gauss_to_complex(p.lam), _gauss_to_complex(p.mu), _gauss_to_complex(p.nu)
 
 
+def _elliptic_request(entry: CorpusEntry, request: Dict[str, Any], field: str,
+                      flip_alpha_square: bool = False) -> EllipticParams:
+    """Elliptic-family parameters of the entry's ``field`` request."""
+    lam, mu, nu = _confined_triple(entry)
+    if mu != 0 or nu != 0:
+        raise RequestError(
+            "the doubly periodic family needs both the drift and the "
+            "linear growth to vanish"
+        )
+    return elliptic_params(
+        g2=_as_complex(request.get("g2"), f"{field}.g2"),
+        g3=_as_complex(request.get("g3"), f"{field}.g3"),
+        omega=_as_complex(request.get("omega"), f"{field}.omega"),
+        lam=lam,
+        flip_alpha_square=flip_alpha_square,
+    )
+
+
 # ---------------------------------------------------------------------------
 # per-entry runners; each returns (result mapping, failed flag)
 
@@ -134,17 +153,8 @@ def _run_verify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     kind = request.get("kind")
     samples = int(request.get("samples", 100))
     if kind == "elliptic":
-        lam, mu, nu = _confined_triple(entry)
-        if mu != 0 or nu != 0:
-            raise RequestError(
-                "the doubly periodic family needs both the drift and the "
-                "linear growth to vanish"
-            )
-        params = elliptic_params(
-            g2=_as_complex(request.get("g2"), "verify.g2"),
-            g3=_as_complex(request.get("g3"), "verify.g3"),
-            omega=_as_complex(request.get("omega"), "verify.omega"),
-            lam=lam,
+        params = _elliptic_request(
+            entry, request, "verify",
             flip_alpha_square=bool(request.get("flip_scale_sign", False)),
         )
         report = verify_elliptic_family(params, samples=samples, seed=args.seed)
@@ -179,19 +189,7 @@ def _run_nev(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
         int(request.get("radii", 24)),
     )
     if kind == "elliptic":
-        lam, mu, nu = _confined_triple(entry)
-        if mu != 0 or nu != 0:
-            raise RequestError(
-                "the doubly periodic family needs both the drift and the "
-                "linear growth to vanish"
-            )
-        params = elliptic_params(
-            g2=_as_complex(request.get("g2"), "nev.g2"),
-            g3=_as_complex(request.get("g3"), "nev.g3"),
-            omega=_as_complex(request.get("omega"), "nev.omega"),
-            lam=lam,
-        )
-        model = EllipticSolutionModel(params)
+        model = EllipticSolutionModel(_elliptic_request(entry, request, "nev"))
         table = characteristic_table(model, grid)
         ratios = ratio_checks(table, entry.eq)
         result = {

@@ -5,17 +5,25 @@ test and equality are decided by cross-multiplication, which needs no gcd
 machinery and is exact.  Fractions are allowed to be non-reduced; correctness
 never depends on canonical form.
 
-Normalization applied on construction keeps sizes workable without general
-multivariate gcds:
+This module holds the one normal form of the exact core, ``_reduce(den,
+nums)``.  It reduces fractions nums[k]/den that share one denominator:
+``FieldElem`` passes its single numerator, and ``LaurentSeries.canonical``
+the whole window of a series.  Without general multivariate gcds it keeps
+sizes workable in four steps:
 
-* common monomial factors of num and den are cancelled,
-* constant denominators are absorbed into the numerator,
-* when the denominator involves a single variable, the gcd of the denominator
-  with the numerator's content in that variable is cancelled (plain Euclid in
-  one variable over Q(i)),
-* the rational content of the denominator is moved into the numerator and the
-  denominator's leading coefficient is rotated into the closed first quadrant
-  by a unit of Q(i), giving a deterministic sign convention.
+* the monomial dividing the denominator and every numerator is cancelled,
+* a constant denominator, also one that the next step leaves, is folded
+  into the numerators,
+* when the denominator, less its own monomial factor, involves a single
+  variable, its gcd with the numerators' content in that variable is
+  cancelled (plain Euclid in one variable over Q(i)),
+* the rational content of the denominator is moved into the numerators and
+  its leading coefficient is rotated into the closed first quadrant by a
+  unit of Q(i), giving a deterministic sign convention.
+
+A factor is cancelled only when every numerator shares it: finer
+cancellation would regrow when the window is put back over one denominator.
+``_tighten`` is the first two steps alone, which every new series window gets.
 
 Rational functions of the distinguished variable ``z`` are FieldElems whose
 function-field variable is ``z``; other symbols act as constants.
@@ -28,13 +36,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
-from .gaussian import ONE, ZERO, GaussianRational
-from .mpoly import MPoly, _ordered_vars
+from .gaussian import I, ONE, ZERO, GaussianRational
+from .mpoly import MPoly
 
 Coeffish = Union[int, Fraction, GaussianRational]
 ULi = List[GaussianRational]  # dense univariate coefficient list, low to high
+
+_ONE_MP = MPoly.const(1)
 
 
 class FieldElem:
@@ -45,7 +55,7 @@ class FieldElem:
             den = MPoly.const(1)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        num, den = _reduce(num, den)
+        den, (num,) = _reduce(den, [num])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -194,106 +204,17 @@ class FieldElem:
         return f"FieldElem({self})"
 
 
-# -- reduction pipeline ------------------------------------------------------------
+# -- the normal form -------------------------------------------------------------
 
 
-def _reduce(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
-    if num.is_zero:
-        return MPoly(), MPoly.const(1)
-
-    # cancel common monomial factors
-    vars_, n_terms, d_terms = MPoly._aligned(num, den)
-    num = MPoly(vars_, n_terms)
-    den = MPoly(vars_, d_terms)
-    nmin = num.min_exponents()
-    dmin = den.min_exponents()
-    delta = tuple(min(a, b) for a, b in zip(nmin, dmin))
-    if any(delta):
-        num = num.shift_exponents(delta)
-        den = den.shift_exponents(delta)
-
-    # constant denominator folds into the numerator
+def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
+    """Normal form of the fractions ``nums[k]/den``: the module docstring's
+    four steps, in order."""
+    if all(n.is_zero for n in nums):
+        return _ONE_MP, [MPoly() for _ in nums]
+    den, nums = _tighten(den, nums)
     if den.is_constant():
-        c = den.constant_value()
-        if c != ONE:
-            num = num.scale(c.inverse())
-        return num, MPoly.const(1)
-
-    # single-variable denominator core: cancel its gcd with the numerator
-    # content (the den may keep a monomial prefactor the num lacks)
-    dmono = den.min_exponents()
-    core = den.shift_exponents(dmono) if any(dmono) else den
-    dvars = core.used_vars()
-    if len(dvars) == 1:
-        v = dvars[0]
-        dlist = _as_univariate(core, v)
-        clist = _content_in(num, v)
-        g = _ulist_gcd(dlist, clist)
-        if len(g) > 1:
-            core = _from_univariate(_ulist_divexact(dlist, g), v)
-            num = _divide_content(num, v, g)
-            den = core * MPoly(den.vars, {dmono: ONE}) if any(dmono) else core
-
-    # rational content and unit normalization of the denominator
-    c = den.content()
-    if c != 1:
-        inv = GaussianRational(Fraction(1) / c)
-        num = num.scale(inv)
-        den = den.scale(inv)
-    lead = den.leading_coefficient()
-    unit = _first_quadrant_unit(lead)
-    if unit != ONE:
-        num = num.scale(unit)
-        den = den.scale(unit)
-    return num, den
-
-
-def _first_quadrant_unit(lead: GaussianRational) -> GaussianRational:
-    """Unit u with u*lead in the closed first quadrant (re > 0, im >= 0)."""
-    from .gaussian import I
-
-    cand = lead
-    unit = ONE
-    for _ in range(4):
-        if cand.re > 0 and cand.im >= 0:
-            return unit
-        cand = cand * I
-        unit = unit * I
-    return ONE  # lead == 0 cannot happen for a nonzero denominator
-
-
-def _reduce_many(den: MPoly, nums: "list[MPoly]") -> "tuple[MPoly, list[MPoly]]":
-    """Jointly reduce a shared denominator against a family of numerators.
-
-    Cancels only factors common to the denominator and every numerator; any
-    finer per-entry cancellation would regrow when the family is put back
-    over one denominator, so this is as small as the shared form gets.
-    """
-    live = [n for n in nums if not n.is_zero]
-    if not live:
-        return MPoly.const(1), [MPoly() for _ in nums]
-
-    union = _ordered_union([den] + live)
-    den = MPoly(union, den._embed(union))
-    nums = [n if n.is_zero else MPoly(union, n._embed(union)) for n in nums]
-
-    # common monomial factor across the den and every live numerator
-    delta = list(den.min_exponents())
-    for n in nums:
-        if n.is_zero:
-            continue
-        delta = [min(a, b) for a, b in zip(delta, n.min_exponents())]
-    if any(delta):
-        delta_t = tuple(delta)
-        den = den.shift_exponents(delta_t)
-        nums = [n if n.is_zero else n.shift_exponents(delta_t) for n in nums]
-
-    if den.is_constant():
-        c = den.constant_value()
-        if c != ONE:
-            inv = c.inverse()
-            nums = [n.scale(inv) for n in nums]
-        return MPoly.const(1), nums
+        return den, nums
 
     # univariate den core: strip the den's own monomial prefactor, then fold
     # the shrinking gcd through the numerators' coefficient slices
@@ -311,46 +232,75 @@ def _reduce_many(den: MPoly, nums: "list[MPoly]") -> "tuple[MPoly, list[MPoly]]"
         if len(g) > 1:
             core = _from_univariate(_ulist_divexact(_as_univariate(core, v), g), v)
             den = core * MPoly(den.vars, {dmono: ONE}) if any(dmono) else core
-            if den.vars != union:
-                den = MPoly(union, den._embed(union))
             nums = [n if n.is_zero else _divide_content(n, v, g) for n in nums]
+            if den.is_constant():
+                return _tighten(den, nums)
 
     c = den.content()
     if c != 1:
         inv = GaussianRational(Fraction(1) / c)
         den = den.scale(inv)
         nums = [n.scale(inv) for n in nums]
-    lead = den.leading_coefficient()
-    unit = _first_quadrant_unit(lead)
+    unit = _first_quadrant_unit(den.leading_coefficient())
     if unit != ONE:
         den = den.scale(unit)
         nums = [n.scale(unit) for n in nums]
     return den, nums
 
 
-def _ordered_union(ps: "list[MPoly]"):
-    names: set = set()
-    for p in ps:
-        names.update(p.vars)
-    return _ordered_vars(names)
+def _tighten(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
+    """The first two steps of ``_reduce`` alone: no gcd, no unit."""
+    if not den.is_constant():
+        common: Dict[str, int] = {
+            v: e for v, e in zip(den.vars, den.min_exponents()) if e
+        }
+        for n in nums:
+            if not common:
+                break
+            if n.is_zero:
+                continue
+            mins = dict(zip(n.vars, n.min_exponents()))
+            common = {
+                v: min(e, mins.get(v, 0))
+                for v, e in common.items()
+                if mins.get(v, 0)
+            }
+        if common:
+            den = den.shift_exponents(tuple(common.get(v, 0) for v in den.vars))
+            nums = [
+                n if n.is_zero
+                else n.shift_exponents(tuple(common.get(v, 0) for v in n.vars))
+                for n in nums
+            ]
+    if den.is_constant():
+        c = den.constant_value()
+        if c != ONE:
+            inv = c.inverse()
+            nums = [n.scale(inv) for n in nums]
+        return _ONE_MP, nums
+    return den, nums
+
+
+def _first_quadrant_unit(lead: GaussianRational) -> GaussianRational:
+    """Unit u with u*lead in the closed first quadrant (re > 0, im >= 0)."""
+    cand = lead
+    unit = ONE
+    for _ in range(4):
+        if cand.re > 0 and cand.im >= 0:
+            return unit
+        cand = cand * I
+        unit = unit * I
+    return ONE  # lead == 0 cannot happen for a nonzero denominator
 
 
 def _gcd_with_content(g: ULi, p: MPoly, v: str) -> ULi:
     """Fold gcd(g, content of p in v), slice by slice with early exit."""
     if v not in p.vars:
         return [ONE]
-    i = p.vars.index(v)
-    groups: Dict[tuple, Dict[int, GaussianRational]] = {}
-    for exps, c in p.terms.items():
-        rest = exps[:i] + exps[i + 1:]
-        groups.setdefault(rest, {})[exps[i]] = c
-    for grp in groups.values():
-        lst = [ZERO] * (max(grp) + 1)
-        for e, c in grp.items():
-            lst[e] = c
-        g = _ulist_gcd(g, _ulist_trim(lst))
+    for _, lst in _slices(p, v):
+        g = _ulist_gcd(g, lst)
         if len(g) == 1:
-            return g
+            break
     return g
 
 
@@ -369,43 +319,26 @@ def _from_univariate(lst: ULi, v: str) -> MPoly:
     return MPoly((v,), {(i,): c for i, c in enumerate(lst) if not c.is_zero})
 
 
-def _content_in(p: MPoly, v: str) -> ULi:
-    """Gcd of the coefficients of p viewed in (other vars)[v]."""
-    if v not in p.vars:
-        return [ONE]
+def _slices(p: MPoly, v: str) -> Iterator[Tuple[tuple, ULi]]:
+    """The coefficients of p in v, one list per monomial in the other vars."""
     i = p.vars.index(v)
     groups: Dict[tuple, Dict[int, GaussianRational]] = {}
     for exps, c in p.terms.items():
-        rest = exps[:i] + exps[i + 1:]
-        groups.setdefault(rest, {})[exps[i]] = c
-    g: ULi = []
-    for grp in groups.values():
-        lst = [ZERO] * (max(grp) + 1)
-        for e, c in grp.items():
-            lst[e] = c
-        g = _ulist_gcd(g, _ulist_trim(lst)) if g else _ulist_trim(lst)
-        if len(g) == 1:
-            return [ONE]
-    return g or [ONE]
-
-
-def _divide_content(p: MPoly, v: str, g: ULi) -> MPoly:
-    i = p.vars.index(v)
-    groups: Dict[tuple, Dict[int, GaussianRational]] = {}
-    for exps, c in p.terms.items():
-        rest = exps[:i] + exps[i + 1:]
-        groups.setdefault(rest, {})[exps[i]] = c
-    terms: Dict[tuple, GaussianRational] = {}
+        groups.setdefault(exps[:i] + exps[i + 1:], {})[exps[i]] = c
     for rest, grp in groups.items():
         lst = [ZERO] * (max(grp) + 1)
         for e, c in grp.items():
             lst[e] = c
-        q = _ulist_divexact(_ulist_trim(lst), g)
-        for e, c in enumerate(q):
-            if c.is_zero:
-                continue
-            key = rest[:i] + (e,) + rest[i:]
-            terms[key] = c
+        yield rest, _ulist_trim(lst)
+
+
+def _divide_content(p: MPoly, v: str, g: ULi) -> MPoly:
+    i = p.vars.index(v)
+    terms: Dict[tuple, GaussianRational] = {}
+    for rest, lst in _slices(p, v):
+        for e, c in enumerate(_ulist_divexact(lst, g)):
+            if not c.is_zero:
+                terms[rest[:i] + (e,) + rest[i:]] = c
     return MPoly(p.vars, terms)
 
 

@@ -26,19 +26,27 @@ reduction happens once per coefficient that is actually read out, not once
 per intermediate product.  Inversion uses the denominator-free recursion
 M_0 = 1, M_k = -sum_{j=1..k} N_j * M_{k-j} * N_0^(j-1), under which
 coefficient k of the inverse of sum N_k/D t^k is D*M_k / N_0^(k+1).
+
+A window built from separate fractions is put over the product of their
+distinct denominators, not over their least common multiple.  The normal
+form lives in ``fieldelem``: every new window gets its cheap monomial and
+constant stages, and ``canonical()`` reduces the window jointly with all of
+it.
+
+An exact series of more than one term has no natural width for its inverse,
+so ``inverse`` and ``div`` of such a series need the caller's ``width``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from .fieldelem import FieldElem, _as_univariate, _from_univariate, _reduce_many, _ulist_divmod
+from .fieldelem import FieldElem, _reduce, _tighten
 from .gaussian import ONE, GaussianRational
 from .mpoly import MPoly
 
-DEFAULT_TRUNCATION = 16
 MAX_TRUNCATION = 128
 _MAX_EXACT_WIDTH = 96
 
@@ -268,7 +276,9 @@ class LaurentSeries:
         if self.exact and len(self.nums) == 1:
             return LaurentSeries._raw(-self.lo, self.nums[0], [self.den], True)
         if self.exact:
-            w = width if width is not None else DEFAULT_TRUNCATION
+            if width is None:
+                raise ValueError("the inverse of an exact multi-term series needs a width")
+            w = width
         else:
             w = len(self.nums)
             if width is not None:
@@ -329,7 +339,7 @@ class LaurentSeries:
         """
         if not self.nums:
             return self
-        den, nums = _reduce_many(self.den, list(self.nums))
+        den, nums = _reduce(self.den, list(self.nums))
         return LaurentSeries._raw(self.lo, den, nums, self.exact)
 
     # -- comparison and display -----------------------------------------------
@@ -375,48 +385,12 @@ class LaurentSeries:
 # -- shared-denominator plumbing ----------------------------------------------
 
 
-def _tighten(den: MPoly, nums: List[MPoly]) -> tuple[MPoly, List[MPoly]]:
-    """Cheap normalization: pull out common monomial content, fold constants."""
-    if not den.is_constant():
-        common: Dict[str, int] = {
-            v: e for v, e in zip(den.vars, den.min_exponents()) if e
-        }
-        for n in nums:
-            if not common:
-                break
-            if n.is_zero:
-                continue
-            mins = dict(zip(n.vars, n.min_exponents()))
-            common = {
-                v: min(e, mins.get(v, 0))
-                for v, e in common.items()
-                if mins.get(v, 0)
-            }
-        if common:
-            den = den.shift_exponents(tuple(common.get(v, 0) for v in den.vars))
-            nums = [
-                n if n.is_zero
-                else n.shift_exponents(tuple(common.get(v, 0) for v in n.vars))
-                for n in nums
-            ]
-    if den.is_constant():
-        c = den.constant_value()
-        if c != ONE:
-            inv = c.inverse()
-            nums = [n.scale(inv) for n in nums]
-        return _ONE_MP, nums
-    return den, nums
-
-
 def _common_denominator(cs: Sequence[FieldElem]) -> tuple[MPoly, List[MPoly]]:
-    """Shared denominator for reduced fractions, tracking repeated factors.
+    """Put fractions over one shared denominator.
 
-    Denominators from the reduction pipeline are products of a monomial and a
-    few recurring core polynomials (powers of the window's leading numerators,
-    shifted coefficient denominators).  Factoring against the cores already
-    seen keeps the common denominator at the true least common multiple in
-    all the structured cases; an unrecognized multivariate core is treated as
-    atomic, which can only overshoot, never miss.
+    The shared denominator is the product of the distinct denominators, and
+    each numerator is multiplied by the denominators other than its own.  It
+    may overshoot the least common multiple; ``canonical()`` reduces it.
     """
     if not cs:
         return _ONE_MP, []
@@ -426,120 +400,41 @@ def _common_denominator(cs: Sequence[FieldElem]) -> tuple[MPoly, List[MPoly]]:
             k = c.den.constant_value()
             nums.append(c.num if k == ONE else c.num.scale(k.inverse()))
         return _ONE_MP, nums
-
-    cores: List[MPoly] = []  # monic, registered in order of first sight
-    core_lists: List["list | None"] = []  # univariate coefficient lists
-    core_vars: List["str | None"] = []
-    core_max: List[int] = []
-    mono_max: Dict[str, int] = {}
-    parsed = []  # per coefficient: (scaled num, mono exps, {core index: exponent})
-
+    dens: List[MPoly] = []
     for c in cs:
-        d = c.den
-        num = c.num
-        mono: Dict[str, int] = {}
-        mins = d.min_exponents()
-        if any(mins):
-            mono = {v: e for v, e in zip(d.vars, mins) if e}
-            d = d.shift_exponents(mins)
-        mults: Dict[int, int] = {}
-        if not d.is_constant():
-            uv = d.used_vars()
-            if len(uv) == 1:
-                v = uv[0]
-                lst = _as_univariate(d, v)
-                for idx, flst in enumerate(core_lists):
-                    if core_vars[idx] != v or flst is None:
-                        continue
-                    e = 0
-                    while len(lst) >= len(flst) and len(lst) > 1:
-                        q, r = _ulist_divmod(lst, flst)
-                        if r:
-                            break
-                        lst = q
-                        e += 1
-                    if e:
-                        mults[idx] = e
-                if len(lst) > 1:
-                    lead = lst[-1]
-                    if lead != ONE:
-                        inv = lead.inverse()
-                        lst = [x * inv for x in lst]
-                        num = num.scale(inv)
-                    idx = len(cores)
-                    cores.append(_from_univariate(lst, v))
-                    core_lists.append(lst)
-                    core_vars.append(v)
-                    core_max.append(0)
-                    mults[idx] = 1
-                    lst = lst[-1:]
-                # residual constant folds into the numerator
-                c0 = lst[0] if lst else ONE
-                if c0 != ONE:
-                    num = num.scale(c0.inverse())
-            else:
-                for idx, f in enumerate(cores):
-                    if core_vars[idx] is None and f == d:
-                        mults[idx] = mults.get(idx, 0) + 1
-                        break
-                else:
-                    idx = len(cores)
-                    cores.append(d)
-                    core_lists.append(None)
-                    core_vars.append(None)
-                    core_max.append(0)
-                    mults[idx] = 1
-        elif d.constant_value() != ONE:
-            num = num.scale(d.constant_value().inverse())
-        for v, e in mono.items():
-            if e > mono_max.get(v, 0):
-                mono_max[v] = e
-        for idx, e in mults.items():
-            if e > core_max[idx]:
-                core_max[idx] = e
-        parsed.append((num, mono, mults))
-
+        if not any(d == c.den for d in dens):
+            dens.append(c.den)
     den = _ONE_MP
-    for v, e in sorted(mono_max.items()):
-        den = den * MPoly.var(v, e)
-    core_pows: List[List[MPoly]] = []
-    for f, top in zip(cores, core_max):
-        tab = [_ONE_MP]
-        for _ in range(top):
-            tab.append(tab[-1] * f)
-        core_pows.append(tab)
-        den = den * tab[top]
-
+    for d in dens:
+        den = den * d
     nums = []
-    for num, mono, mults in parsed:
-        if num.is_zero:
-            nums.append(_ZERO_MP)
-            continue
-        for v, top in mono_max.items():
-            gap = top - mono.get(v, 0)
-            if gap:
-                num = num * MPoly.var(v, gap)
-        for idx, top in enumerate(core_max):
-            gap = top - mults.get(idx, 0)
-            if gap:
-                num = num * core_pows[idx][gap]
+    for c in cs:
+        num = c.num
+        if not num.is_zero:
+            for d in dens:
+                if d != c.den:
+                    num = num * d
         nums.append(num)
     return den, nums
 
 
-def ls_log_derivative(s: LaurentSeries) -> LaurentSeries:
-    """S'/S.  The leading coefficient is the exact local order."""
+def ls_log_derivative(s: LaurentSeries, width: "int | None" = None) -> LaurentSeries:
+    """S'/S.  The leading coefficient is the exact local order.
+
+    ``width`` is passed to ``div``; an exact series of more than one term
+    needs it, a monomial does not.
+    """
     if not s.nums:
         if s.exact:
             raise ZeroDivisionError("log-derivative of the zero series")
         raise UncertifiedOrderError("log-derivative needs a certified leading term")
-    return s.derivative().div(s)
+    return s.derivative().div(s, width)
 
 
 def series_of_ratfunc(
     r: FieldElem,
-    offset: Coeffish = 0,
-    width: int = DEFAULT_TRUNCATION,
+    offset: Coeffish,
+    width: int,
     var: str = "z",
     center_var: str = "zhat",
 ) -> LaurentSeries:
@@ -575,8 +470,8 @@ def compose_rational(
     num_coeffs: Sequence[FieldElem],
     den_coeffs: Sequence[FieldElem],
     s: LaurentSeries,
-    offset: Coeffish = 0,
-    width: int = DEFAULT_TRUNCATION,
+    offset: Coeffish,
+    width: int,
 ) -> LaurentSeries:
     """Evaluate a rational function of w at w = S(t), z = center + offset + t.
 

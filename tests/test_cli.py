@@ -49,3 +49,20 @@ def test_window_width_is_not_an_input(tmp_path, capsys):
     assert "truncation" not in json.loads(out.read_text())
     assert cli.run(["cascade", "--truncation", "8"]) == cli.EXIT_USAGE
     assert "--truncation" in capsys.readouterr().err
+
+
+def test_elliptic_requests_share_one_parser(tmp_path):
+    ellip = {"kind": "elliptic", "g2": 4.0, "g3": 1.0, "omega": [1.0, 0.3]}
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"schema_version": 1, "entries": [{
+        "id": "drifting", "class": "inverse-square", "a": "1 + z", "b": "z", "c": "0",
+        "verify": dict(ellip, samples=10), "nev": ellip,
+    }]}))
+    errors = []
+    for sub in ("verify", "nev"):
+        out = tmp_path / f"{sub}.json"
+        cli.run([sub, "--corpus", str(corpus), "--format", "json", "--out", str(out)])
+        [row] = json.loads(out.read_text())["entries"]
+        errors.append((row["error_type"], row["error"]))
+    assert errors == [("RequestError", "the doubly periodic family needs both the "
+                       "drift and the linear growth to vanish")] * 2

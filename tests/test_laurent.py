@@ -111,6 +111,28 @@ def test_inverse_errors():
         LaurentSeries(0, [fe(0)] * 3, exact=False).inverse(4)
 
 
+def test_exact_series_has_no_implicit_inverse_width():
+    s = LaurentSeries(0, [fe(1), fe(-1)], exact=True)
+    with pytest.raises(ValueError):
+        s.inverse()
+    with pytest.raises(ValueError):
+        LaurentSeries.one().div(s)
+    with pytest.raises(ValueError):
+        ls_log_derivative(s)
+
+
+def test_window_over_distinct_denominators():
+    zh, alpha, K = (FieldElem.var(v) for v in ("zhat", "alpha", "K"))
+    cs = [ONE / (zh - 1), ONE / ((zh - 1) * (zh - 1)), alpha / (K + zh), fe(0)]
+    s = LaurentSeries(0, cs, exact=False)
+    for k, c in enumerate(cs):
+        assert s.coefficient(k) == c
+    unit = s * s.inverse(4)
+    assert (unit.lo, unit.stored_hi) == (0, 4)
+    assert unit.coefficient(0) == ONE
+    assert all(unit.coefficient(k).is_zero for k in range(1, 4))
+
+
 def test_derivative():
     s = LaurentSeries(-1, [fe(1), fe(5), fe(3)], exact=True)  # t^-1 + 5 + 3t
     d = s.derivative()
@@ -134,7 +156,7 @@ def test_log_derivative_of_unit_series():
     K = FieldElem.var("K")
     alpha = FieldElem.var("alpha")
     s = LaurentSeries(0, [K, alpha], exact=True)
-    ld = ls_log_derivative(s)
+    ld = ls_log_derivative(s, width=4)
     assert ld.coefficient(0) == alpha / K
     assert ld.coefficient(1) == FieldElem.const(-1) * alpha * alpha / (K * K)
 
