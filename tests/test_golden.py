@@ -1,13 +1,23 @@
 """Demo-corpus reports checked against golden copies.
 
-The golden files hold the ``entries`` of the ``classify``, ``cascade`` and
-``limit`` JSON reports on the built-in demo corpus, rendered with the
-report's own JSON layout.  ``classify`` and ``cascade`` must match byte for
-byte.  The ``limit`` row is compared without its ``truncation`` field: that
-field records the expansion depth used, not a result.
+The golden files hold the ``entries`` of the five JSON reports on the
+built-in demo corpus, rendered with the report's own JSON layout.
+``classify`` and ``cascade`` must match byte for byte.  The ``limit`` row is
+compared without its ``truncation`` field: that field records the expansion
+depth used, not a result.
+
+``verify`` and ``nev`` carry floating-point measurements, so they are
+compared field by field.  Strings, integers, booleans, nulls and the set of
+keys must match exactly; that covers ids, verdicts, parameters, sample
+counts, pole and zero counts, ``settled``, notes and the ``power_ratio``
+column.  Floats match within a tolerance chosen by their key: residuals
+within 1e-12 absolute, fitted growth exponents to three decimals, the
+verifier tolerance exactly, and every other float (the table and ratio
+columns) within 1e-9 relative.
 """
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -18,14 +28,71 @@ GOLDEN = Path(__file__).parent / "golden"
 
 IGNORED_FIELDS = {"classify": (), "cascade": (), "limit": ("truncation",)}
 
+GROWTH_FIELDS = {
+    "order", "order_width", "hyper_order", "hyper_order_width",
+    "pole_hyper", "pole_hyper_width",
+}
+
+
+def _report_entries(subcommand, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.run([subcommand, "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    return json.loads(out.read_text())["entries"]
+
+
+def _float_close(key, got, want):
+    if key == "tol":
+        return got == want
+    if key == "max_residual":
+        return abs(got - want) <= 1e-12
+    if key in GROWTH_FIELDS:
+        return round(got, 3) == round(want, 3)
+    return math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0)
+
+
+def _mismatches(got, want, path="", key=""):
+    """Paths at which ``got`` departs from ``want`` under the rules above."""
+    if type(got) is not type(want):
+        return [f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if set(got) != set(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in sorted(want) for m in _mismatches(got[k], want[k], f"{path}.{k}", k)]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [
+            m for i, (g, w) in enumerate(zip(got, want))
+            for m in _mismatches(g, w, f"{path}[{i}]", key)
+        ]
+    if isinstance(want, float):
+        return [] if _float_close(key, got, want) else [f"{path}: {got!r} != {want!r}"]
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
 
 @pytest.mark.parametrize("subcommand", sorted(IGNORED_FIELDS))
 def test_demo_entries_match_golden(subcommand, tmp_path):
-    out = tmp_path / "report.json"
-    assert cli.run([subcommand, "--format", "json", "--out", str(out)]) == cli.EXIT_OK
     entries = [
         {k: v for k, v in row.items() if k not in IGNORED_FIELDS[subcommand]}
-        for row in json.loads(out.read_text())["entries"]
+        for row in _report_entries(subcommand, tmp_path)
     ]
     got = json.dumps(entries, sort_keys=True, indent=2) + "\n"
     assert got == (GOLDEN / f"demo-{subcommand}.json").read_text()
+
+
+@pytest.mark.parametrize("subcommand", ["nev", "verify"])
+def test_demo_measurements_match_golden(subcommand, tmp_path):
+    want = json.loads((GOLDEN / f"demo-{subcommand}.json").read_text())
+    assert _mismatches(_report_entries(subcommand, tmp_path), want) == []
+
+
+def test_golden_comparison_is_strict_where_it_should_be():
+    row = {"n": 2, "settled": True, "power_ratio": None, "m": 0.5, "order": 2.0471}
+    assert _mismatches(dict(row), row) == []
+    assert _mismatches({**row, "m": 0.5 * (1 + 1e-10)}, row) == []
+    assert _mismatches({**row, "order": 2.0474}, row) == []
+    assert _mismatches({**row, "m": 0.5 * (1 + 1e-8)}, row)
+    assert _mismatches({**row, "order": 2.048}, row)
+    assert _mismatches({**row, "n": 3}, row)
+    assert _mismatches({**row, "settled": 1}, row)
+    assert _mismatches({k: v for k, v in row.items() if k != "power_ratio"}, row)
