@@ -15,164 +15,3 @@ The package provides four layers:
 """
 
 __version__ = "0.1.0"
-
-from .gaussian import GaussianRational, gauss
-from .mpoly import MPoly
-from .fieldelem import FieldElem
-from .laurent import (
-    CompositionIndeterminateError,
-    LaurentSeries,
-    SeriesWindowError,
-    UncertifiedOrderError,
-    compose_rational,
-    ls_log_derivative,
-    series_of_ratfunc,
-)
-from .exprparse import ParseError, parse_expression
-from .model import (
-    DelayDiffEq,
-    EqKind,
-    EquationError,
-    FactoredDenominator,
-    WPoly,
-    make_inverse_square,
-    make_log_deriv,
-    make_pure_log_deriv,
-    rational_degree,
-    resultant_in_w,
-)
-from .cascade import (
-    ConfinementVerdict,
-    LocalData,
-    PatternEntry,
-    SeedKind,
-    SeedSpec,
-    SingularityPattern,
-    confinement_report,
-    gamma_of,
-    polynomial_blowup,
-    run_cascade,
-    second_difference,
-    seed_local_data,
-    simple_pole_residue,
-)
-from .classify import (
-    NormalFormParams,
-    Outcome,
-    Verdict,
-    build_normal_form,
-    classify,
-    classify_inverse_square,
-    classify_log_deriv,
-    classify_pure_log_deriv,
-)
-from .wp import DegenerateLatticeError, PoleSignal, WeierstrassP
-from .analytic import (
-    DiffPoly,
-    EllipticParams,
-    EllipticSolutionModel,
-    ExponentialModel,
-    ParamDomainError,
-    RationalNumericModel,
-    VerifierReport,
-    continuum_limit,
-    elliptic_params,
-    mkdv_reduction_check,
-    verify_elliptic_family,
-    verify_exponential,
-)
-from .nevanlinna import (
-    GrowthEstimate,
-    NevRow,
-    NevTable,
-    PowerModel,
-    Proximity,
-    RatioReport,
-    RatioRow,
-    ShiftedReciprocalModel,
-    WpModel,
-    characteristic_table,
-    counting_data,
-    growth_estimates,
-    log_grid,
-    proximity,
-    ratio_checks,
-)
-
-__all__ = [
-    "GaussianRational",
-    "gauss",
-    "MPoly",
-    "FieldElem",
-    "LaurentSeries",
-    "SeriesWindowError",
-    "UncertifiedOrderError",
-    "CompositionIndeterminateError",
-    "ls_log_derivative",
-    "series_of_ratfunc",
-    "compose_rational",
-    "ParseError",
-    "parse_expression",
-    "DelayDiffEq",
-    "EqKind",
-    "EquationError",
-    "FactoredDenominator",
-    "WPoly",
-    "make_log_deriv",
-    "make_pure_log_deriv",
-    "make_inverse_square",
-    "rational_degree",
-    "resultant_in_w",
-    "SeedKind",
-    "SeedSpec",
-    "LocalData",
-    "PatternEntry",
-    "SingularityPattern",
-    "ConfinementVerdict",
-    "seed_local_data",
-    "run_cascade",
-    "confinement_report",
-    "gamma_of",
-    "second_difference",
-    "simple_pole_residue",
-    "polynomial_blowup",
-    "Outcome",
-    "NormalFormParams",
-    "Verdict",
-    "build_normal_form",
-    "classify",
-    "classify_log_deriv",
-    "classify_pure_log_deriv",
-    "classify_inverse_square",
-    "DegenerateLatticeError",
-    "PoleSignal",
-    "WeierstrassP",
-    "DiffPoly",
-    "EllipticParams",
-    "EllipticSolutionModel",
-    "ExponentialModel",
-    "ParamDomainError",
-    "RationalNumericModel",
-    "VerifierReport",
-    "continuum_limit",
-    "elliptic_params",
-    "mkdv_reduction_check",
-    "verify_elliptic_family",
-    "verify_exponential",
-    "GrowthEstimate",
-    "NevRow",
-    "NevTable",
-    "PowerModel",
-    "Proximity",
-    "RatioReport",
-    "RatioRow",
-    "ShiftedReciprocalModel",
-    "WpModel",
-    "characteristic_table",
-    "counting_data",
-    "growth_estimates",
-    "log_grid",
-    "proximity",
-    "ratio_checks",
-    "__version__",
-]

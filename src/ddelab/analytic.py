@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -175,29 +175,6 @@ class EllipticSolutionModel:
         out.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
         return out
 
-    def value_points(self, v: complex, radius: float) -> List[Tuple[complex, int]]:
-        """Solutions of w(z) = v up to radius, with multiplicities."""
-        if v == 0:
-            return self.zeros_upto(radius)
-        target = self._p_omega + v / self.params.alpha
-        u = self._w.value_preimage(target)
-        om = self.params.omega
-        half = self._w.reduce(2.0 * u)
-        scale = min(abs(self._w.omega1), abs(self._w.omega2))
-        if abs(half) <= 1e-6 * scale:
-            # u and -u coincide mod the lattice: one double point per cell
-            return [(p, 2) for p in self._scaled_lattice(radius, u / om)]
-        out = [(p, 1) for p in self._scaled_lattice(radius, u / om)]
-        out += [(p, 1) for p in self._scaled_lattice(radius, -u / om)]
-        out.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
-        return out
-
-    def cell_area(self) -> float:
-        """Area of one fundamental cell of the pole lattice of the model."""
-        a = self._w.omega1 / self.params.omega
-        b = self._w.omega2 / self.params.omega
-        return abs((a.conjugate() * b).imag)
-
     def describe(self) -> dict:
         return {"tag": self.tag, **self.params.export()}
 
@@ -303,25 +280,6 @@ class ExponentialModel:
 
     def zeros_upto(self, radius: float) -> List[Tuple[complex, int]]:
         return []
-
-    def value_points(self, v: complex, radius: float) -> List[Tuple[complex, int]]:
-        """Solutions of C*exp(rho z) = v: one line of points with spacing 2/p."""
-        if v == 0:
-            return []
-        base = cmath.log(v / self.C) / self.rho
-        step = 2.0 / self.p
-        k0 = round(((-base) / step).real)
-        out = []
-        k = k0
-        while abs(base + k * step) <= radius:
-            out.append((base + k * step, 1))
-            k += 1
-        k = k0 - 1
-        while abs(base + k * step) <= radius:
-            out.append((base + k * step, 1))
-            k -= 1
-        out.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
-        return out
 
     def describe(self) -> dict:
         return {"tag": self.tag, "C": str(self.C), "p": str(self.p)}
@@ -540,54 +498,3 @@ def mkdv_reduction_check(
         passed=worst <= tol,
         tol=tol,
     )
-
-
-# ---------------------------------------------------------------------------
-# rational model for the measurement layer
-
-
-class RationalNumericModel:
-    """Rational function with numeric coefficients and root inventories.
-
-    Roots are found once at construction; the intended use is small demo
-    degrees where the companion-matrix roots are reliable.
-    """
-
-    tag = "rational-numeric"
-
-    __slots__ = ("num", "den", "_zeros", "_poles", "degree")
-
-    def __init__(self, num: Sequence[complex], den: Sequence[complex] = (1.0,)):
-        self.num = [complex(c) for c in num]
-        self.den = [complex(c) for c in den]
-        if not any(self.num) or not any(self.den):
-            raise ParamDomainError("zero numerator or denominator")
-        self._zeros = [complex(r) for r in np.roots(list(reversed(self.num)))] if len(self.num) > 1 else []
-        self._poles = [complex(r) for r in np.roots(list(reversed(self.den)))] if len(self.den) > 1 else []
-        self.degree = max(len(self.num), len(self.den)) - 1
-
-    def _horner(self, coeffs: Sequence[complex], z: complex) -> complex:
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
-
-    def evaluate(self, z: complex) -> complex:
-        return self._horner(self.num, z) / self._horner(self.den, z)
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        return np.log(np.abs(self._horner(self.num, z) / self._horner(self.den, z)))
-
-    def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(p, 1) for p in self._poles if abs(p) <= radius]
-
-    def zeros_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(p, 1) for p in self._zeros if abs(p) <= radius]
-
-    def describe(self) -> dict:
-        return {
-            "tag": self.tag,
-            "num": [str(c) for c in self.num],
-            "den": [str(c) for c in self.den],
-        }

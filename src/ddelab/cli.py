@@ -61,14 +61,19 @@ class RequestError(ValueError):
     """An analysis request names parameters the entry cannot satisfy."""
 
 
+def _is_number(value: Any) -> bool:
+    # JSON true/false decode to bool, which is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (
         isinstance(value, Sequence)
         and not isinstance(value, str)
         and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
+        and all(_is_number(x) for x in value)
     ):
         return complex(value[0], value[1])
     raise RequestError(f"{where}: expected a number or [re, im] pair, got {value!r}")

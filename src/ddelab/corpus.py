@@ -106,7 +106,7 @@ def parse_equation(raw: Mapping[str, Any]) -> DelayDiffEq:
                         "{{root, mult}}"
                     )
                 mult = item.get("mult", 1)
-                if not isinstance(mult, int) or mult < 1:
+                if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
                     raise CorpusError(
                         f"entry {entry_id!r}: q_factors[{i}].mult must be a "
                         "positive integer"

@@ -5,12 +5,11 @@ representing re + im*i.  It is the coefficient domain for every symbolic
 computation in this package: no floats enter until a value is explicitly
 converted with complex().
 
-Instances are immutable and hashable, so they can key dictionaries (shift
-offsets in delay polynomials, for example).  Components are kept in lowest
-terms with a positive denominator, which makes the representation canonical
-and equality structural.  gmpy2's mpq is used as the rational backend when
-installed (it is hash- and equality-compatible with Fraction); plain
-Fraction otherwise.
+Instances are immutable and hashable, so they can key dictionaries.
+Components are kept in lowest terms with a positive denominator, which makes
+the representation canonical and equality structural.  gmpy2's mpq is used
+as the rational backend when installed (it is hash- and equality-compatible
+with Fraction); plain Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -178,52 +177,3 @@ def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
         return _Q(x)
 
     return GaussianRational(frac(re), frac(im))
-
-
-def gaussian_sqrt(g: GaussianRational) -> "GaussianRational | None":
-    """Exact square root in Q(i) if one exists, else None.
-
-    Solves (x + y*i)^2 = re + im*i over the rationals.  Used by the
-    discriminant-is-a-square convenience for quadratic denominators.
-    """
-    if g.is_zero:
-        return ZERO
-    n = g.norm()
-    s = _fraction_sqrt(n)
-    if s is None:
-        return None
-    # x^2 = (re + |g|) / 2, y = im / (2x); handle re + s == 0 (pure imaginary root).
-    half = (g.re + s) / 2
-    x2 = _fraction_sqrt(half)
-    if x2 is not None and x2 != 0:
-        y = g.im / (2 * x2)
-        cand = GaussianRational(x2, y)
-        if cand * cand == g:
-            return cand
-    # fall back: root may be purely imaginary (re + s == 0 case).
-    half2 = (s - g.re) / 2
-    y2 = _fraction_sqrt(half2)
-    if y2 is not None:
-        for ycand in (y2, -y2):
-            xden = 2 * ycand
-            if xden != 0:
-                x = g.im / xden
-                cand = GaussianRational(x, ycand)
-                if cand * cand == g:
-                    return cand
-            elif g.im == 0:
-                cand = GaussianRational(Fraction(0), ycand)
-                if cand * cand == g:
-                    return cand
-    return None
-
-
-def _fraction_sqrt(f) -> "Fraction | None":
-    if f < 0:
-        return None
-    from math import isqrt
-
-    pn, pd = isqrt(f.numerator), isqrt(f.denominator)
-    if pn * pn == f.numerator and pd * pd == f.denominator:
-        return _Q(int(pn), int(pd))
-    return None

@@ -1,4 +1,4 @@
-"""Delay-differential equation classes and delay-differential polynomials.
+"""Delay-differential equation classes and their normal form.
 
 Three equation shapes are supported, all written with the difference
 w(z+1) - w(z-1) on the left:
@@ -13,22 +13,18 @@ Every equation also carries the derived normal form
 
 which is what the cascade engine consumes.  Both views are exact.
 
-The module also provides general delay-differential polynomials with exact
-substitution of rational candidates, degree reports for the right-hand side
-as a rational map of w, and resultants in w.
+The module also provides degree reports for the right-hand side as a
+rational map of w, and resultants in w.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .fieldelem import FieldElem
-from .gaussian import GaussianRational, gauss, gaussian_sqrt
 from .laurent import LaurentSeries, compose_rational, series_of_ratfunc
-from .mpoly import MPoly
 
 _ZERO = FieldElem.const(0)
 _ONE = FieldElem.const(1)
@@ -359,173 +355,3 @@ def normal_form_series(
     c_s = series_of_ratfunc(eq.c, offset, width)
     winv = w.inverse(width)
     return a_s * wp * winv * winv + b_s * winv + c_s
-
-
-def exact_residual(eq: DelayDiffEq, w: FieldElem) -> FieldElem:
-    """w(z+1) - w(z-1) - N for a rational candidate; zero iff it solves."""
-    if w.is_zero:
-        raise ZeroDivisionError("candidate w identically zero")
-    wp = w.derivative()
-    if eq.kind == EqKind.PURE_LOG_DERIV:
-        n = eq.b - eq.a * wp / w
-    elif eq.kind == EqKind.LOG_DERIV:
-        n = eq.p_poly.evaluate(w) / eq.q_poly.evaluate(w) - eq.a * wp / w
-    else:
-        n = (eq.a * wp + eq.b * w) / (w * w) + eq.c
-    return w.shift(1) - w.shift(-1) - n
-
-
-# ---------------------------------------------------------------------------
-# general delay-differential polynomials
-
-# a monomial maps (shift, derivative order) -> exponent; stored sorted
-Monomial = Tuple[Tuple[Tuple[GaussianRational, int], int], ...]
-
-
-def _mono(factors: Mapping[Tuple[object, int], int]) -> Monomial:
-    items = []
-    for (shift, order), e in factors.items():
-        if e == 0:
-            continue
-        items.append(((GaussianRational.coerce(shift), order), e))
-    items.sort(key=lambda it: (it[0][0].re, it[0][0].im, it[0][1]))
-    return tuple(items)
-
-
-@dataclass(frozen=True)
-class DDPolynomial:
-    """Sum of coefficient * product of w^(m)(z + c)^e factors."""
-
-    terms: Tuple[Tuple[FieldElem, Monomial], ...]
-
-    @staticmethod
-    def build(terms) -> "DDPolynomial":
-        out = []
-        for coeff, factors in terms:
-            c = FieldElem.coerce(coeff)
-            if c.is_zero:
-                continue
-            out.append((c, _mono(factors)))
-        return DDPolynomial(tuple(out))
-
-    def substitute_rational(self, candidate: FieldElem) -> FieldElem:
-        """Replace w^(m)(z+c) by the shifted m-th derivative of candidate."""
-        derivs = {0: candidate}
-
-        def deriv(m: int) -> FieldElem:
-            while m not in derivs:
-                k = max(derivs)
-                derivs[k + 1] = derivs[k].derivative()
-            return derivs[m]
-
-        total = _ZERO
-        for coeff, mono in self.terms:
-            prod = coeff
-            for (shift, order), e in mono:
-                prod = prod * deriv(order).shift(shift) ** e
-            total = total + prod
-        return total
-
-    def __add__(self, other: "DDPolynomial") -> "DDPolynomial":
-        return DDPolynomial(self.terms + other.terms)
-
-
-def cleared_polynomial(eq: DelayDiffEq) -> DDPolynomial:
-    """The equation with denominators cleared, as residual = 0.
-
-    Multiplies through by w for pure-log-deriv, w^2 for inverse-square and
-    w * Q(z, w) for log-deriv, so substituting an exact solution gives zero.
-    """
-    W = (gauss(0), 0)  # w(z)
-    WP = (gauss(0), 1)  # w'(z)
-    WPLUS = (gauss(1), 0)
-    WMINUS = (gauss(-1), 0)
-    if eq.kind == EqKind.PURE_LOG_DERIV:
-        return DDPolynomial.build([
-            (_ONE, {WPLUS: 1, W: 1}),
-            (_ZERO - _ONE, {WMINUS: 1, W: 1}),
-            (eq.a, {WP: 1}),
-            (_ZERO - eq.b, {W: 1}),
-        ])
-    if eq.kind == EqKind.INVERSE_SQUARE:
-        return DDPolynomial.build([
-            (_ONE, {WPLUS: 1, W: 2}),
-            (_ZERO - _ONE, {WMINUS: 1, W: 2}),
-            (_ZERO - eq.a, {WP: 1}),
-            (_ZERO - eq.b, {W: 1}),
-            (_ZERO - eq.c, {W: 2}),
-        ])
-    terms = []
-    for k, qk in enumerate(eq.q_poly.coeffs):
-        if qk.is_zero:
-            continue
-        terms.append((qk, {WPLUS: 1, W: k + 1}))
-        terms.append((_ZERO - qk, {WMINUS: 1, W: k + 1}))
-        terms.append((eq.a * qk, {WP: 1, W: k}))
-    for k, pk in enumerate(eq.p_poly.coeffs):
-        if pk.is_zero:
-            continue
-        terms.append((_ZERO - pk, {W: k + 1}))
-    return DDPolynomial.build(terms)
-
-
-# ---------------------------------------------------------------------------
-# quadratic factorization convenience
-
-
-def _poly_sqrt(p: MPoly, var: str = "z") -> Optional[MPoly]:
-    """Exact square root of a univariate polynomial, or None."""
-    used = p.used_vars()
-    if any(v != var for v in used):
-        return None
-    if p.is_zero:
-        return MPoly.zero()
-    deg = p.degree(var)
-    if deg % 2:
-        return None
-    lc = p.leading_coefficient()
-    s = gaussian_sqrt(lc)
-    if s is None:
-        return None
-    d = deg // 2
-    r = MPoly.const(s) * MPoly.var(var) ** d
-    two_s = MPoly.const(s * 2)
-    diff = p - r * r
-    while not diff.is_zero:
-        k = diff.degree(var)
-        if k < d:
-            return None
-        idx = diff.vars.index(var)
-        t = next(c for e, c in diff.terms.items() if e[idx] == k)
-        r = r + MPoly.const(t / (s * 2)) * MPoly.var(var) ** (k - d)
-        diff = p - r * r
-    return r
-
-
-def quadratic_roots(q: WPoly) -> Optional[Tuple[FieldElem, FieldElem]]:
-    """Roots of a degree-2 denominator when rational in z, else None.
-
-    Convenience check for suppliers of factored denominators: decides
-    whether the discriminant is a square of a rational function.
-    """
-    if q.degree != 2:
-        raise ValueError("quadratic root check needs degree exactly 2")
-    lc = q.leading
-    beta = q.coefficient(1) / lc
-    gamma = q.coefficient(0) / lc
-    disc = beta * beta - FieldElem.const(4) * gamma
-    if disc.is_zero:
-        half = FieldElem.const(Fraction(1, 2))
-        r = _ZERO - beta * half
-        return (r, r)
-    prod = disc.num * disc.den
-    root = _poly_sqrt(prod)
-    if root is None:
-        return None
-    sqrt_disc = FieldElem(root, disc.den)
-    half = FieldElem.const(Fraction(1, 2))
-    return (
-        (_ZERO - beta + sqrt_disc) * half,
-        (_ZERO - beta - sqrt_disc) * half,
-    )
-

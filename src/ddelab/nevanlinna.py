@@ -1,9 +1,9 @@
 """Value-distribution measurements over exactly known singularity inventories.
 
-The models measured here (elliptic solution, exponential, rational, and
-powers of these) come with closed-form pole and zero sets, so the counting
-side of the characteristic is integer-exact and the only numeric error
-lives in the proximity integral.  That integral is taken over each circle
+The models measured here (the elliptic solution and the exponential) come
+with closed-form pole and zero sets, so the counting side of the
+characteristic is integer-exact and the only numeric error lives in the
+proximity integral.  That integral is taken over each circle
 by locating the crossings of log|f| = 0 first and then applying iterated
 trapezoid refinement with Richardson extrapolation on every smooth arc in
 between; a radius is nudged by one part in a million when a pole sits
@@ -25,125 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import DelayDiffEq, EqKind, rational_degree
-from .wp import WeierstrassP
 
 _JITTER = 1e-6
 _POLE_PROXIMITY = 1e-3
 _QUAD_TOL = 1e-9
 _SCAN_NODES = 1024
-
-
-# ---------------------------------------------------------------------------
-# models over the bare p-function, for the degree identity spot check
-
-
-class WpModel:
-    """The p-function itself as a measurable model."""
-
-    tag = "wp"
-
-    __slots__ = ("engine", "_zero_rep")
-
-    def __init__(self, engine: WeierstrassP):
-        self.engine = engine
-        self._zero_rep = engine.value_preimage(0j)
-
-    def evaluate(self, z: complex) -> complex:
-        return self.engine.eval(z)[0]
-
-    def evaluate_many(self, z: np.ndarray) -> np.ndarray:
-        return self.engine.eval_many(z)[0]
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(self.evaluate_many(z)))
-
-    def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(p, 2) for p in self.engine.lattice_points_in_disk(radius)]
-
-    def zeros_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        return self.value_points(0j, radius)
-
-    def value_points(self, v: complex, radius: float) -> List[Tuple[complex, int]]:
-        u = self._zero_rep if v == 0 else self.engine.value_preimage(complex(v))
-        eng = self.engine
-        scale = min(abs(eng.omega1), abs(eng.omega2))
-        if abs(eng.reduce(2.0 * u)) <= 1e-6 * scale:
-            # u and -u coincide mod the lattice: one double point per cell
-            return [(p, 2) for p in eng.lattice_points_in_disk(radius, u)]
-        out = [(p, 1) for p in eng.lattice_points_in_disk(radius, u)]
-        out += [(p, 1) for p in eng.lattice_points_in_disk(radius, -u)]
-        out.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
-        return out
-
-    def describe(self) -> dict:
-        return {"tag": self.tag, "g2": str(self.engine.g2), "g3": str(self.engine.g3)}
-
-
-class PowerModel:
-    """An integer power of a base model; inventories scale by the exponent."""
-
-    tag = "power"
-
-    __slots__ = ("base", "k")
-
-    def __init__(self, base, k: int):
-        if k < 1:
-            raise ValueError("exponent must be a positive integer")
-        self.base = base
-        self.k = int(k)
-
-    def evaluate(self, z: complex) -> complex:
-        return self.base.evaluate(z) ** self.k
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return self.k * self.base.log_abs(z)
-
-    def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(p, m * self.k) for p, m in self.base.poles_upto(radius)]
-
-    def zeros_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        return [(p, m * self.k) for p, m in self.base.zeros_upto(radius)]
-
-    def describe(self) -> dict:
-        return {"tag": self.tag, "k": str(self.k), "base": self.base.describe()}
-
-
-class ShiftedReciprocalModel:
-    """1/(f - a): poles where f hits a, zeros where f has poles.
-
-    Needs the base model to expose evaluate_many, and value_points for
-    nonzero a; used for the first-main-theorem sanity measurement.
-    """
-
-    tag = "shifted-reciprocal"
-
-    __slots__ = ("base", "a")
-
-    def __init__(self, base, a: complex):
-        self.base = base
-        self.a = complex(a)
-
-    def evaluate(self, z: complex) -> complex:
-        return 1.0 / (self.base.evaluate(z) - self.a)
-
-    def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return -np.log(np.abs(self.base.evaluate_many(z) - self.a))
-
-    def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        if self.a == 0:
-            return self.base.zeros_upto(radius)
-        return self.base.value_points(self.a, radius)
-
-    def zeros_upto(self, radius: float) -> List[Tuple[complex, int]]:
-        return self.base.poles_upto(radius)
-
-    def describe(self) -> dict:
-        return {"tag": self.tag, "a": str(self.a), "base": self.base.describe()}
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +235,6 @@ class NevTable:
     model: dict
     rows: Tuple[NevRow, ...]
 
-    def to_csv(self) -> str:
-        lines = ["r,n,n_bar,N,N_bar,m,T"]
-        for row in self.rows:
-            lines.append(
-                f"{row.r!r},{row.n},{row.n_bar},{row.N!r},{row.N_bar!r},"
-                f"{row.m!r},{row.T!r}"
-            )
-        return "\n".join(lines) + "\n"
-
     def export(self) -> dict:
         return {"model": self.model, "rows": [row.export() for row in self.rows]}
 
@@ -485,7 +367,6 @@ class RatioRow:
     zero_ratio: Optional[float]
     degree_gap_lhs: Optional[float]
     zero_count_rhs: Optional[float]
-    power_ratio: Optional[float]
     note: str = ""
 
     def export(self) -> dict:
@@ -494,7 +375,8 @@ class RatioRow:
             "zero_ratio": self.zero_ratio,
             "degree_gap_lhs": self.degree_gap_lhs,
             "zero_count_rhs": self.zero_count_rhs,
-            "power_ratio": self.power_ratio,
+            # no longer measured; kept as null so report layouts stay the same
+            "power_ratio": None,
             "note": self.note,
         }
 
@@ -508,27 +390,16 @@ class RatioReport:
         return {"threshold": self.threshold, "rows": [r.export() for r in self.rows]}
 
 
-def ratio_checks(
-    table: NevTable,
-    eq: Optional[DelayDiffEq],
-    power_table: Optional[Tuple[NevTable, NevTable]] = None,
-) -> RatioReport:
+def ratio_checks(table: NevTable, eq: Optional[DelayDiffEq]) -> RatioReport:
     """Per-radius ratios against the zero-density threshold of 3/4.
 
     Reads an already built characteristic table.  Reports the
-    distinct-zero share of the characteristic, the two sides of the
-    degree-gap bound for the rational-in-w class, and the observed
-    characteristic ratio of a power pair when one is supplied.
+    distinct-zero share of the characteristic and the two sides of the
+    degree-gap bound for the rational-in-w class.
     """
     deg_gap = None
     if eq is not None and eq.kind == EqKind.LOG_DERIV:
         deg_gap = rational_degree(eq).deg_map - 3
-    power_rows: Dict[float, float] = {}
-    if power_table is not None:
-        base_tab, pow_tab = power_table
-        for rb, rp in zip(base_tab.rows, pow_tab.rows):
-            if rb.T > 0:
-                power_rows[rb.r] = rp.T / rb.T
     rows = []
     for row in table.rows:
         note = ""
@@ -541,7 +412,5 @@ def ratio_checks(
         if deg_gap is not None and zero_ratio is not None:
             lhs = deg_gap * row.T
             rhs = row.Nbar_zero
-        rows.append(
-            RatioRow(row.r, zero_ratio, lhs, rhs, power_rows.get(row.r), note)
-        )
+        rows.append(RatioRow(row.r, zero_ratio, lhs, rhs, note))
     return RatioReport(tuple(rows))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 from itertools import permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -80,14 +80,13 @@ def _gauss_reduce(p: complex, q: complex) -> Tuple[complex, complex]:
 class WeierstrassP:
     """The p-function of the lattice with invariants (g2, g3).
 
-    Exposes evaluation, the validated period basis, lattice enumeration,
-    and preimages of values.  Immutable after construction; every method
-    is safe to call concurrently.
+    Exposes evaluation, the validated period basis and lattice
+    enumeration.  Immutable after construction; every method is safe to
+    call concurrently.
 
     Evaluation comes in two forms that run the same arithmetic.  ``eval``
     takes one point and raises ``PoleSignal`` on the lattice; the residual
-    verifiers, the Newton steps of ``value_preimage`` and the period
-    validation call it, one point at a time.  ``eval_many`` takes an array
+    verifiers and the family parameter check call it, one point at a time.  ``eval_many`` takes an array
     and marks lattice points in a mask instead of raising; the circle
     quadrature of the growth measurements calls it on thousands of points
     at once.  Both are kept because numpy's fixed cost per call makes a
@@ -292,30 +291,3 @@ class WeierstrassP:
         out = grid[inside].tolist()
         out.sort(key=lambda w: (abs(w), w.real, w.imag))
         return out
-
-    def value_preimage(self, v: complex) -> complex:
-        """A point u in the base cell with p(u) = v; the full preimage set
-        is {u, -u} + lattice.
-
-        Newton iteration from a fixed grid of cell offsets; the grid order
-        is deterministic so repeated calls return the same representative.
-        """
-        seeds = [
-            (s * self.omega1 + t * self.omega2)
-            for s in (0.23, 0.41, 0.59, 0.77, 0.11, 0.89)
-            for t in (0.19, 0.37, 0.63, 0.81, 0.49, 0.07)
-        ]
-        for u in seeds:
-            try:
-                for _ in range(60):
-                    x, y = self._eval_small(u)
-                    step = (x - v) / y
-                    u = u - step
-                    if abs(step) <= 1e-14 * (1.0 + abs(u)):
-                        break
-                x, y = self._eval_small(u)
-            except (PoleSignal, ZeroDivisionError):
-                continue
-            if abs(x - v) <= 1e-9 * (1.0 + abs(v)):
-                return self.reduce(u)
-        raise ArithmeticError(f"no preimage of {v} found from the seed grid")

@@ -12,26 +12,20 @@ from fractions import Fraction
 
 import pytest
 
-from ddelab import (
-    MPoly,
-    SeedKind,
-    build_normal_form,
-    confinement_report,
-    run_cascade,
-    seed_local_data,
-)
 from ddelab.analytic import (
     EllipticSolutionModel,
     ExponentialModel,
     ParamDomainError,
-    RationalNumericModel,
     continuum_limit,
     elliptic_params,
     mkdv_reduction_check,
     verify_elliptic_family,
     verify_exponential,
 )
+from ddelab.cascade import SeedKind, confinement_report, run_cascade, seed_local_data
+from ddelab.classify import build_normal_form
 from ddelab.fieldelem import FieldElem
+from ddelab.mpoly import MPoly
 
 
 def fe_const(c) -> FieldElem:
@@ -131,16 +125,6 @@ class TestExponentialFamily:
         model = ExponentialModel(C=2.0, p=1)
         assert model.poles_upto(50.0) == []
         assert model.zeros_upto(50.0) == []
-
-    def test_level_set_is_a_line_of_points(self):
-        model = ExponentialModel(C=1.0, p=1)
-        pts = model.value_points(2.0 + 0j, 9.0)
-        assert pts
-        for q, m in pts:
-            assert m == 1
-            assert abs(model.evaluate(q) - 2.0) <= 1e-9
-        gaps = sorted(abs(b[0] - a[0]) for a, b in zip(pts, pts[1:]))
-        assert min(gaps) >= 2.0 - 1e-9
 
 
 class TestContinuumLimit:
@@ -263,15 +247,3 @@ def test_verifier_without_samples_is_rejected(check, samples):
     # with no sample point the residual maximum is 0.0: a pass that tests nothing
     with pytest.raises(ValueError, match="samples"):
         check(samples)
-
-
-class TestRationalNumericModel:
-    def test_evaluation_and_inventories(self):
-        # f(z) = (z^2 - 1) / (z - 3)
-        model = RationalNumericModel([-1.0, 0.0, 1.0], [-3.0, 1.0])
-        assert model.evaluate(2.0) == pytest.approx(-3.0)
-        zeros = model.zeros_upto(10.0)
-        poles = model.poles_upto(10.0)
-        assert sorted(round(q.real) for q, _ in zeros) == [-1, 1]
-        assert [round(q.real) for q, _ in poles] == [3]
-        assert model.degree == 2

@@ -66,3 +66,18 @@ def test_elliptic_requests_share_one_parser(tmp_path):
         errors.append((row["error_type"], row["error"]))
     assert errors == [("RequestError", "the doubly periodic family needs both the "
                        "drift and the linear growth to vanish")] * 2
+
+
+def test_boolean_request_number_is_rejected(tmp_path):
+    # JSON true must not pass for the number 1: omega = 1 would run and pass
+    [entry] = [e for e in json.loads(demo_corpus_text())["entries"] if e["id"] == "confined-basic"]
+    corpus = tmp_path / "corpus.json"
+    for omega in (True, [True, 0.0]):
+        entry["verify"]["omega"] = omega
+        corpus.write_text(json.dumps({"schema_version": 1, "entries": [entry]}))
+        out = tmp_path / "verify.json"
+        cli.run(["verify", "--corpus", str(corpus), "--format", "json", "--out", str(out)])
+        [row] = json.loads(out.read_text())["entries"]
+        assert (row["error_type"], row["error"]) == (
+            "RequestError", f"verify.omega: expected a number or [re, im] pair, got {omega!r}"
+        )

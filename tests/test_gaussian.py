@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ddelab.gaussian import GaussianRational, gauss, gaussian_sqrt, I, ONE, ZERO
+from ddelab.gaussian import GaussianRational, gauss, I, ONE, ZERO
 
 
 def test_construction_and_coercion():
@@ -71,19 +71,6 @@ def test_complex_embedding():
     g = gauss("1/2", "1/3")
     z = complex(g)
     assert abs(z - (0.5 + 1j / 3)) < 1e-15
-
-
-def test_gaussian_sqrt_exact_cases():
-    assert gaussian_sqrt(gauss(4)) in (gauss(2), gauss(-2))
-    # (1+i)^2 = 2i
-    r = gaussian_sqrt(gauss(0, 2))
-    assert r is not None and r * r == gauss(0, 2)
-    # (3+2i)^2 = 5+12i
-    r = gaussian_sqrt(gauss(5, 12))
-    assert r is not None and r * r == gauss(5, 12)
-    # 2 has no square root in Q(i)
-    assert gaussian_sqrt(gauss(2)) is None
-    assert gaussian_sqrt(gauss(0, 1)) is None
 
 
 def test_hash_consistency():

@@ -1,4 +1,4 @@
-"""Equation objects, degrees, resultants, exact substitution."""
+"""Equation objects, degrees, resultants, the normal form as a series."""
 
 import random
 from fractions import Fraction
@@ -8,22 +8,17 @@ import pytest
 from ddelab.exprparse import parse_expression
 from ddelab.corpus import CorpusError, parse_equation
 from ddelab.fieldelem import FieldElem
-from ddelab.gaussian import gauss
 from ddelab.laurent import LaurentSeries
 from ddelab.model import (
-    DDPolynomial,
     DelayDiffEq,
     EqKind,
     EquationError,
     FactoredDenominator,
     WPoly,
-    cleared_polynomial,
-    exact_residual,
     make_inverse_square,
     make_log_deriv,
     make_pure_log_deriv,
     normal_form_series,
-    quadratic_roots,
     rational_degree,
     resultant_in_w,
 )
@@ -235,89 +230,6 @@ def test_resultant_zero_iff_root_shared():
         assert det_zero == root_shared
 
 
-# -- exact substitution -------------------------------------------------------
-
-
-def test_substitute_difference_term():
-    # w(z+1) - w(z-1) at z^2 gives 4z
-    ddp = DDPolynomial.build([
-        (ONE, {(1, 0): 1}),
-        (FieldElem.const(-1), {(-1, 0): 1}),
-    ])
-    assert ddp.substitute_rational(Z * Z) == FieldElem.const(4) * Z
-
-
-def test_cleared_pure_log_deriv_at_constant():
-    # constants kill the difference and the log-derivative; -b c0 remains
-    b = Z + 1
-    eq = make_pure_log_deriv(ONE, b)
-    ddp = cleared_polynomial(eq)
-    c0 = FieldElem.const(Fraction(5, 3))
-    out = ddp.substitute_rational(c0)
-    assert out == FieldElem.const(-1) * b * c0
-
-
-def test_cleared_log_deriv_at_denominator_root():
-    # at w = z every Q-term dies and -w P(w) remains: -z (z^3 + 1)
-    eq = std_log_deriv()
-    out = cleared_polynomial(eq).substitute_rational(Z)
-    assert out == FieldElem.const(-1) * Z * (Z ** 3 + 1)
-    assert not out.is_zero
-
-
-def test_cleared_matches_normal_form_residual():
-    # clearing multiplier: w for pure-log-deriv, w^2 for inverse-square,
-    # w Q(w) for log-deriv
-    cand = (Z + 2) / (Z - 1)
-
-    eq1 = make_pure_log_deriv(Z, Z + 1)
-    lhs = cleared_polynomial(eq1).substitute_rational(cand)
-    assert lhs == exact_residual(eq1, cand) * cand
-
-    eq2 = make_inverse_square(ONE, Z, Z * Z)
-    lhs = cleared_polynomial(eq2).substitute_rational(cand)
-    assert lhs == exact_residual(eq2, cand) * cand * cand
-
-    eq3 = std_log_deriv()
-    lhs = cleared_polynomial(eq3).substitute_rational(cand)
-    mult = cand * eq3.q_poly.evaluate(cand)
-    assert lhs == exact_residual(eq3, cand) * mult
-
-
-def test_substitution_linearity():
-    rng = random.Random(7)
-    cand = (Z * Z + 3) / (Z + 5)
-    t1 = (Z, {(1, 0): 1, (0, 1): 1})
-    t2 = (ONE / (Z + 1), {(-1, 0): 2})
-    a = DDPolynomial.build([t1])
-    b = DDPolynomial.build([t2])
-    ab = DDPolynomial.build([t1, t2])
-    assert ab.substitute_rational(cand) == (
-        a.substitute_rational(cand) + b.substitute_rational(cand)
-    )
-
-
-def test_substitution_multiplicativity():
-    cand = Z + 2
-    # single-factor monomials multiply: w(z+1) * w'(z) as one term equals
-    # the product of the separate substitutions
-    prod_term = DDPolynomial.build([(ONE, {(1, 0): 1, (0, 1): 1})])
-    f1 = DDPolynomial.build([(ONE, {(1, 0): 1})])
-    f2 = DDPolynomial.build([(ONE, {(0, 1): 1})])
-    assert prod_term.substitute_rational(cand) == (
-        f1.substitute_rational(cand) * f2.substitute_rational(cand)
-    )
-
-
-def test_gaussian_shift():
-    # shifts may be Gaussian integers
-    ddp = DDPolynomial.build([(ONE, {(gauss(0, 1), 0): 1})])
-    out = ddp.substitute_rational(Z * Z)
-    # (z + i)^2 = z^2 + 2i z - 1
-    expected = Z * Z + FieldElem.const(gauss(0, 2)) * Z - 1
-    assert out == expected
-
-
 # -- normal form as series ----------------------------------------------------
 
 
@@ -364,35 +276,6 @@ def test_normal_form_series_log_deriv_matches_exact():
         assert n_series.coefficient(k) == expected.coefficient(k)
 
 
-# -- quadratic roots ----------------------------------------------------------
-
-
-def test_quadratic_roots_rational_case():
-    # (w - z)(w - 2z): discriminant 9z^2 - 8z^2 = z^2 is a square
-    q = FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1))).expand()
-    roots = quadratic_roots(q)
-    assert roots is not None
-    assert set_eq(roots, (Z, FieldElem.const(2) * Z))
-
-
-def test_quadratic_roots_irrational_case():
-    # w^2 - z: discriminant 4z is not a square
-    q = WPoly([FieldElem.const(-1) * Z, ZERO, ONE])
-    assert quadratic_roots(q) is None
-
-
-def test_quadratic_roots_double():
-    q = WPoly([Z * Z, FieldElem.const(-2) * Z, ONE])  # (w - z)^2
-    roots = quadratic_roots(q)
-    assert roots == (Z, Z)
-
-
-def set_eq(got, want):
-    a, b = got
-    c, d = want
-    return (a == c and b == d) or (a == d and b == c)
-
-
 # -- parsing ------------------------------------------------------------------
 
 
@@ -436,3 +319,13 @@ def test_parse_missing_fields():
         parse_equation({"id": "q", "class": "pure-log-deriv", "a": "1"})
     with pytest.raises(CorpusError):
         parse_equation({"id": "q", "class": "log-deriv", "a": "1"})
+
+
+def test_parse_boolean_multiplicity_rejected():
+    # JSON true decodes to a bool, which Python also counts as the integer 1
+    entry = {
+        "id": "b", "class": "log-deriv", "a": "1", "p": ["1", "0", "0", "1"],
+        "q_factors": [{"root": "z", "mult": True}],
+    }
+    with pytest.raises(CorpusError, match=r"q_factors\[0\]\.mult must be a positive integer"):
+        parse_equation(entry)

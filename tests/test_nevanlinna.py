@@ -6,25 +6,18 @@ on instances whose circle means are known in closed form, so both halves
 of the characteristic are confirmed against independent routes.
 """
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
 
-from ddelab.analytic import (
-    EllipticSolutionModel,
-    ExponentialModel,
-    RationalNumericModel,
-    elliptic_params,
-)
+from ddelab.analytic import EllipticSolutionModel, ExponentialModel, elliptic_params
 import ddelab.nevanlinna as nevanlinna
 from ddelab.fieldelem import FieldElem
 from ddelab.model import FactoredDenominator, WPoly, make_log_deriv
 from ddelab.nevanlinna import (
-    PowerModel,
-    ShiftedReciprocalModel,
-    WpModel,
     characteristic_table,
     counting_data,
     growth_estimates,
@@ -32,7 +25,51 @@ from ddelab.nevanlinna import (
     proximity,
     ratio_checks,
 )
-from ddelab.wp import WeierstrassP
+
+
+class RationalFake:
+    """prod (z - zero) / prod (z - pole), simple roots listed by hand."""
+
+    def __init__(self, zeros, poles):
+        self.zeros = [complex(q) for q in zeros]
+        self.poles = [complex(p) for p in poles]
+
+    def log_abs(self, z):
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros(z.shape)
+        for q in self.zeros:
+            out = out + np.log(np.abs(z - q))
+        for p in self.poles:
+            out = out - np.log(np.abs(z - p))
+        return out
+
+    def poles_upto(self, radius):
+        return [(p, 1) for p in self.poles if abs(p) <= radius]
+
+    def zeros_upto(self, radius):
+        return [(q, 1) for q in self.zeros if abs(q) <= radius]
+
+    def describe(self):
+        return {"tag": "rational-fake"}
+
+
+class ReciprocalFake:
+    """1/f of a model f: log|f| negated, poles and zeros swapped."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def log_abs(self, z):
+        return -self.base.log_abs(z)
+
+    def poles_upto(self, radius):
+        return self.base.zeros_upto(radius)
+
+    def zeros_upto(self, radius):
+        return self.base.poles_upto(radius)
+
+    def describe(self):
+        return {"tag": "reciprocal-fake"}
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +139,11 @@ class TestProximity:
                 assert proximity(model, r).m == pytest.approx(p * r, rel=1e-8)
 
     def test_modulus_below_one_gives_zero(self):
-        model = RationalNumericModel([1.0], [-2.0, 1.0])  # 1/(z - 2)
+        model = RationalFake([], [2.0])  # 1/(z - 2)
         assert proximity(model, 1.0) == (0.0, True)
 
     def test_pole_on_the_circle_is_jittered_not_fatal(self):
-        model = RationalNumericModel([1.0], [-2.0, 1.0])
+        model = RationalFake([], [2.0])
         value = proximity(model, 2.0).m
         assert math.isfinite(value)
         # hand value of the arc integral for 1/(z-2) on |z| = 2
@@ -127,7 +164,6 @@ class TestSettled:
         table = characteristic_table(elliptic_model, [nearest, 3.0])
         assert [row.settled for row in table.rows] == [False, True]
         assert table.export()["rows"][0]["settled"] is False
-        assert "settled" not in table.to_csv()
 
     def test_demo_grid_settles_everywhere(self, elliptic_table):
         assert all(row.settled for row in elliptic_table.rows)
@@ -157,7 +193,8 @@ class TestCharacteristicTable:
 
     def test_rational_characteristic_is_degree_log_r(self):
         # (z^3 + 2)/(z - 5): degree 3, so T(r) = 3 log r + O(1)
-        model = RationalNumericModel([2.0, 0.0, 0.0, 1.0], [-5.0, 1.0])
+        cube_roots = [2 ** (1 / 3) * cmath.exp(1j * math.pi * k / 3) for k in (1, 3, 5)]
+        model = RationalFake(cube_roots, [5.0])
         table = characteristic_table(model, log_grid(10.0, 1e6, 12))
         for row in table.rows:
             assert abs(row.T - 3 * math.log(row.r)) <= 3.0
@@ -170,7 +207,9 @@ class TestCharacteristicTable:
             assert row.T == pytest.approx(row.r, rel=1e-6)
 
     def test_elliptic_counts_track_cell_density(self, elliptic_model, elliptic_table):
-        area = elliptic_model.cell_area()
+        engine, omega = elliptic_model.params.engine, elliptic_model.params.omega
+        a, b = engine.omega1 / omega, engine.omega2 / omega
+        area = abs((a.conjugate() * b).imag)
         for row in elliptic_table.rows[-8:]:
             expected = 2.0 * math.pi * row.r**2 / area
             assert abs(row.n - expected) <= 0.15 * expected
@@ -185,17 +224,9 @@ class TestCharacteristicTable:
 
     def test_serialization_is_deterministic(self, elliptic_model, elliptic_table):
         again = characteristic_table(elliptic_model, log_grid(1.0, 16.0, 24))
-        assert elliptic_table.to_csv() == again.to_csv()
         a = json.dumps(elliptic_table.export(), sort_keys=True)
         b = json.dumps(again.export(), sort_keys=True)
         assert a == b
-
-    def test_csv_layout(self, elliptic_table):
-        lines = elliptic_table.to_csv().splitlines()
-        assert lines[0] == "r,n,n_bar,N,N_bar,m,T"
-        assert len(lines) == 1 + len(elliptic_table.rows)
-        first = lines[1].split(",")
-        assert float(first[0]) == pytest.approx(1.0)
 
 
 class TestGrowthEstimates:
@@ -241,56 +272,28 @@ class TestRatioChecks:
             assert 0.8 <= row.zero_ratio <= 1.1
             assert row.degree_gap_lhs is None
 
-    def test_degree_gap_columns_for_the_rational_class(self):
-        engine = WeierstrassP(4.0, 1.0)
-        model = WpModel(engine)
+    def test_degree_gap_columns_for_the_rational_class(self, elliptic_table):
         # quartic over monic linear: degree of the w-map is 4, gap is 1
         fe = FieldElem.coerce
         quartic = WPoly([fe(0), fe(0), fe(0), fe(0), fe(1)])
         den = FactoredDenominator(((fe(1), 1),), None)
         eq = make_log_deriv(a=fe(1), p_poly=quartic, q_factors=den)
-        report = ratio_checks(characteristic_table(model, log_grid(2.0, 8.0, 8)), eq)
+        report = ratio_checks(elliptic_table, eq)
         for row in report.rows:
             assert row.degree_gap_lhs is not None
             base_T = row.degree_gap_lhs / 1.0  # gap is 1
             assert row.zero_count_rhs is not None
             assert row.zero_ratio == pytest.approx(row.zero_count_rhs / base_T)
 
-    def test_power_pair_ratio(self):
-        engine = WeierstrassP(4.0, 1.0)
-        base = WpModel(engine)
-        grid = log_grid(1.0, 9.0, 12)
-        base_tab = characteristic_table(base, grid)
-        pow_tab = characteristic_table(PowerModel(base, 2), grid)
-        report = ratio_checks(base_tab, None, power_table=(base_tab, pow_tab))
-        usable = [r.power_ratio for r in report.rows if r.power_ratio is not None]
-        for value in usable[-6:]:
-            assert 1.8 <= value <= 2.2
-
 
 class TestFirstMainTheoremSanity:
-    @pytest.mark.parametrize("a", [0.0, 1.0])
+    # T(r, 1/(f - a)) = T(r, f) + O(1); for a = 0 the inventories of 1/(f - a)
+    # are those of f, swapped
+    @pytest.mark.parametrize("a", [0.0])
     def test_shifted_reciprocal_tracks_the_characteristic(
         self, a, elliptic_model, elliptic_table
     ):
         grid = [row.r for row in elliptic_table.rows[-8:]]
-        shifted = ShiftedReciprocalModel(elliptic_model, a)
-        stab = characteristic_table(shifted, grid)
+        stab = characteristic_table(ReciprocalFake(elliptic_model), grid)
         for srow, brow in zip(stab.rows, elliptic_table.rows[-8:]):
             assert abs(srow.T - brow.T) <= 2.0 + 0.05 * brow.T
-
-
-class TestPowerModel:
-    def test_inventories_scale_with_exponent(self):
-        engine = WeierstrassP(4.0, 1.0)
-        cube = PowerModel(WpModel(engine), 3)
-        for p, m in cube.poles_upto(4.0):
-            assert m == 6
-        z = 0.3 + 0.2j
-        assert cube.evaluate(z) == pytest.approx(engine.eval(z)[0] ** 3)
-        assert cube.log_abs(z) == pytest.approx(3 * math.log(abs(engine.eval(z)[0])))
-
-    def test_bad_exponent_rejected(self):
-        engine = WeierstrassP(4.0, 1.0)
-        with pytest.raises(ValueError):
-            PowerModel(WpModel(engine), 0)

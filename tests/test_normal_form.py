@@ -1,8 +1,11 @@
-"""Property tests for the fraction normal form, through the public API only.
+"""Property tests for the exact algebra core, through the public API only.
 
 ``FieldElem`` reduces one numerator over its denominator, and
 ``LaurentSeries.canonical`` reduces a whole window over one shared
 denominator; both must keep every value and land on a fixed point.
+``GaussianRational`` and ``MPoly`` must obey the commutative ring laws, and
+a ``LaurentSeries`` must invert to 1 on its window and differentiate
+products by the Leibniz rule.
 """
 
 from fractions import Fraction
@@ -89,3 +92,61 @@ def test_canonical_keeps_every_coefficient(pairs):
     assert (c.lo, len(c.nums)) == (0, len(coeffs))
     for k, fe in enumerate(coeffs):
         assert c.coefficient(k) == fe
+
+
+mixed_polys = st.sampled_from([("z",), ("zhat", "z"), VARS]).flatmap(polys)
+
+
+@SETTINGS
+@given(gaussian, gaussian, gaussian)
+def test_gaussian_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+
+
+@SETTINGS
+@given(mixed_polys, mixed_polys, mixed_polys)
+def test_mpoly_ring_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+
+
+# windowed series with 2 or 3 known, nonzero coefficients, from t^-2 .. t^2;
+# denominators in one variable keep the gcds cheap
+series = st.builds(
+    lambda lo, cs: LaurentSeries(lo, cs, exact=False),
+    st.integers(-2, 2),
+    st.lists(
+        st.builds(
+            FieldElem,
+            polys(max_terms=2).filter(lambda p: not p.is_zero),
+            polys(("zhat",), max_terms=2).filter(lambda p: not p.is_zero),
+        ),
+        min_size=2, max_size=3,
+    ),
+)
+
+
+@SETTINGS
+@given(series, st.integers(1, 3))
+def test_series_times_its_inverse_is_one_on_the_window(s, width):
+    unit = s * s.inverse(width)
+    assert unit.lo == 0 and unit.hi == min(width, len(s.nums))
+    assert unit.coefficient(0) == FieldElem.const(1)
+    for k in range(1, unit.hi):
+        assert unit.coefficient(k).is_zero
+
+
+@SETTINGS
+@given(series, series)
+def test_derivative_obeys_leibniz(f, g):
+    lhs = (f * g).derivative()
+    rhs = f.derivative() * g + f * g.derivative()
+    for k in range(min(lhs.lo, rhs.lo), min(lhs.hi, rhs.hi)):
+        assert lhs.coefficient(k) == rhs.coefficient(k)

@@ -193,21 +193,3 @@ class TestLatticeGeometry:
         pts = w.lattice_points_in_disk(6.0, off)
         for p in pts[:10]:
             assert abs(w.reduce(p - off)) <= 1e-9
-
-
-class TestPreimages:
-    def test_value_preimage_round_trip(self):
-        w = WeierstrassP(4.0, 1.0)
-        for v in (0j, 2.5 + 0.3j, -1.2 + 2.2j):
-            u = w.value_preimage(v)
-            p, _ = w.eval(u)
-            assert abs(p - v) <= 1e-8 * (1 + abs(v))
-
-    def test_preimage_at_branch_value(self):
-        # a root of the cubic: the derivative vanishes there, doubling the point
-        w = WeierstrassP(4.0, 0.0)
-        root = 1.0 + 0j  # 4t^3 - 4t has roots 0, 1, -1
-        u = w.value_preimage(root)
-        p, dp = w.eval(u)
-        assert abs(p - root) <= 1e-8
-        assert abs(dp) <= 1e-6
