@@ -11,7 +11,7 @@ triple is extracted and reconstructs the equation exactly.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 

@@ -79,6 +79,18 @@ def _as_complex(value: Any, where: str) -> complex:
     raise RequestError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
+def _as_int(value: Any, where: str) -> int:
+    if _is_number(value) and isinstance(value, int):
+        return value
+    raise RequestError(f"{where}: expected an integer, got {value!r}")
+
+
+def _as_real(value: Any, where: str) -> float:
+    if _is_number(value):
+        return float(value)
+    raise RequestError(f"{where}: expected a number, got {value!r}")
+
+
 def _gauss_to_complex(g) -> complex:
     return complex(float(g.re), float(g.im))
 
@@ -132,8 +144,8 @@ def _run_classify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
 
 def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     request = dict(entry.requests.get("cascade", {}))
-    steps = int(request.get("steps", 3))
-    order = int(request.get("order", 1))
+    steps = _as_int(request.get("steps", 3), "cascade.steps")
+    order = _as_int(request.get("order", 1), "cascade.order")
     seed_name = request.get("seed", "zero-of-w")
     seed_kind = _SEED_KINDS.get(seed_name)
     if seed_kind is None:
@@ -156,7 +168,7 @@ def _run_verify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     if request is None:
         return {"skipped": "entry carries no verify request"}, False
     kind = request.get("kind")
-    samples = int(request.get("samples", 100))
+    samples = _as_int(request.get("samples", 100), "verify.samples")
     if kind == "elliptic":
         params = _elliptic_request(
             entry, request, "verify",
@@ -168,7 +180,7 @@ def _run_verify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
             raise RequestError("the exponential family needs a pure-log-deriv entry")
         report = verify_exponential(
             entry.eq.a,
-            p=int(request.get("p", 1)),
+            p=_as_int(request.get("p", 1), "verify.p"),
             C=_as_complex(request.get("C", 1.0), "verify.C"),
             samples=samples,
             seed=args.seed,
@@ -189,9 +201,9 @@ def _run_nev(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
         return {"skipped": "entry carries no nev request"}, False
     kind = request.get("kind")
     grid = log_grid(
-        float(request.get("r_min", 1.0)),
-        float(request.get("r_max", 16.0)),
-        int(request.get("radii", 24)),
+        _as_real(request.get("r_min", 1.0), "nev.r_min"),
+        _as_real(request.get("r_max", 16.0), "nev.r_max"),
+        _as_int(request.get("radii", 24), "nev.radii"),
     )
     if kind == "elliptic":
         model = EllipticSolutionModel(_elliptic_request(entry, request, "nev"))
@@ -205,7 +217,7 @@ def _run_nev(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     elif kind == "exponential":
         model = ExponentialModel(
             C=_as_complex(request.get("C", 1.0), "nev.C"),
-            p=int(request.get("p", 1)),
+            p=_as_int(request.get("p", 1), "nev.p"),
         )
         table = characteristic_table(model, grid)
         result = {

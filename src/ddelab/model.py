@@ -222,12 +222,6 @@ class DelayDiffEq:
                         "factored denominator does not expand to Q"
                     )
 
-    def with_name(self, name: str) -> "DelayDiffEq":
-        return DelayDiffEq(
-            self.kind, self.a, self.b, self.c, self.p_poly, self.q_poly,
-            self.q_factors, name, self.notes,
-        )
-
 
 def make_log_deriv(
     a: FieldElem,

@@ -111,11 +111,6 @@ class MPoly:
         i = self.vars.index(var)
         return max(e[i] for e in self.terms)
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def used_vars(self) -> Tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
         out = []

@@ -3,19 +3,17 @@
 The models measured here (the elliptic solution and the exponential) come
 with closed-form pole and zero sets, so the counting side of the
 characteristic is integer-exact and the only numeric error lives in the
-proximity integral.  That integral is taken over each circle
-by locating the crossings of log|f| = 0 first and then applying iterated
-trapezoid refinement with Richardson extrapolation on every smooth arc in
-between; a radius is nudged by one part in a million when a pole sits
-within a thousandth of it.  An arc whose refinement reaches the level cap
-unsettled marks its table row ``settled: false``.
+proximity integral.  On each circle the crossings of log|f| = 0 are found
+first, and each arc between them where log|f| > 0 gets iterated trapezoid
+refinement with Richardson extrapolation.  A radius is nudged by one part
+in a million when a pole sits within a thousandth of it; an arc whose
+refinement reaches the level cap unsettled marks its row ``settled: false``.
 
-Models are sampled on arrays: ``log_abs`` takes an array of points and
-returns an array, so the 1024-node scan of a circle, each bisection step
-over all its crossings, and each refinement level over all its arcs are
-one batch each.  Batches are cut into slices of at most 2048 points, which
-bounds the working memory of one Weierstrass evaluation without costing
-time.
+A table samples its model in batches shared by all its radii: after one
+1024-node scan per circle, each of the 60 bisection steps, the sign test
+of the arcs and each refinement level is one batch over every circle.
+``log_abs`` takes and returns arrays; a batch reaches it in slices of at
+most 2048 points, which bounds the memory of one Weierstrass evaluation.
 
 Order and hyper-order estimates are least-squares slopes over the sampled
 grid, reported with confidence widths and never as asymptotic claims.
@@ -72,8 +70,6 @@ def counting_data(points: Sequence[Tuple[complex, int]], r: float) -> Tuple[int,
 # proximity side: crossing-split circle quadrature
 
 
-# new sample points are handed to a model at most this many at a time; the
-# temporaries of one Weierstrass batch stay small however many arcs refine
 _CHUNK = 2048
 
 
@@ -84,8 +80,8 @@ class Proximity(NamedTuple):
     settled: bool
 
 
-def _sample_circle(model, r: float, theta: np.ndarray) -> np.ndarray:
-    """log|f(r e^{i theta})| at every angle, clamped for the quadrature.
+def _sample_circle(model, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """log|f(r_k e^{i theta_k})| at every pair (r_k, theta_k), clamped for the quadrature.
 
     A pole, an overflow or any other non-finite value is retried once at
     theta + 1e-9; an exact zero (log 0), or a retry that fails too, gives
@@ -94,12 +90,12 @@ def _sample_circle(model, r: float, theta: np.ndarray) -> np.ndarray:
     out = np.empty(theta.shape)
     with np.errstate(all="ignore"):
         for start in range(0, theta.size, _CHUNK):
-            t = theta[start:start + _CHUNK]
-            v = np.array(model.log_abs(r * np.exp(1j * t)), dtype=float)
+            t, rt = theta[start:start + _CHUNK], r[start:start + _CHUNK]
+            v = np.array(model.log_abs(rt * np.exp(1j * t)), dtype=float)
             bad = np.isnan(v) | (v == np.inf)
             if bad.any():
                 again = np.asarray(
-                    model.log_abs(r * np.exp(1j * (t[bad] + 1e-9))), dtype=float
+                    model.log_abs(rt[bad] * np.exp(1j * (t[bad] + 1e-9))), dtype=float
                 )
                 v[bad] = np.where(np.isfinite(again), again, -np.inf)
             v[v == -np.inf] = -1e300
@@ -113,15 +109,18 @@ def _romberg(
     """Iterated trapezoid with Richardson extrapolation on every [a_k, b_k].
 
     Each level samples the new midpoints of all intervals still refining in
-    one call of ``fn``.  An interval stops at its first level >= 3 whose
-    extrapolated value moved by at most tol_k * (1 + |value|); after level
-    13 the rest stop unsettled.  Returns the estimates and the settled flags.
+    one call of ``fn``.  An interval runs parallel to the real axis: the
+    imaginary part its ends share reaches ``fn`` unchanged, which is how
+    ``proximity`` refines the arcs of all its circles in one run.  An
+    interval stops at its first level >= 3 whose extrapolated value moved by
+    at most tol_k * (1 + |value|); after level 13 the rest stop unsettled.
+    Returns the estimates and the settled flags.
     """
     k = a.size
     estimate = np.empty(k)
     settled = np.zeros(k, dtype=bool)
     live = np.arange(k)
-    h = b - a
+    h = (b - a).real
     ends = fn(np.concatenate([a, b]))
     prev = (h * (ends[:k] + ends[k:]) / 2.0)[:, None]
     for level in range(1, 14):
@@ -145,50 +144,50 @@ def _romberg(
     return estimate, settled
 
 
-def proximity(model, r: float, tol: float = _QUAD_TOL) -> Proximity:
-    """m(r, f): mean of log+|f| over the circle of radius r.
+def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Proximity]:
+    """m(r, f), the mean of log+|f| over the circle |z| = r, for every r in radii.
 
-    The circle is scanned for sign changes of log|f|, each crossing is
+    Each circle is scanned for sign changes of log|f|, each crossing is
     bisected to machine precision, and every positive arc is integrated
     separately; the kinks of log+ then never sit inside an integration
-    interval.  The radius is jittered away from any pole modulus within
-    the proximity window so the scan sees finite values.  The scan, each
-    bisection step and each refinement level sample all their points in
-    one batch.
+    interval.  A radius is jittered away from any pole modulus within the
+    proximity window so that its scan sees finite values.  After the scans
+    every batch spans all circles, and a point gets the arithmetic it gets
+    alone, so no radius's result depends on the other radii.
     """
-    r_used = _jittered_radius(model, r)
-
-    def g(theta: np.ndarray) -> np.ndarray:
-        return _sample_circle(model, r_used, theta)
-
+    circles = [_jittered_radius(model, r) for r in radii]
     step = 2.0 * math.pi / _SCAN_NODES
-    vals = g(np.arange(_SCAN_NODES) * step)
-    positive = vals > 0.0
-    cells = np.flatnonzero(positive != np.roll(positive, -1))
-    if cells.size == 0:
-        # one sign all round: the whole circle is a single arc
-        a, b = np.array([0.0]), np.array([2.0 * math.pi])
-    else:
-        lo = cells * step
-        hi = (cells + 1) * step
-        flo = vals[cells]
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            fm = g(mid)
-            same = (flo > 0.0) == (fm > 0.0)
-            lo = np.where(same, mid, lo)
-            flo = np.where(same, fm, flo)
-            hi = np.where(same, hi, mid)
-        crossings = (lo + hi) / 2.0
-        bounds = np.append(crossings, crossings[0] + 2.0 * math.pi)
-        a, b = bounds[:-1], bounds[1:]
-    positive_arc = g((a + b) / 2.0) > 0.0
-    a, b = a[positive_arc], b[positive_arc]
-    if a.size == 0:
-        return Proximity(0.0, True)
-    seg_tol = tol * np.maximum(b - a, 1e-3)
-    totals, settled = _romberg(g, a, b, seg_tol)
-    return Proximity(sum(totals.tolist(), 0.0) / (2.0 * math.pi), bool(settled.all()))
+    nodes = np.arange(_SCAN_NODES) * step
+    scans = [_sample_circle(model, np.full(_SCAN_NODES, r), nodes) for r in circles]
+    cells = [np.flatnonzero((v > 0.0) != np.roll(v > 0.0, -1)) for v in scans]
+    r_cell = np.repeat(circles, [c.size for c in cells])
+    flo = np.concatenate([v[c] for v, c in zip(scans, cells)])
+    lo = np.concatenate(cells) * step
+    hi = (np.concatenate(cells) + 1) * step
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        fm = _sample_circle(model, r_cell, mid)
+        same = (flo > 0.0) == (fm > 0.0)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    # arcs between crossings, circle after circle; one sign all round is one arc
+    bounds = [
+        np.append(c, c[0] + 2.0 * math.pi) if c.size else np.array([0.0, 2.0 * math.pi])
+        for c in np.split((lo + hi) / 2.0, np.cumsum([c.size for c in cells])[:-1])
+    ]
+    a = np.concatenate([x[:-1] for x in bounds])
+    b = np.concatenate([x[1:] for x in bounds])
+    owner = np.repeat(np.arange(len(bounds)), [x.size - 1 for x in bounds])
+    r_arc = np.asarray(circles)[owner]
+    positive = _sample_circle(model, r_arc, (a + b) / 2.0) > 0.0
+    a, b, r_arc, owner = a[positive], b[positive], r_arc[positive], owner[positive]
+    totals, settled = _romberg(
+        lambda x: _sample_circle(model, x.imag, x.real),
+        a + 1j * r_arc, b + 1j * r_arc, tol * np.maximum(b - a, 1e-3),
+    )
+    return [Proximity(sum(totals[owner == k].tolist(), 0.0) / (2.0 * math.pi),
+                      bool(settled[owner == k].all())) for k in range(len(circles))]
 
 
 def _jittered_radius(model, r: float) -> float:
@@ -259,10 +258,9 @@ def characteristic_table(
     zeros = model.zeros_upto(r_max)
 
     rows = []
-    for r in grid:
+    for r, (m, settled) in zip(grid, proximity(model, grid, tol)):
         n, n_bar, N, N_bar = counting_data(poles, r)
         nz, nbz, Nz, Nbz = counting_data(zeros, r)
-        m, settled = proximity(model, r, tol)
         rows.append(NevRow(r, n, n_bar, N, N_bar, m, m + N, nz, nbz, Nz, Nbz, settled))
     return NevTable(model=model.describe(), rows=tuple(rows))
 

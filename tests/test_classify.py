@@ -9,7 +9,6 @@ from ddelab.cascade import SeedKind, confinement_report, run_cascade, seed_local
 from ddelab.classify import (
     NormalFormParams,
     Outcome,
-    Verdict,
     build_normal_form,
     classify,
     classify_inverse_square,
@@ -17,7 +16,7 @@ from ddelab.classify import (
     classify_pure_log_deriv,
 )
 from ddelab.fieldelem import FieldElem
-from ddelab.gaussian import GaussianRational, gauss
+from ddelab.gaussian import gauss
 from ddelab.model import (
     DelayDiffEq,
     EqKind,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ddelab import cli
 from ddelab.corpus import demo_corpus_text
 
@@ -81,3 +83,48 @@ def test_boolean_request_number_is_rejected(tmp_path):
         assert (row["error_type"], row["error"]) == (
             "RequestError", f"verify.omega: expected a number or [re, im] pair, got {omega!r}"
         )
+
+
+
+def _request_row(tmp_path, sub, entry_id, field, value):
+    """The report row of one demo entry whose ``sub`` request sets field to value."""
+    [entry] = [e for e in json.loads(demo_corpus_text())["entries"] if e["id"] == entry_id]
+    entry[sub][field] = value
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"schema_version": 1, "entries": [entry]}))
+    out = tmp_path / "report.json"
+    cli.run([sub, "--corpus", str(corpus), "--format", "json", "--out", str(out)])
+    [row] = json.loads(out.read_text())["entries"]
+    return row
+
+
+# (subcommand, demo entry, field) of every integer or real request number
+_REQUEST_NUMBERS = [
+    ("cascade", "confined-basic", "steps"),
+    ("cascade", "confined-basic", "order"),
+    ("verify", "confined-basic", "samples"),
+    ("verify", "exponential-near-forcing", "p"),
+    ("nev", "exponential-near-forcing", "p"),
+    ("nev", "exponential-near-forcing", "r_min"),
+    ("nev", "exponential-near-forcing", "r_max"),
+    ("nev", "exponential-near-forcing", "radii"),
+]
+
+
+@pytest.mark.parametrize("form", ["true", "string"])
+@pytest.mark.parametrize("sub, entry_id, field", _REQUEST_NUMBERS)
+def test_request_number_must_be_a_json_number(tmp_path, sub, entry_id, field, form):
+    # true would run as 1 and "5" as 5, through bare int() or float()
+    [entry] = [e for e in json.loads(demo_corpus_text())["entries"] if e["id"] == entry_id]
+    value = True if form == "true" else str(entry[sub][field])
+    row = _request_row(tmp_path, sub, entry_id, field, value)
+    expected = "a number" if field.startswith("r_") else "an integer"
+    assert (row.get("error_type"), row.get("error")) == (
+        "RequestError", f"{sub}.{field}: expected {expected}, got {value!r}"
+    )
+
+
+def test_fractional_step_count_is_rejected(tmp_path):
+    # int() would cut 2.5 steps to 2
+    row = _request_row(tmp_path, "cascade", "confined-basic", "steps", 2.5)
+    assert row.get("error") == "cascade.steps: expected an integer, got 2.5"

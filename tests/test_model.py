@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from ddelab.exprparse import parse_expression
 from ddelab.corpus import CorpusError, parse_equation
 from ddelab.fieldelem import FieldElem
 from ddelab.laurent import LaurentSeries

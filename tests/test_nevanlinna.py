@@ -72,6 +72,21 @@ class ReciprocalFake:
         return {"tag": "reciprocal-fake"}
 
 
+class CountingFake:
+    """A model that counts the calls of its ``log_abs``."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = 0
+
+    def log_abs(self, z):
+        self.calls += 1
+        return self.base.log_abs(z)
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+
 @pytest.fixture(scope="module")
 def elliptic_model():
     params = elliptic_params(g2=4.0, g3=1.0, omega=1.0 + 0.3j, lam=1.0)
@@ -136,24 +151,55 @@ class TestProximity:
         for p in (1, 2):
             model = ExponentialModel(C=1.0, p=p)
             for r in (3.0, 50.0, 1e6):
-                assert proximity(model, r).m == pytest.approx(p * r, rel=1e-8)
+                assert proximity(model, [r])[0].m == pytest.approx(p * r, rel=1e-8)
 
     def test_modulus_below_one_gives_zero(self):
         model = RationalFake([], [2.0])  # 1/(z - 2)
-        assert proximity(model, 1.0) == (0.0, True)
+        assert proximity(model, [1.0])[0] == (0.0, True)
 
     def test_pole_on_the_circle_is_jittered_not_fatal(self):
         model = RationalFake([], [2.0])
-        value = proximity(model, 2.0).m
+        value = proximity(model, [2.0])[0].m
         assert math.isfinite(value)
         # hand value of the arc integral for 1/(z-2) on |z| = 2
         assert value == pytest.approx(0.1597, abs=2e-3)
 
     def test_refinement_stability(self, elliptic_model):
         r = 5.5
-        coarse = proximity(elliptic_model, r, tol=1e-9).m
-        fine = proximity(elliptic_model, r, tol=1e-12).m
+        coarse = proximity(elliptic_model, [r], tol=1e-9)[0].m
+        fine = proximity(elliptic_model, [r], tol=1e-12)[0].m
         assert abs(coarse - fine) <= 1e-8 * (1.0 + abs(fine))
+
+
+class TestBatchedProximity:
+    # a table's radii share every sample batch, so the bookkeeping of which
+    # crossing and which arc belongs to which circle must be exact
+    CUBE_ROOTS = [2 ** (1 / 3) * cmath.exp(1j * math.pi * k / 3) for k in (1, 3, 5)]
+
+    @pytest.mark.parametrize("case", ["elliptic", "exponential", "rational"])
+    def test_batch_matches_radius_by_radius(self, case, elliptic_model):
+        model, grid = {
+            "elliptic": (elliptic_model, log_grid(1.0, 16.0, 24)),
+            # below r = 0.05 the modulus stays under one all round
+            "exponential": (ExponentialModel(C=0.7 - 0.2j, p=2), [0.01, 0.3, 3.0, 50.0]),
+            # (z^3 + 2)/(z - 5): under one at r = 0.5, a pole on |z| = 5
+            "rational": (RationalFake(self.CUBE_ROOTS, [5.0]), [0.5, 2.0, 5.0, 10.0, 100.0]),
+        }[case]
+        batch = proximity(model, grid)
+        alone = [proximity(model, [r])[0] for r in grid]
+        assert [(p.m.hex(), p.settled) for p in batch] == [(p.m.hex(), p.settled) for p in alone]
+        if case != "elliptic":
+            assert alone[0] == (0.0, True) and all(p.m > 0.0 for p in alone[1:])
+        if case == "rational":
+            assert nevanlinna._jittered_radius(model, 5.0) != 5.0
+
+    def test_a_table_samples_in_few_batches(self, elliptic_model, elliptic_table):
+        # 24 scans, 60 bisection steps, one arc sign test and at most 14
+        # refinement levels, each cut into slices of 2048 points
+        counting = CountingFake(elliptic_model)
+        table = characteristic_table(counting, log_grid(1.0, 16.0, 24))
+        assert counting.calls <= 200
+        assert table.export()["rows"] == elliptic_table.export()["rows"]
 
 
 class TestSettled:
