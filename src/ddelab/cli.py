@@ -22,7 +22,7 @@ import tempfile
 import time
 import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import __version__
 from .analytic import (
@@ -36,7 +36,6 @@ from .analytic import (
     verify_exponential,
 )
 from .cascade import (
-    SeedKind,
     confinement_report,
     polynomial_blowup,
     run_cascade,
@@ -51,54 +50,12 @@ EXIT_OK = 0
 EXIT_ANALYSIS_FAIL = 1
 EXIT_USAGE = 2
 
-_SEED_KINDS = {
-    "zero-of-w": SeedKind.ZERO_OF_W,
-    "pole-of-w": SeedKind.POLE_OF_W,
-}
-
-
 class RequestError(ValueError):
     """An analysis request names parameters the entry cannot satisfy."""
 
 
-def _is_number(value: Any) -> bool:
-    # JSON true/false decode to bool, which is an int subclass
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_complex(value: Any, where: str) -> complex:
-    if _is_number(value):
-        return complex(value)
-    if (
-        isinstance(value, Sequence)
-        and not isinstance(value, str)
-        and len(value) == 2
-        and all(_is_number(x) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise RequestError(f"{where}: expected a number or [re, im] pair, got {value!r}")
-
-
-def _as_int(value: Any, where: str) -> int:
-    if _is_number(value) and isinstance(value, int):
-        return value
-    raise RequestError(f"{where}: expected an integer, got {value!r}")
-
-
-def _as_real(value: Any, where: str) -> float:
-    if _is_number(value):
-        return float(value)
-    raise RequestError(f"{where}: expected a number, got {value!r}")
-
-
-def _gauss_to_complex(g) -> complex:
-    return complex(float(g.re), float(g.im))
-
-
 def _confined_triple(entry: CorpusEntry) -> Tuple[complex, complex, complex]:
     """Extracted (lam, mu, nu) of an inverse-square entry, as complex."""
-    if entry.kind != EqKind.INVERSE_SQUARE:
-        raise RequestError("this request needs an inverse-square entry")
     verdict = classify(entry.eq)
     if verdict.params is None:
         raise RequestError(
@@ -106,25 +63,18 @@ def _confined_triple(entry: CorpusEntry) -> Tuple[complex, complex, complex]:
             "does not reduce to it"
         )
     p = verdict.params
-    return _gauss_to_complex(p.lam), _gauss_to_complex(p.mu), _gauss_to_complex(p.nu)
+    return complex(p.lam), complex(p.mu), complex(p.nu)
 
 
-def _elliptic_request(entry: CorpusEntry, request: Dict[str, Any], field: str,
-                      flip_alpha_square: bool = False) -> EllipticParams:
-    """Elliptic-family parameters of the entry's ``field`` request."""
+def _elliptic_request(entry: CorpusEntry, request: Mapping[str, Any]) -> EllipticParams:
+    """Elliptic-family parameters of one of the entry's requests."""
     lam, mu, nu = _confined_triple(entry)
     if mu != 0 or nu != 0:
         raise RequestError(
             "the doubly periodic family needs both the drift and the "
             "linear growth to vanish"
         )
-    return elliptic_params(
-        g2=_as_complex(request.get("g2"), f"{field}.g2"),
-        g3=_as_complex(request.get("g3"), f"{field}.g3"),
-        omega=_as_complex(request.get("omega"), f"{field}.omega"),
-        lam=lam,
-        flip_alpha_square=flip_alpha_square,
-    )
+    return elliptic_params(request["g2"], request["g3"], request["omega"], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +84,7 @@ def _elliptic_request(entry: CorpusEntry, request: Dict[str, Any], field: str,
 def _run_classify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     verdict = classify(entry.eq)
     result: Dict[str, Any] = {"verdict": verdict.export()}
-    if entry.kind == EqKind.LOG_DERIV:
+    if entry.eq.kind == EqKind.LOG_DERIV:
         deg = rational_degree(entry.eq)
         result["degrees"] = {
             "num": deg.deg_num, "den": deg.deg_den, "map": deg.deg_map,
@@ -143,18 +93,13 @@ def _run_classify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
 
 
 def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
-    request = dict(entry.requests.get("cascade", {}))
-    steps = _as_int(request.get("steps", 3), "cascade.steps")
-    order = _as_int(request.get("order", 1), "cascade.order")
-    seed_name = request.get("seed", "zero-of-w")
-    seed_kind = _SEED_KINDS.get(seed_name)
-    if seed_kind is None:
-        raise RequestError(f"unknown cascade seed {seed_name!r}")
-    if entry.kind == EqKind.INVERSE_SQUARE:
-        pattern = run_cascade(entry.eq, seed_local_data(seed_kind, order), steps)
+    request = entry.requests["cascade"]
+    steps, order = request["steps"], request["order"]
+    if entry.eq.kind == EqKind.INVERSE_SQUARE:
+        pattern = run_cascade(entry.eq, seed_local_data(request["seed"], order), steps)
         verdict = confinement_report(pattern, entry.eq)
         return {"pattern": pattern.export(), "confinement": verdict.export()}, False
-    if entry.kind == EqKind.LOG_DERIV and rational_degree(entry.eq).deg_den == 0:
+    if entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq).deg_den == 0:
         orders = polynomial_blowup(entry.eq, steps, q=order)
         return {"pole_orders": list(orders)}, False
     return {
@@ -164,69 +109,41 @@ def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
 
 
 def _run_verify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
-    request = entry.requests.get("verify")
-    if request is None:
+    if "verify" not in entry.requests:
         return {"skipped": "entry carries no verify request"}, False
-    kind = request.get("kind")
-    samples = _as_int(request.get("samples", 100), "verify.samples")
+    request = entry.requests["verify"]
+    kind, samples = request["kind"], request["samples"]
     if kind == "elliptic":
-        params = _elliptic_request(
-            entry, request, "verify",
-            flip_alpha_square=bool(request.get("flip_scale_sign", False)),
-        )
+        params = _elliptic_request(entry, request)
         report = verify_elliptic_family(params, samples=samples, seed=args.seed)
     elif kind == "exponential":
-        if entry.kind != EqKind.PURE_LOG_DERIV:
-            raise RequestError("the exponential family needs a pure-log-deriv entry")
         report = verify_exponential(
-            entry.eq.a,
-            p=_as_int(request.get("p", 1), "verify.p"),
-            C=_as_complex(request.get("C", 1.0), "verify.C"),
-            samples=samples,
-            seed=args.seed,
+            entry.eq.a, p=request["p"], C=request["C"], samples=samples, seed=args.seed
         )
-    elif kind == "mkdv":
+    else:
         lam, mu, nu = _confined_triple(entry)
         if mu != 0:
             raise RequestError("the mKdV reduction needs the drift to vanish")
         report = mkdv_reduction_check(lam, nu, samples=samples, seed=args.seed)
-    else:
-        raise RequestError(f"unknown verify kind {kind!r}")
     return {"verify": report.export()}, not report.passed
 
 
 def _run_nev(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
-    request = entry.requests.get("nev")
-    if request is None:
+    if "nev" not in entry.requests:
         return {"skipped": "entry carries no nev request"}, False
-    kind = request.get("kind")
-    grid = log_grid(
-        _as_real(request.get("r_min", 1.0), "nev.r_min"),
-        _as_real(request.get("r_max", 16.0), "nev.r_max"),
-        _as_int(request.get("radii", 24), "nev.radii"),
-    )
-    if kind == "elliptic":
-        model = EllipticSolutionModel(_elliptic_request(entry, request, "nev"))
+    request = entry.requests["nev"]
+    grid = log_grid(request["r_min"], request["r_max"], request["radii"])
+    if request["kind"] == "elliptic":
+        model = EllipticSolutionModel(_elliptic_request(entry, request))
         table = characteristic_table(model, grid)
         ratios = ratio_checks(table, entry.eq)
-        result = {
+        return {
             "table": table.export(),
             "growth": growth_estimates(table).export(),
             "ratios": ratios.export(),
-        }
-    elif kind == "exponential":
-        model = ExponentialModel(
-            C=_as_complex(request.get("C", 1.0), "nev.C"),
-            p=_as_int(request.get("p", 1), "nev.p"),
-        )
-        table = characteristic_table(model, grid)
-        result = {
-            "table": table.export(),
-            "growth": growth_estimates(table).export(),
-        }
-    else:
-        raise RequestError(f"unknown nev kind {kind!r}")
-    return result, False
+        }, False
+    table = characteristic_table(ExponentialModel(C=request["C"], p=request["p"]), grid)
+    return {"table": table.export(), "growth": growth_estimates(table).export()}, False
 
 
 _RUNNERS = {
@@ -414,15 +331,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_USAGE
     else:
         try:
-            if args.corpus is None:
-                corpus_text = demo_corpus_text()
-                entries = load_corpus(json.loads(corpus_text))
-            else:
-                corpus_text = Path(args.corpus).read_text()
-                entries = load_corpus(args.corpus)
-        except FileNotFoundError:
-            print(f"error: corpus file not found: {args.corpus}", file=sys.stderr)
-            return EXIT_USAGE
+            corpus_text = (
+                demo_corpus_text() if args.corpus is None else Path(args.corpus).read_text()
+            )
+            entries = load_corpus(corpus_text)
         except OSError as exc:
             print(f"error: cannot read corpus: {exc}", file=sys.stderr)
             return EXIT_USAGE

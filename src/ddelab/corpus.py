@@ -1,21 +1,38 @@
 """Equation corpus: JSON batches of equations with optional analysis requests.
 
-A corpus is a JSON object {"schema_version": 1, "entries": [...]} where each
-entry carries an id, an equation class tag, coefficient expressions in the
-exact rational grammar, and optionally structured requests for cascade,
-verifier, or measurement runs.  Expressions stay strings so corpora remain
-diffable and writable by hand; everything is validated before any analysis
-starts.
+A corpus is a JSON object {"schema_version": 1, "entries": [...]}.  Each
+entry has an ``id``, a ``class``, an optional ``note``, the class's
+coefficient expressions in the exact rational grammar (log-deriv: ``a``,
+``p``, ``q_factors``, ``q_residual``; pure-log-deriv: ``a``, ``b``;
+inverse-square: ``a``, ``b``, ``c``), and optionally the requests below.
+Expressions stay strings so corpora remain diffable and writable by hand.
+Everything, requests included, is converted and checked when the corpus
+loads, before any analysis starts.  The requests, by ``kind``:
+
+    cascade (any class; every entry)  steps, order, seed
+    verify elliptic (inverse-square)  samples, g2, g3, omega
+    verify exponential (pure-log-deriv)  samples, p, C
+    verify mkdv (inverse-square)  samples
+    nev elliptic (inverse-square)  r_min, r_max, radii, g2, g3, omega
+    nev exponential (pure-log-deriv)  r_min, r_max, radii, p, C
+
+Fields, with defaults in brackets: ``steps`` and ``order`` integers >= 1
+[3, 1]; ``seed`` "zero-of-w" or "pole-of-w" ["zero-of-w"]; ``samples`` an
+integer >= 1 [100]; ``p`` a nonzero integer [1]; ``C``, ``g2``, ``g3`` and
+``omega`` a number or an [re, im] pair [C: 1; the others required];
+``r_min`` < ``r_max`` positive finite numbers [1, 16]; ``radii`` an integer
+>= 2 [24].
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
-from typing import Any, Dict, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
+from .cascade import SeedKind
 from .exprparse import ParseError, parse_expression
 from .model import (
     DelayDiffEq,
@@ -45,20 +62,93 @@ _CLASS_FIELDS = {
     EqKind.INVERSE_SQUARE: {"a", "b", "c"},
 }
 
-_REQUEST_FIELDS = {"cascade", "verify", "nev"}
-
 _COMMON_FIELDS = {"id", "class", "note"}
+
+
+def _is_number(value: Any) -> bool:
+    # JSON true/false decode to bool, which is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_complex(value: Any) -> complex:
+    if _is_number(value):
+        return complex(value)
+    if (
+        isinstance(value, Sequence)
+        and not isinstance(value, str)
+        and len(value) == 2
+        and all(_is_number(x) for x in value)
+    ):
+        return complex(value[0], value[1])
+    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+
+
+def _as_int(rule: str, ok: Callable[[int], bool]) -> Callable[[Any], int]:
+    def convert(value: Any) -> int:
+        if not (_is_number(value) and isinstance(value, int)):
+            raise ValueError(f"expected an integer, got {value!r}")
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return value
+    return convert
+
+
+def _as_radius(value: Any) -> float:
+    if not _is_number(value):
+        raise ValueError(f"expected a number, got {value!r}")
+    radius = float(value)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"must be positive and finite, got {value!r}")
+    return radius
+
+
+def _as_seed(value: Any) -> SeedKind:
+    seeds = (SeedKind.ZERO_OF_W.value, SeedKind.POLE_OF_W.value)
+    if value not in seeds:
+        raise ValueError(f"expected one of {list(seeds)}, got {value!r}")
+    return SeedKind(value)
+
+
+_COUNT = _as_int("at least 1", lambda n: n >= 1)
+_SAMPLES = {"samples": (_COUNT, 100)}
+_LATTICE = {"g2": (_as_complex, None), "g3": (_as_complex, None), "omega": (_as_complex, None)}
+_FAMILY = {"p": (_as_int("nonzero", lambda n: n != 0), 1), "C": (_as_complex, 1.0)}
+_GRID = {
+    "r_min": (_as_radius, 1.0),
+    "r_max": (_as_radius, 16.0),
+    "radii": (_as_int("at least 2", lambda n: n >= 2), 24),
+}
+
+# request -> kind -> (entry class the kind needs, or None for any;
+# {field: (converter, default)}).  A default of None marks a required field;
+# the kind None, a request without a ``kind`` field.
+_REQUESTS = {
+    "cascade": {None: (None, {
+        "steps": (_COUNT, 3), "order": (_COUNT, 1), "seed": (_as_seed, "zero-of-w"),
+    })},
+    "verify": {
+        "elliptic": (EqKind.INVERSE_SQUARE, {**_SAMPLES, **_LATTICE}),
+        "exponential": (EqKind.PURE_LOG_DERIV, {**_SAMPLES, **_FAMILY}),
+        "mkdv": (EqKind.INVERSE_SQUARE, _SAMPLES),
+    },
+    "nev": {
+        "elliptic": (EqKind.INVERSE_SQUARE, {**_GRID, **_LATTICE}),
+        "exponential": (EqKind.PURE_LOG_DERIV, {**_GRID, **_FAMILY}),
+    },
+}
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One validated corpus row: the parsed equation plus its requests."""
+    """One validated corpus row: the parsed equation and its requests.
+
+    ``requests`` maps each request the entry carries, and always ``cascade``,
+    to its converted fields, defaults filled in.
+    """
 
     id: str
-    kind: EqKind
     eq: DelayDiffEq
-    note: str = ""
-    requests: Mapping[str, Any] = field(default_factory=dict)
+    requests: Mapping[str, Mapping[str, Any]]
 
 
 def _expr(entry_id: str, name: str, text: Any):
@@ -141,48 +231,61 @@ def parse_equation(raw: Mapping[str, Any]) -> DelayDiffEq:
         raise CorpusError(f"entry {entry_id!r}: {exc}") from exc
 
 
+def _request(entry_id: str, eq_kind: EqKind, name: str, raw: Any) -> Dict[str, Any]:
+    """Converted fields of one request, defaults filled in."""
+    entry = f"entry {entry_id!r}"
+    if not isinstance(raw, Mapping):
+        raise CorpusError(f"{entry}: {name!r} request must be an object")
+    kinds = _REQUESTS[name]
+    kind = None if None in kinds else raw.get("kind")
+    if kind not in tuple(kinds):  # by equality: a JSON kind may be a list
+        raise CorpusError(f"{entry}: field '{name}.kind': expected one of {sorted(kinds)}, "
+                          f"got {kind!r}")
+    needs, fields = kinds[kind]
+    if needs not in (None, eq_kind):
+        raise CorpusError(f"{entry}: field '{name}.kind': {kind!r} needs a {needs.value} "
+                          f"entry, not {eq_kind.value}")
+    out: Dict[str, Any] = {} if kind is None else {"kind": kind}
+    unknown = set(raw) - set(fields) - set(out)
+    if unknown:
+        raise CorpusError(f"{entry}: {name!r} request: unknown fields {sorted(unknown)}")
+    for key, (convert, default) in fields.items():
+        if key not in raw and default is None:
+            raise CorpusError(f"{entry}: field '{name}.{key}' is required")
+        try:
+            out[key] = convert(raw.get(key, default))
+        except (ValueError, OverflowError) as exc:
+            raise CorpusError(f"{entry}: field '{name}.{key}': {exc}") from exc
+    # the one range that spans two fields
+    if "r_min" in out and out["r_min"] >= out["r_max"]:
+        raise CorpusError(f"{entry}: field '{name}.r_min': must be below r_max = "
+                          f"{out['r_max']!r}, got {out['r_min']!r}")
+    return out
+
+
 def _validate_entry(raw: Any) -> CorpusEntry:
     if not isinstance(raw, Mapping):
         raise CorpusError("each corpus entry must be a JSON object")
     entry_id = raw.get("id")
     if not isinstance(entry_id, str) or not entry_id:
         raise CorpusError("every entry needs a nonempty string 'id'")
-    tag = raw.get("class")
-    kind = _CLASS_TAGS.get(tag)
-    if kind is None:
-        raise CorpusError(
-            f"entry {entry_id!r}: unknown class {tag!r}; expected one of "
-            f"{sorted(_CLASS_TAGS)}"
-        )
-    allowed = _COMMON_FIELDS | _REQUEST_FIELDS | _CLASS_FIELDS[kind]
-    unknown = set(raw) - allowed
+    eq = parse_equation(raw)
+    unknown = set(raw) - _COMMON_FIELDS - set(_REQUESTS) - _CLASS_FIELDS[eq.kind]
     if unknown:
         raise CorpusError(f"entry {entry_id!r}: unknown fields {sorted(unknown)}")
-    requests = {k: raw[k] for k in _REQUEST_FIELDS if k in raw}
-    for key, req in requests.items():
-        if not isinstance(req, Mapping):
-            raise CorpusError(f"entry {entry_id!r}: {key!r} request must be an object")
-    return CorpusEntry(
-        id=entry_id,
-        kind=kind,
-        eq=parse_equation(raw),
-        note=str(raw.get("note", "")),
-        requests=requests,
-    )
+    requests = {
+        name: _request(entry_id, eq.kind, name, raw.get(name, {}))
+        for name in _REQUESTS if name in raw or name == "cascade"
+    }
+    return CorpusEntry(entry_id, eq, requests)
 
 
-def load_corpus(source: Union[str, Path, Mapping[str, Any]]) -> Tuple[CorpusEntry, ...]:
-    """Validate a corpus from a path or an already-decoded mapping."""
-    if isinstance(source, Mapping):
-        doc: Any = source
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise CorpusError(f"corpus file not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"corpus file {path} is not valid JSON: {exc}") from exc
+def load_corpus(text: str) -> Tuple[CorpusEntry, ...]:
+    """Validate a corpus from its JSON text."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"corpus is not valid JSON: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise CorpusError("corpus document must be a JSON object")
     version = doc.get("schema_version")
@@ -193,13 +296,12 @@ def load_corpus(source: Union[str, Path, Mapping[str, Any]]) -> Tuple[CorpusEntr
     entries_field = doc.get("entries")
     if not isinstance(entries_field, Sequence) or isinstance(entries_field, str):
         raise CorpusError("corpus 'entries' must be a list")
-    entries = tuple(_validate_entry(raw) for raw in entries_field)
-    seen: Dict[str, int] = {}
-    for e in entries:
-        if e.id in seen:
-            raise CorpusError(f"duplicate entry id {e.id!r}")
-        seen[e.id] = 1
-    return entries
+    entries: Dict[str, CorpusEntry] = {}
+    for entry in map(_validate_entry, entries_field):
+        if entry.id in entries:
+            raise CorpusError(f"duplicate entry id {entry.id!r}")
+        entries[entry.id] = entry
+    return tuple(entries.values())
 
 
 def demo_corpus_text() -> str:
@@ -208,4 +310,4 @@ def demo_corpus_text() -> str:
 
 
 def load_demo_corpus() -> Tuple[CorpusEntry, ...]:
-    return load_corpus(json.loads(demo_corpus_text()))
+    return load_corpus(demo_corpus_text())

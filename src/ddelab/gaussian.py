@@ -7,9 +7,7 @@ converted with complex().
 
 Instances are immutable and hashable, so they can key dictionaries.
 Components are kept in lowest terms with a positive denominator, which makes
-the representation canonical and equality structural.  gmpy2's mpq is used
-as the rational backend when installed (it is hash- and equality-compatible
-with Fraction); plain Fraction otherwise.
+the representation canonical and equality structural.
 """
 
 from __future__ import annotations
@@ -17,21 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _Q = Fraction
-
-_RATIONAL_TYPES = (int, Fraction) if _Q is Fraction else (int, Fraction, type(_Q()))
-_Q0 = _Q(0)
-
 Rationalish = Union[int, Fraction, "GaussianRational"]
 
 
 class GaussianRational:
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Fraction = _Q0, im: Fraction = _Q0):
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
         self.re = re
         self.im = im
 
@@ -39,11 +29,8 @@ class GaussianRational:
     def coerce(x: Rationalish) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, Fraction):
-            # via ints: a Fraction built from gmp integers trips mpq()
-            return GaussianRational(_Q(int(x.numerator), int(x.denominator)))
-        if isinstance(x, _RATIONAL_TYPES):
-            return GaussianRational(_Q(x))
+        if isinstance(x, (int, Fraction)):
+            return GaussianRational(Fraction(x))
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
     @property
@@ -122,7 +109,7 @@ class GaussianRational:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _RATIONAL_TYPES):
+        if isinstance(other, (int, Fraction)):
             other = GaussianRational.coerce(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
@@ -161,19 +148,17 @@ class GaussianRational:
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(_Q(1))
-I = GaussianRational(_Q(0), _Q(1))
+ONE = GaussianRational(Fraction(1))
+I = GaussianRational(Fraction(0), Fraction(1))
 
 
 def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:
     """Convenience constructor from ints, Fractions, or strings like '2/3'."""
     def frac(x):
-        if isinstance(x, str):
-            return _Q(Fraction(x))
         if isinstance(x, GaussianRational):
             if not x.is_real:
                 raise ValueError("component must be real")
             return x.re
-        return _Q(x)
+        return Fraction(x)
 
     return GaussianRational(frac(re), frac(im))

@@ -70,32 +70,45 @@ def test_elliptic_requests_share_one_parser(tmp_path):
                        "drift and the linear growth to vanish")] * 2
 
 
-def test_boolean_request_number_is_rejected(tmp_path):
-    # JSON true must not pass for the number 1: omega = 1 would run and pass
-    [entry] = [e for e in json.loads(demo_corpus_text())["entries"] if e["id"] == "confined-basic"]
-    corpus = tmp_path / "corpus.json"
-    for omega in (True, [True, 0.0]):
-        entry["verify"]["omega"] = omega
-        corpus.write_text(json.dumps({"schema_version": 1, "entries": [entry]}))
-        out = tmp_path / "verify.json"
-        cli.run(["verify", "--corpus", str(corpus), "--format", "json", "--out", str(out)])
-        [row] = json.loads(out.read_text())["entries"]
-        assert (row["error_type"], row["error"]) == (
-            "RequestError", f"verify.omega: expected a number or [re, im] pair, got {omega!r}"
-        )
-
-
-
-def _request_row(tmp_path, sub, entry_id, field, value):
-    """The report row of one demo entry whose ``sub`` request sets field to value."""
+def _demo_entry(entry_id):
     [entry] = [e for e in json.loads(demo_corpus_text())["entries"] if e["id"] == entry_id]
-    entry[sub][field] = value
+    return entry
+
+
+def _load_error(tmp_path, capsys, sub, corpus_text):
+    """Stderr of ``sub`` on a corpus that must fail to load: exit 2, no report."""
     corpus = tmp_path / "corpus.json"
-    corpus.write_text(json.dumps({"schema_version": 1, "entries": [entry]}))
+    corpus.write_text(corpus_text)
     out = tmp_path / "report.json"
-    cli.run([sub, "--corpus", str(corpus), "--format", "json", "--out", str(out)])
-    [row] = json.loads(out.read_text())["entries"]
-    return row
+    code = cli.run([sub, "--corpus", str(corpus), "--format", "json", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def _request_error(tmp_path, capsys, sub, entry, **fields):
+    """Load error of a corpus holding ``entry`` with its ``sub`` request changed.
+
+    A field set to None is removed from the request.
+    """
+    request = entry.setdefault(sub, {})
+    for name, value in fields.items():
+        if value is None:
+            request.pop(name)
+        else:
+            request[name] = value
+    text = json.dumps({"schema_version": 1, "entries": [entry]})
+    return _load_error(tmp_path, capsys, sub, text)
+
+
+def test_boolean_request_number_is_rejected(tmp_path, capsys):
+    # JSON true must not pass for the number 1: omega = 1 would run and pass
+    for omega in (True, [True, 0.0]):
+        err = _request_error(tmp_path, capsys, "verify", _demo_entry("confined-basic"), omega=omega)
+        assert err == (
+            "error: entry 'confined-basic': field 'verify.omega': "
+            f"expected a number or [re, im] pair, got {omega!r}\n"
+        )
 
 
 # (subcommand, demo entry, field) of every integer or real request number
@@ -113,18 +126,136 @@ _REQUEST_NUMBERS = [
 
 @pytest.mark.parametrize("form", ["true", "string"])
 @pytest.mark.parametrize("sub, entry_id, field", _REQUEST_NUMBERS)
-def test_request_number_must_be_a_json_number(tmp_path, sub, entry_id, field, form):
+def test_request_number_must_be_a_json_number(tmp_path, capsys, sub, entry_id, field, form):
     # true would run as 1 and "5" as 5, through bare int() or float()
-    [entry] = [e for e in json.loads(demo_corpus_text())["entries"] if e["id"] == entry_id]
+    entry = _demo_entry(entry_id)
     value = True if form == "true" else str(entry[sub][field])
-    row = _request_row(tmp_path, sub, entry_id, field, value)
+    err = _request_error(tmp_path, capsys, sub, entry, **{field: value})
     expected = "a number" if field.startswith("r_") else "an integer"
-    assert (row.get("error_type"), row.get("error")) == (
-        "RequestError", f"{sub}.{field}: expected {expected}, got {value!r}"
+    assert err == (
+        f"error: entry {entry_id!r}: field '{sub}.{field}': expected {expected}, got {value!r}\n"
     )
 
 
-def test_fractional_step_count_is_rejected(tmp_path):
+def test_fractional_step_count_is_rejected(tmp_path, capsys):
     # int() would cut 2.5 steps to 2
-    row = _request_row(tmp_path, "cascade", "confined-basic", "steps", 2.5)
-    assert row.get("error") == "cascade.steps: expected an integer, got 2.5"
+    err = _request_error(tmp_path, capsys, "cascade", _demo_entry("confined-basic"), steps=2.5)
+    assert err == (
+        "error: entry 'confined-basic': field 'cascade.steps': expected an integer, got 2.5\n"
+    )
+
+
+@pytest.mark.parametrize("sub, entry_id, field", [
+    ("verify", "confined-basic", "sample"),
+    ("nev", "exponential-near-forcing", "rmin"),
+    ("verify", "confined-basic", "flip_scale_sign"),
+    ("cascade", "confined-basic", "kind"),
+])
+def test_unknown_request_field_is_rejected(tmp_path, capsys, sub, entry_id, field):
+    # a typo used to be ignored: "sample": 5 ran the default 100 samples, and
+    # "flip_scale_sign": "false" turned the flip on, since bool("false") is True
+    err = _request_error(tmp_path, capsys, sub, _demo_entry(entry_id), **{field: 5})
+    assert err == f"error: entry {entry_id!r}: {sub!r} request: unknown fields [{field!r}]\n"
+
+
+@pytest.mark.parametrize("sub, entry_id, field, value, rule", [
+    ("cascade", "confined-basic", "steps", 0, "at least 1"),
+    ("cascade", "confined-basic", "order", 0, "at least 1"),
+    ("verify", "confined-drifting", "samples", 0, "at least 1"),
+    ("nev", "confined-basic", "radii", 1, "at least 2"),
+    ("nev", "confined-basic", "r_min", 0, "positive and finite"),
+    ("nev", "confined-basic", "r_max", -2.0, "positive and finite"),
+    ("verify", "exponential-near-forcing", "p", 0, "nonzero"),
+    ("nev", "exponential-near-forcing", "p", 0, "nonzero"),
+])
+def test_request_number_out_of_range_is_rejected(tmp_path, capsys, sub, entry_id, field,
+                                                 value, rule):
+    err = _request_error(tmp_path, capsys, sub, _demo_entry(entry_id), **{field: value})
+    assert err == (
+        f"error: entry {entry_id!r}: field '{sub}.{field}': must be {rule}, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("r_min", [16.0, 20])
+def test_radii_must_increase(tmp_path, capsys, r_min):
+    err = _request_error(tmp_path, capsys, "nev", _demo_entry("confined-basic"), r_min=r_min)
+    assert err == (
+        "error: entry 'confined-basic': field 'nev.r_min': must be below r_max = 16.0, "
+        f"got {float(r_min)!r}\n"
+    )
+
+
+def test_infinite_radius_is_rejected(tmp_path, capsys):
+    # json writes float("inf") as Infinity, which json reads back
+    err = _request_error(tmp_path, capsys, "nev", _demo_entry("confined-basic"), r_max=1e400)
+    assert "field 'nev.r_max': must be positive and finite, got inf" in err
+
+
+@pytest.mark.parametrize("sub, entry_id, fields, message", [
+    ("verify", "confined-basic", {"kind": "hyperbolic"},
+     "field 'verify.kind': expected one of ['elliptic', 'exponential', 'mkdv'], "
+     "got 'hyperbolic'"),
+    ("nev", "confined-basic", {"kind": None},
+     "field 'nev.kind': expected one of ['elliptic', 'exponential'], got None"),
+    ("nev", "confined-basic", {"kind": ["elliptic"]},
+     "field 'nev.kind': expected one of ['elliptic', 'exponential'], got ['elliptic']"),
+    ("cascade", "confined-basic", {"seed": "zero-of-w-minus-root"},
+     "field 'cascade.seed': expected one of ['zero-of-w', 'pole-of-w'], "
+     "got 'zero-of-w-minus-root'"),
+    ("verify", "confined-basic", {"omega": None}, "field 'verify.omega' is required"),
+    ("nev", "confined-basic", {"g2": None}, "field 'nev.g2' is required"),
+])
+def test_unknown_kind_seed_or_missing_field_is_rejected(tmp_path, capsys, sub, entry_id,
+                                                         fields, message):
+    err = _request_error(tmp_path, capsys, sub, _demo_entry(entry_id), **fields)
+    assert err == f"error: entry {entry_id!r}: {message}\n"
+
+
+@pytest.mark.parametrize("sub, entry_id, fields, needs, has", [
+    # the exponential nev request used to run on an entry of any class
+    ("nev", "confined-basic", {"kind": "exponential", "g2": None, "g3": None, "omega": None},
+     "pure-log-deriv", "inverse-square"),
+    ("verify", "confined-basic", {"kind": "exponential", "g2": None, "g3": None,
+                                  "omega": None}, "pure-log-deriv", "inverse-square"),
+    ("verify", "exponential-near-forcing", {"kind": "mkdv", "p": None, "C": None},
+     "inverse-square", "pure-log-deriv"),
+])
+def test_request_kind_needs_its_entry_class(tmp_path, capsys, sub, entry_id, fields, needs, has):
+    err = _request_error(tmp_path, capsys, sub, _demo_entry(entry_id), **fields)
+    kind = fields["kind"]
+    assert err == (
+        f"error: entry {entry_id!r}: field '{sub}.kind': {kind!r} needs a {needs} entry, "
+        f"not {has}\n"
+    )
+
+
+def test_request_must_be_an_object(tmp_path, capsys):
+    entry = dict(_demo_entry("confined-basic"), verify=[1, 2])
+    err = _load_error(tmp_path, capsys, "classify",
+                      json.dumps({"schema_version": 1, "entries": [entry]}))
+    assert err == "error: entry 'confined-basic': 'verify' request must be an object\n"
+
+
+def test_missing_corpus_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert cli.run(["classify", "--corpus", str(missing)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read corpus: ") and str(missing) in err
+
+
+def _corpus(*entries, version=1):
+    return json.dumps({"schema_version": version, "entries": list(entries)})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "error: corpus is not valid JSON: Expecting property name enclosed in double "
+          "quotes: line 1 column 2 (char 1)"),
+    (_corpus(dict(_demo_entry("confined-basic"), colour="red")),
+     "error: entry 'confined-basic': unknown fields ['colour']"),
+    (_corpus(_demo_entry("branch-first"), _demo_entry("branch-first")),
+     "error: duplicate entry id 'branch-first'"),
+    (_corpus(_demo_entry("branch-first"), version=2),
+     "error: corpus schema_version must be 1, got 2"),
+], ids=["invalid-json", "unknown-entry-field", "duplicate-id", "schema-version"])
+def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text, message):
+    assert _load_error(tmp_path, capsys, "classify", text) == message + "\n"
