@@ -23,7 +23,7 @@ from .model import (
     EqKind,
     make_inverse_square,
     rational_degree,
-    resultant_in_w,
+    shares_root,
 )
 
 _ZERO = FieldElem.const(0)
@@ -96,6 +96,11 @@ def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
     one.  Both can hold at once; the verdict then reports branch A and keeps
     a flag for branch B.  Checkability requires a monic denominator with
     nonzero constant term, a supplied factorization, and no common roots.
+
+    Common roots are decided at the supplied roots: P and Q share one exactly
+    when P vanishes at one of them, or when P and a residual factor of
+    positive degree in w have a zero resultant.  The Sylvester determinant of
+    P and Q themselves runs only for an equation built without a factorization.
     """
     if eq.kind != EqKind.LOG_DERIV:
         raise ValueError("classifier expects the rational-in-w class")
@@ -110,7 +115,7 @@ def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
             failed.append("denominator vanishes at w = 0")
         if q.degree > 0 and eq.q_factors is None:
             failed.append("denominator factorization not supplied")
-        if not eq.p_poly.is_zero and resultant_in_w(eq.p_poly, q).is_zero:
+        if not eq.p_poly.is_zero and shares_root(eq.p_poly, q, eq.q_factors):
             failed.append("numerator and denominator share a root")
     if eq.p_poly.is_zero:
         failed.append("numerator is identically zero")

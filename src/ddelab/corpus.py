@@ -19,13 +19,14 @@ loads, before any analysis starts.  The requests, by ``kind``:
 Fields, with defaults in brackets: ``steps`` and ``order`` integers >= 1
 [3, 1]; ``seed`` "zero-of-w" or "pole-of-w" ["zero-of-w"]; ``samples`` an
 integer >= 1 [100]; ``p`` a nonzero integer [1]; ``C``, ``g2``, ``g3`` and
-``omega`` a number or an [re, im] pair [C: 1; the others required];
-``r_min`` < ``r_max`` positive finite numbers [1, 16]; ``radii`` an integer
->= 2 [24].
+``omega`` a finite number or an [re, im] pair of finite numbers, ``C`` also
+nonzero [C: 1; the others required]; ``r_min`` < ``r_max`` positive finite
+numbers [1, 16]; ``radii`` an integer >= 2 [24].
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -71,16 +72,28 @@ def _is_number(value: Any) -> bool:
 
 
 def _as_complex(value: Any) -> complex:
+    # json reads NaN and Infinity as floats
     if _is_number(value):
-        return complex(value)
-    if (
+        z = complex(value)
+    elif (
         isinstance(value, Sequence)
         and not isinstance(value, str)
         and len(value) == 2
         and all(_is_number(x) for x in value)
     ):
-        return complex(value[0], value[1])
-    raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+        z = complex(value[0], value[1])
+    else:
+        raise ValueError(f"expected a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"must be finite, got {value!r}")
+    return z
+
+
+def _as_nonzero_complex(value: Any) -> complex:
+    z = _as_complex(value)
+    if z == 0:
+        raise ValueError(f"must be nonzero, got {value!r}")
+    return z
 
 
 def _as_int(rule: str, ok: Callable[[int], bool]) -> Callable[[Any], int]:
@@ -112,7 +125,7 @@ def _as_seed(value: Any) -> SeedKind:
 _COUNT = _as_int("at least 1", lambda n: n >= 1)
 _SAMPLES = {"samples": (_COUNT, 100)}
 _LATTICE = {"g2": (_as_complex, None), "g3": (_as_complex, None), "omega": (_as_complex, None)}
-_FAMILY = {"p": (_as_int("nonzero", lambda n: n != 0), 1), "C": (_as_complex, 1.0)}
+_FAMILY = {"p": (_as_int("nonzero", lambda n: n != 0), 1), "C": (_as_nonzero_complex, 1.0)}
 _GRID = {
     "r_min": (_as_radius, 1.0),
     "r_max": (_as_radius, 16.0),

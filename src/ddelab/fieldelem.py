@@ -25,6 +25,18 @@ A factor is cancelled only when every numerator shares it: finer
 cancellation would regrow when the window is put back over one denominator.
 ``_tighten`` is the first two steps alone, which every new series window gets.
 
+Polynomials skip ``_reduce``.  For a constant denominator ``_reduce`` always
+hands back the one shared ``_ONE_MP``, so ``den is _ONE_MP`` tells a
+polynomial apart at the cost of a pointer test.  Over that denominator
+``_reduce`` returns a nonzero numerator unchanged and a zero one as
+``MPoly()``, so ``FieldElem(num)`` does the same without calling it, and
+``+``, ``-``, unary ``-`` and ``*`` of two polynomials build their result
+from ``num +- num`` or ``num * num`` alone.  The result is exactly the one the
+general path gives, down to the variable table and the term map: that path
+would only multiply by the constant 1 and then reduce over it.  (Multiplying
+by 1 re-sorts a variable table that is out of ``mpoly``'s canonical order;
+no table the package builds is.)
+
 Rational functions of the distinguished variable ``z`` are FieldElems whose
 function-field variable is ``z``; other symbols act as constants.
 ``FieldElem.shift`` and ``FieldElem.derivative`` implement the shift
@@ -52,10 +64,11 @@ class FieldElem:
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
         if den is None:
-            den = MPoly.const(1)
-        if den.is_zero:
+            den, num = _ONE_MP, MPoly() if num.is_zero else num
+        elif den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        den, (num,) = _reduce(den, [num])
+        else:
+            den, (num,) = _reduce(den, [num])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -106,21 +119,30 @@ class FieldElem:
 
     def __add__(self, other) -> "FieldElem":
         o = FieldElem.coerce(other)
+        if self.den is _ONE_MP and o.den is _ONE_MP:
+            return FieldElem(self.num + o.num)
         return FieldElem(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElem":
+        if self.den is _ONE_MP:
+            return FieldElem(-self.num)
         return FieldElem(-self.num, self.den)
 
     def __sub__(self, other) -> "FieldElem":
-        return self + (-FieldElem.coerce(other))
+        o = FieldElem.coerce(other)
+        if self.den is _ONE_MP and o.den is _ONE_MP:
+            return FieldElem(self.num - o.num)
+        return self + (-o)
 
     def __rsub__(self, other) -> "FieldElem":
         return FieldElem.coerce(other) - self
 
     def __mul__(self, other) -> "FieldElem":
         o = FieldElem.coerce(other)
+        if self.den is _ONE_MP and o.den is _ONE_MP:
+            return FieldElem(self.num * o.num)
         return FieldElem(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -191,7 +213,7 @@ class FieldElem:
         raise TypeError("FieldElem is not hashable")
 
     def __str__(self) -> str:
-        if self.den == MPoly.const(1):
+        if self.den is _ONE_MP:
             return str(self.num)
         ns, ds = str(self.num), str(self.den)
         if any(ch in ns[1:] for ch in "+-"):
@@ -209,7 +231,11 @@ class FieldElem:
 
 def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
     """Normal form of the fractions ``nums[k]/den``: the module docstring's
-    four steps, in order."""
+    four steps, in order.
+
+    A constant denominator always comes back as the shared ``_ONE_MP``, the
+    invariant behind the polynomial fast paths of ``FieldElem``.
+    """
     if all(n.is_zero for n in nums):
         return _ONE_MP, [MPoly() for _ in nums]
     den, nums = _tighten(den, nums)

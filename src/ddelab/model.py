@@ -14,12 +14,17 @@ Every equation also carries the derived normal form
 which is what the cascade engine consumes.  Both views are exact.
 
 The module also provides degree reports for the right-hand side as a
-rational map of w, and resultants in w.
+rational map of w, resultants in w, and the common-root test for P and Q.
+That test reads the supplied factorization Q = prod (w - r_i)^m_i * R:
+since res(P, Q) = +-prod P(r_i)^m_i * res(P, R), P and Q share a root exactly
+when P vanishes at a supplied root or when res(P, R) vanishes.  The Sylvester
+determinant therefore runs only on a residual R of positive degree in w, or
+on Q itself when no factorization was supplied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
@@ -149,10 +154,12 @@ class FactoredDenominator:
 
     An optional residual factor covers a part the supplier asserts has no
     roots rational in z; expansion must reproduce the stored denominator.
+    The expansion is computed on first use and kept.
     """
 
     factors: Tuple[Tuple[FieldElem, int], ...]
     residual: Optional[WPoly] = None
+    _product: Optional[WPoly] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = [r for r, _ in self.factors]
@@ -165,14 +172,16 @@ class FactoredDenominator:
                 raise EquationError("factor multiplicity must be positive")
 
     def expand(self) -> WPoly:
-        acc = WPoly.const(1)
-        for root, mult in self.factors:
-            lin = WPoly([_ZERO - root, _ONE])
-            for _ in range(mult):
-                acc = acc * lin
-        if self.residual is not None:
-            acc = acc * self.residual
-        return acc
+        if self._product is None:
+            acc = WPoly.const(1)
+            for root, mult in self.factors:
+                lin = WPoly([_ZERO - root, _ONE])
+                for _ in range(mult):
+                    acc = acc * lin
+            if self.residual is not None:
+                acc = acc * self.residual
+            object.__setattr__(self, "_product", acc)
+        return self._product
 
     def roots(self) -> Tuple[FieldElem, ...]:
         return tuple(r for r, _ in self.factors)
@@ -216,8 +225,10 @@ class DelayDiffEq:
                 raise EquationError("denominator Q is identically zero")
             if self.q_poly.coefficient(0).is_zero:
                 raise EquationError("Q(z, 0) must not vanish identically")
-            if self.q_factors is not None:
-                if self.q_factors.expand() != self.q_poly:
+            # make_log_deriv passes the kept expansion itself: nothing to compare
+            fd = self.q_factors
+            if fd is not None and self.q_poly is not fd._product:
+                if fd.expand() != self.q_poly:
                     raise EquationError(
                         "factored denominator does not expand to Q"
                     )
@@ -229,18 +240,21 @@ def make_log_deriv(
     q_factors: FactoredDenominator,
     name: str = "",
 ) -> DelayDiffEq:
-    """Build a log-deriv equation, normalizing the denominator to monic."""
+    """Build a log-deriv equation, normalizing the denominator to monic.
+
+    The factors are expanded once; the equation keeps that expansion as Q.
+    """
     q = q_factors.expand()
     notes: Tuple[str, ...] = ()
     if not q.is_monic:
-        lc = q.leading
-        q = q.scale(lc.inverse())
-        p_poly = p_poly.scale(lc.inverse())
-        scaled = tuple(
-            (r, m) for r, m in q_factors.factors
-        )
-        res = q_factors.residual.scale(lc.inverse()) if q_factors.residual else None
-        q_factors = FactoredDenominator(scaled, res)
+        # the linear factors are monic, so only a residual makes q non-monic,
+        # and dividing the residual by lc(q) divides the product: q is the
+        # new factorization's expansion
+        inv = q.leading.inverse()
+        q = q.scale(inv)
+        p_poly = p_poly.scale(inv)
+        q_factors = FactoredDenominator(q_factors.factors, q_factors.residual.scale(inv))
+        object.__setattr__(q_factors, "_product", q)
         notes = ("denominator normalized to monic",)
     return DelayDiffEq(
         EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_poly=q, q_factors=q_factors,
@@ -294,6 +308,17 @@ def resultant_in_w(p: WPoly, q: WPoly) -> FieldElem:
     for j in range(m):
         rows.append([_ZERO] * j + qd + [_ZERO] * (size - n - 1 - j))
     return _det(rows)
+
+
+def shares_root(p: WPoly, q: WPoly, q_factors: Optional[FactoredDenominator]) -> bool:
+    """Whether nonzero P and Q share a root in w, decided as the module
+    docstring says: at the supplied roots of Q when there are any."""
+    if q_factors is None:
+        return resultant_in_w(p, q).is_zero
+    if any(p.evaluate(r).is_zero for r in q_factors.roots()):
+        return True
+    res = q_factors.residual
+    return res is not None and res.degree > 0 and resultant_in_w(p, res).is_zero
 
 
 def _det(rows) -> FieldElem:

@@ -15,6 +15,8 @@ from ddelab.classify import (
     classify_log_deriv,
     classify_pure_log_deriv,
 )
+from ddelab import model
+from ddelab.corpus import load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import gauss
 from ddelab.model import (
@@ -100,6 +102,28 @@ class TestLogDerivBranches:
     def test_repeated_calls_agree(self):
         eq = _log_deriv([ONE, W0, W0, ONE], [Z, FieldElem.const(2) * Z])
         assert classify_log_deriv(eq).export() == classify_log_deriv(eq).export()
+
+    def test_factored_entries_skip_the_sylvester_determinant(self, monkeypatch):
+        # the supplied roots decide; the determinant is for residuals of
+        # positive degree and for equations built without a factorization
+        def refuse(p, q):
+            raise AssertionError("resultant_in_w called")
+
+        eqs = [e.eq for e in load_demo_corpus() if e.eq.kind == EqKind.LOG_DERIV]
+        eqs += [
+            _log_deriv([ONE, W0, W0, ONE], [Z, FieldElem.const(2) * Z]),
+            _log_deriv([FieldElem.const(-2), ONE], [FieldElem.const(2), FieldElem.const(-3)]),
+            make_log_deriv(
+                a=W0, p_poly=_wpoly(ONE, Z),
+                q_factors=FactoredDenominator(((Z, 2),), WPoly([FieldElem.const(3) * Z + ONE])),
+            ),
+        ]
+        monkeypatch.setattr(model, "resultant_in_w", refuse)
+        outcomes = [classify_log_deriv(eq).outcome for eq in eqs]
+        assert outcomes[-2] == Outcome.HYPOTHESIS_VIOLATION
+        unfactored = DelayDiffEq(EqKind.LOG_DERIV, a=W0, p_poly=_wpoly(ONE), q_poly=_wpoly(ONE, ONE))
+        with pytest.raises(AssertionError, match="resultant_in_w called"):
+            classify_log_deriv(unfactored)
 
 
 class TestPureLogDerivVerdicts:

@@ -167,6 +167,13 @@ def test_unknown_request_field_is_rejected(tmp_path, capsys, sub, entry_id, fiel
     ("nev", "confined-basic", "r_max", -2.0, "positive and finite"),
     ("verify", "exponential-near-forcing", "p", 0, "nonzero"),
     ("nev", "exponential-near-forcing", "p", 0, "nonzero"),
+    # C = 0 used to load and fail as a ParamDomainError row of the analysis
+    ("verify", "exponential-near-forcing", "C", 0, "nonzero"),
+    ("nev", "exponential-near-forcing", "C", [0.0, 0.0], "nonzero"),
+    # json reads NaN and Infinity; they used to load and fail in the analysis
+    # as an unrelated ValueError or LinAlgError row
+    ("verify", "confined-basic", "omega", [float("nan"), 0], "finite"),
+    ("nev", "confined-basic", "g2", [float("inf"), 0], "finite"),
 ])
 def test_request_number_out_of_range_is_rejected(tmp_path, capsys, sub, entry_id, field,
                                                  value, rule):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddelab.corpus import CorpusError, parse_equation
 from ddelab.fieldelem import FieldElem
@@ -20,6 +22,7 @@ from ddelab.model import (
     normal_form_series,
     rational_degree,
     resultant_in_w,
+    shares_root,
 )
 
 Z = FieldElem.var("z")
@@ -109,6 +112,24 @@ def test_monic_normalization():
     assert eq.q_poly.is_monic
     assert eq.p_poly.coefficient(0) == ONE
     assert "denominator normalized to monic" in eq.notes
+
+
+def test_make_log_deriv_expands_the_factors_once(monkeypatch):
+    calls = []
+    expand = FactoredDenominator.expand
+
+    def counting(self):
+        calls.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(FactoredDenominator, "expand", counting)
+    for residual in (None, WPoly([FieldElem.const(3) * Z + ONE, ONE, FieldElem.const(2)])):
+        calls.clear()
+        eq = make_log_deriv(ONE, WPoly([ONE, ONE]), FactoredDenominator(((Z, 2),), residual))
+        assert len(calls) == 1
+        assert eq.q_poly.is_monic
+        fresh = FactoredDenominator(eq.q_factors.factors, eq.q_factors.residual)
+        assert fresh.expand() == eq.q_poly
 
 
 def test_factored_mismatch_rejected():
@@ -227,6 +248,51 @@ def test_resultant_zero_iff_root_shared():
         det_zero = resultant_in_w(p, q).is_zero
         root_shared = any(p.evaluate(r).is_zero for r in fd.roots())
         assert det_zero == root_shared
+
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+small = st.integers(-2, 2)
+# constant roots, and roots affine or quadratic in z
+roots = st.tuples(small, small, st.sampled_from([0, 0, 1])).map(
+    lambda c: FieldElem.const(c[0]) + FieldElem.const(c[1]) * Z + FieldElem.const(c[2]) * Z ** 2
+)
+z_polys = st.tuples(small, small).map(lambda c: FieldElem.const(c[0]) + FieldElem.const(c[1]) * Z)
+
+
+def _wpolys(max_degree):
+    return st.lists(z_polys, min_size=1, max_size=max_degree + 1).map(WPoly).filter(
+        lambda w: not w.is_zero
+    )
+
+
+@st.composite
+def root_cases(draw):
+    """(P, factorization): up to two roots of multiplicity up to 2, a residual
+    of degree up to 2, and P built to share a supplied root, the residual's
+    roots, or neither."""
+    rs = draw(st.lists(roots, max_size=2, unique_by=str))
+    factors = tuple((r, draw(st.integers(1, 2))) for r in rs)
+    residual = draw(st.one_of(st.none(), _wpolys(2)))
+    p = draw(_wpolys(2))
+    share = draw(st.sampled_from(["none", "root", "residual"]))
+    if share == "root" and factors:
+        p = p * WPoly([ZERO - factors[0][0], ONE])
+    elif share == "residual" and residual is not None:
+        p = p * residual
+    return p, FactoredDenominator(factors, residual)
+
+
+@SETTINGS
+@given(root_cases())
+@example((WPoly([ONE, ZERO, ZERO, ONE]), FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)))))
+@example((WPoly([ZERO - Z, ONE]), FactoredDenominator(((Z, 2),), WPoly([ONE, Z, ONE]))))
+@example((WPoly([ONE, Z, ONE]), FactoredDenominator(((ONE, 1),), WPoly([ONE, Z, ONE]))))
+def test_root_test_agrees_with_the_sylvester_determinant(case):
+    p, fd = case
+    q = fd.expand()
+    assert shares_root(p, q, fd) == resultant_in_w(p, q).is_zero
+    assert shares_root(p, q, None) == resultant_in_w(p, q).is_zero
 
 
 # -- normal form as series ----------------------------------------------------

@@ -3,6 +3,8 @@
 ``FieldElem`` reduces one numerator over its denominator, and
 ``LaurentSeries.canonical`` reduces a whole window over one shared
 denominator; both must keep every value and land on a fixed point.
+Polynomials skip that reduction, and must come out exactly as if they had
+gone through it.
 ``GaussianRational`` and ``MPoly`` must obey the commutative ring laws, and
 a ``LaurentSeries`` must invert to 1 on its window and differentiate
 products by the Leibniz rule.
@@ -95,6 +97,42 @@ def test_canonical_keeps_every_coefficient(pairs):
 
 
 mixed_polys = st.sampled_from([("z",), ("zhat", "z"), VARS]).flatmap(polys)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials in drawn variable tables; some pairs cancel under + or -.
+
+    The tables keep ``mpoly``'s canonical order, as every table the package
+    builds does; the general path would re-sort any other.
+    """
+    tables = st.sampled_from([(), ("z",), ("zhat",), ("z", "alpha"), VARS])
+    a = draw(tables.flatmap(polys))
+    b = draw(st.one_of(tables.flatmap(polys), st.just(-a), st.just(a)))
+    return a, b
+
+
+@SETTINGS
+@given(poly_pairs())
+@example((Z_PLUS_1, Z_PLUS_1))
+@example((Z_PLUS_1, -Z_PLUS_1))
+def test_polynomial_fast_path_matches_the_reduced_form(pair):
+    a, b = pair
+    f, g = FieldElem(a), FieldElem(b)
+    # the general path, through _reduce: a fresh 1 is not the shared one
+    one = MPoly.const(1)
+    cases = [
+        (f + g, FieldElem(a * one + b * one, one * one)),
+        (f - g, FieldElem(a * one - b * one, one * one)),
+        (-f, FieldElem(-a, one)),
+        (f * g, FieldElem(a * b, one * one)),
+        (f, FieldElem(a, one)),
+    ]
+    for fast, general in cases:
+        assert fast.num.vars == general.num.vars
+        assert fast.num.terms == general.num.terms
+        assert fast.den.vars == general.den.vars and fast.den.terms == general.den.terms
+        assert str(fast) == str(general)
 
 
 @SETTINGS
