@@ -6,8 +6,13 @@ computation in this package: no floats enter until a value is explicitly
 converted with complex().
 
 Instances are immutable and hashable, so they can key dictionaries.
-Components are kept in lowest terms with a positive denominator, which makes
-the representation canonical and equality structural.
+A component is an ``int`` when it is integral and otherwise a ``Fraction``
+in lowest terms with a positive denominator.  That makes the representation
+canonical and equality structural, and it keeps the common integral case on
+Python ints: ``+``, ``-`` and ``*`` of integral parts never build a
+``Fraction``.  ``__init__`` is the one place that turns an integral
+``Fraction`` into an ``int``.  Because ``int / int`` is a float, a raw
+component is divided only through ``Fraction`` (see ``inverse``).
 """
 
 from __future__ import annotations
@@ -15,13 +20,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+Rational = Union[int, Fraction]
 Rationalish = Union[int, Fraction, "GaussianRational"]
 
 
 class GaussianRational:
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+    def __init__(self, re: Rational = 0, im: Rational = 0):
+        if type(re) is Fraction and re._denominator == 1:
+            re = re._numerator
+        if type(im) is Fraction and im._denominator == 1:
+            im = im._numerator
         self.re = re
         self.im = im
 
@@ -30,7 +40,7 @@ class GaussianRational:
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return GaussianRational(Fraction(x))
+            return GaussianRational(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
     @property
@@ -44,7 +54,7 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> Rational:
         """Field norm re^2 + im^2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im
 
@@ -52,8 +62,8 @@ class GaussianRational:
         if not self.im:
             if not self.re:
                 raise ZeroDivisionError("inverse of zero Gaussian rational")
-            return GaussianRational(1 / self.re)
-        n = self.norm()
+            return GaussianRational(Fraction(1) / self.re)
+        n = Fraction(self.norm())
         return GaussianRational(self.re / n, -self.im / n)
 
     def __add__(self, other: Rationalish) -> "GaussianRational":
@@ -148,8 +158,8 @@ class GaussianRational:
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
 
 
 def gauss(re: Rationalish = 0, im: Rationalish = 0) -> GaussianRational:

@@ -40,7 +40,7 @@ so ``inverse`` and ``div`` of such a series need the caller's ``width``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import comb, inf
 from typing import List, Sequence, Tuple, Union
 
 from .fieldelem import FieldElem, _reduce, _tighten
@@ -442,8 +442,8 @@ def series_of_ratfunc(
 
     The result is a series in the local variable t with coefficients that are
     exact field elements in ``center_var`` and any parameter symbols.  When
-    both numerator and denominator are polynomials the expansion terminates
-    and the series is exact.
+    ``r`` is a polynomial of degree below ``width`` in ``var``, the expansion
+    terminates and the series is exact.
     """
     num = _taylor_poly(r.num, offset, width, var, center_var)
     den = _taylor_poly(r.den, offset, width, var, center_var)
@@ -451,19 +451,26 @@ def series_of_ratfunc(
 
 
 def _taylor_poly(p: MPoly, offset: Coeffish, width: int, var: str, center_var: str) -> LaurentSeries:
-    center = MPoly.var(center_var) + MPoly.const(offset)
-    coeffs: list[FieldElem] = []
-    cur = p
-    fact = Fraction(1)
-    m = 0
-    while m < width and not cur.is_zero:
-        val = cur.compose(var, center)
-        coeffs.append(FieldElem(val) * FieldElem.const(Fraction(1) / fact))
-        cur = cur.derivative(var)
-        m += 1
-        fact *= m
-    exact = cur.is_zero
-    return LaurentSeries(0, coeffs, exact=exact)
+    """p at var = c + t, c = center_var + offset, as a series in t.
+
+    With p = sum_e P_e * var^e, coefficient m is
+    sum_{e >= m} C(e, m) * P_e * c^(e - m): integer binomial weights on
+    powers of c computed once, with no factorial to divide by.  The first
+    ``width`` coefficients are kept, and the series is exact iff
+    deg_var(p) < width.
+    """
+    ps = p.coefficients(var)
+    pows = [_ONE_MP, MPoly.var(center_var) + MPoly.const(offset)][:len(ps)]
+    while len(pows) < len(ps):
+        pows.append(pows[-1] * pows[1])
+    nums = []
+    for m in range(min(width, len(ps))):
+        tail = [
+            (ps[e].scale(comb(e, m)) if m else ps[e], pows[e - m])
+            for e in range(m + 1, len(ps))
+        ]
+        nums.append(ps[m] + MPoly.dot(tail) if tail else ps[m])
+    return LaurentSeries._raw(0, _ONE_MP, nums, len(ps) <= width)
 
 
 def compose_rational(

@@ -11,6 +11,10 @@ new symbol therefore never invalidates existing polynomials.
 Coefficient-level zero tests are exact, so ``is_zero`` and equality are
 decidable, and dropping zero coefficients on construction keeps the term map
 canonical.
+
+Products accumulate raw (re, im) components and wrap them once.  Since an
+integral component is a Python ``int`` (see ``gaussian``), products of
+integral coefficients run on ints and build no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -319,25 +323,30 @@ class MPoly:
             out[key] = GaussianRational(c.re * e, c.im * e)
         return MPoly._make(self.vars, out)
 
+    def coefficients(self, var: str) -> list["MPoly"]:
+        """``[P_0, ..., P_d]`` with ``self = sum(P_e * var^e)`` and d the
+        degree in ``var``; each ``P_e`` is free of ``var``."""
+        if not self.terms:
+            return []
+        if var not in self.vars:
+            return [self]
+        i = self.vars.index(var)
+        rest_vars = self.vars[:i] + self.vars[i + 1:]
+        by_exp: Dict[int, Terms] = {}
+        for exps, c in self.terms.items():
+            by_exp.setdefault(exps[i], {})[exps[:i] + exps[i + 1:]] = c
+        return [MPoly._make(rest_vars, by_exp.get(e, {})) for e in range(max(by_exp) + 1)]
+
     def compose(self, var: str, replacement: "MPoly") -> "MPoly":
         """Substitute a polynomial for one variable."""
         if var not in self.vars:
             return self
-        i = self.vars.index(var)
-        rest_vars = self.vars[:i] + self.vars[i + 1:]
-        # group by exponent of var, then Horner in the replacement
-        by_exp: Dict[int, Terms] = {}
-        for exps, c in self.terms.items():
-            rest = exps[:i] + exps[i + 1:]
-            by_exp.setdefault(exps[i], {})[rest] = c
-        if not by_exp:
-            return MPoly()
+        # Horner in the replacement
         out = MPoly()
-        for e in range(max(by_exp), -1, -1):
+        for pe in reversed(self.coefficients(var)):
             out = out * replacement
-            grp = by_exp.get(e)
-            if grp:
-                out = out + MPoly(rest_vars, grp)
+            if pe.terms:
+                out = out + pe
         return out
 
     def subs_values(self, values: Mapping[str, Coeffish]) -> "MPoly":

@@ -233,8 +233,8 @@ def test_resultant_numeric_sylvester_oracle():
     for _ in range(5):
         z0 = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
         val = res.subs_values({"z": z0})
-        pc = [c.subs_values({"z": z0}).constant_value().re for c in p.coeffs]
-        qc = [c.subs_values({"z": z0}).constant_value().re for c in q.coeffs]
+        pc = [Fraction(c.subs_values({"z": z0}).constant_value().re) for c in p.coeffs]
+        qc = [Fraction(c.subs_values({"z": z0}).constant_value().re) for c in q.coeffs]
         assert val.constant_value().re == num_sylvester(pc, qc)
 
 
