@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,10 +56,26 @@ class VerifierReport:
         }
 
 
-def _check_samples(samples: int) -> None:
-    """A residual check over no sample points would pass without testing."""
+def _accepted_draws(
+    samples: int, seed: int, draw: Callable[[Random], Any], failure: str
+) -> list:
+    """The first ``samples`` points that ``draw`` accepts from one ``Random(seed)``.
+
+    ``draw`` returns None to reject a candidate.  The sampler gives up with
+    ``ArithmeticError(failure)`` after 80 candidates per requested point.  A
+    residual check over no sample points would pass without testing.
+    """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = Random(seed)
+    points = []
+    for _ in range(80 * samples):
+        point = draw(rng)
+        if point is not None:
+            points.append(point)
+            if len(points) == samples:
+                return points
+    raise ArithmeticError(failure)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +145,7 @@ def elliptic_params(
 
 
 class EllipticSolutionModel:
-    """Evaluator and exact singularity inventory of the elliptic family.
+    """log|w| and the exact singularity inventory of the elliptic family.
 
     Poles sit on the rescaled lattice (double), zeros at the two cosets of
     +-1 (simple); no root finding is involved, so the counting side of any
@@ -145,26 +161,23 @@ class EllipticSolutionModel:
         self._w = params.engine
         self._p_omega, _ = self._w.eval(params.omega)
 
-    def evaluate(self, z: complex) -> complex:
-        p, _ = self._w.eval(z * self.params.omega)
-        return self.params.alpha * (p - self._p_omega)
-
-    def derivative(self, z: complex) -> complex:
-        _, dp = self._w.eval(z * self.params.omega)
-        return self.params.alpha * self.params.omega * dp
-
-    def evaluate_many(self, z: np.ndarray) -> np.ndarray:
-        """``evaluate`` on an array; infinite at poles instead of raising."""
-        p, _, _ = self._w.eval_many(np.asarray(z) * self.params.omega)
-        return self.params.alpha * (p - self._p_omega)
-
     def log_abs(self, z: np.ndarray) -> np.ndarray:
-        return np.log(np.abs(self.evaluate_many(z)))
+        """log|w| on an array; infinite at poles instead of raising."""
+        p, _, _ = self._w.eval_many(np.asarray(z) * self.params.omega)
+        return np.log(np.abs(self.params.alpha * (p - self._p_omega)))
 
     def _scaled_lattice(self, radius: float, offset: complex) -> List[complex]:
+        """Points (offset*omega + l)/omega with modulus <= radius, l on the lattice.
+
+        The point with l = 0 is ``offset`` itself, exactly, and membership is
+        decided on the scaled points, in a disk padded by |offset| against
+        rounding: the zeros at +-1 lie on the circle |z| = 1.
+        """
         om = self.params.omega
-        pts = self._w.lattice_points_in_disk(radius * abs(om), offset * om)
-        return [p / om for p in pts]
+        centre = offset * om
+        pts = self._w.lattice_points_in_disk((radius + abs(offset)) * abs(om), centre)
+        scaled = [offset if p == centre else p / om for p in pts]
+        return [z for z in scaled if abs(z) <= radius]
 
     def poles_upto(self, radius: float) -> List[Tuple[complex, int]]:
         return [(p, 2) for p in self._scaled_lattice(radius, 0j)]
@@ -194,44 +207,37 @@ def verify_elliptic_family(
     individually singular; `perturb` is added to lam to let callers observe
     the linear response of the residual.
     """
-    _check_samples(samples)
-    model = EllipticSolutionModel(params)
     lam = params.lam + perturb
-    rng = Random(seed)
     om = params.omega
+    alpha = params.alpha
     w = params.engine
     cell = min(abs(w.omega1), abs(w.omega2)) / abs(om)
     box = 2.5 * cell
-    margin = 0.12 * cell
+    margin = 0.12 * cell * abs(om)
 
-    def clear_of_singularities(z: complex) -> bool:
+    def clear_of_singularities(rng: Random) -> Optional[complex]:
+        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
         for shift in (-1.0, 0.0, 1.0):
             u = (z + shift) * om
-            if abs(w.reduce(u)) < margin * abs(om):
-                return False
-            if abs(w.reduce(u - om)) < margin * abs(om):
-                return False
-            if abs(w.reduce(u + om)) < margin * abs(om):
-                return False
-        return True
+            if any(abs(w.reduce(v)) < margin for v in (u, u - om, u + om)):
+                return None
+        return z
+
+    points = _accepted_draws(
+        samples, seed, clear_of_singularities, "sampling failed to avoid the singular set"
+    )
+    p_om, _ = w.eval(om)
+
+    def value(z: complex) -> complex:
+        p, _ = w.eval(z * om)
+        return alpha * (p - p_om)
 
     worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < samples:
-        attempts += 1
-        if attempts > 80 * samples:
-            raise ArithmeticError("sampling failed to avoid the singular set")
-        z = complex(rng.uniform(-box, box), rng.uniform(-box, box))
-        if not clear_of_singularities(z):
-            continue
-        wz = model.evaluate(z)
-        res = abs(
-            model.evaluate(z + 1.0) - model.evaluate(z - 1.0)
-            - lam * model.derivative(z) / (wz * wz)
-        )
+    for z in points:
+        p, dp = w.eval(z * om)
+        wz = alpha * (p - p_om)
+        res = abs(value(z + 1.0) - value(z - 1.0) - lam * (alpha * om * dp) / (wz * wz))
         worst = max(worst, res)
-        accepted += 1
     return VerifierReport(
         check="elliptic-family",
         params={**params.export(), "perturb": str(perturb)},
@@ -269,9 +275,6 @@ class ExponentialModel:
     def evaluate(self, z: complex) -> complex:
         return self.C * cmath.exp(self.rho * z)
 
-    def log_derivative(self, z: complex) -> complex:
-        return self.rho
-
     def log_abs(self, z: np.ndarray) -> np.ndarray:
         return math.log(abs(self.C)) - self.p * math.pi * np.imag(z)
 
@@ -301,31 +304,27 @@ def verify_exponential(
     keeps |Im z| small enough that |w| stays within a few orders of C, so
     the reported residual measures the identity rather than float overflow.
     """
-    _check_samples(samples)
     model = ExponentialModel(C, p)
-    rng = Random(seed)
-    b_factor = model.rho
     im_cap = 1.5 / abs(p)
-    worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < samples:
-        attempts += 1
-        if attempts > 80 * samples:
-            raise ArithmeticError("sampling failed to avoid coefficient poles")
+
+    def clear_of_coefficient_poles(rng: Random) -> Optional[Tuple[complex, complex]]:
         z = complex(rng.uniform(-6.0, 6.0), rng.uniform(-im_cap, im_cap))
         try:
-            az = a.eval_complex({"z": z})
+            return z, a.eval_complex({"z": z})
         except ZeroDivisionError:
-            continue
-        bz = b_factor * az + perturb_b
+            return None
+
+    points = _accepted_draws(
+        samples, seed, clear_of_coefficient_poles,
+        "sampling failed to avoid coefficient poles",
+    )
+    worst = 0.0
+    for z, az in points:
+        bz = model.rho * az + perturb_b
         res = abs(
-            model.evaluate(z + 1.0) - model.evaluate(z - 1.0)
-            + az * model.log_derivative(z)
-            - bz
+            model.evaluate(z + 1.0) - model.evaluate(z - 1.0) + az * model.rho - bz
         )
         worst = max(worst, res)
-        accepted += 1
     return VerifierReport(
         check="exponential-family",
         params={"a": str(a), "p": str(p), "C": str(C), "perturb_b": str(perturb_b)},
@@ -460,36 +459,35 @@ def mkdv_reduction_check(
     residuals at randomly drawn data measure only rounding.  `perturb` is
     added to the forward-shift rule as a negative control.
     """
-    _check_samples(samples)
     if lam * nu == 0:
         raise ParamDomainError("the reduction needs lam*nu nonzero")
-    rng = Random(seed)
-    worst = 0.0
-    accepted = 0
-    attempts = 0
-    while accepted < samples:
-        attempts += 1
-        if attempts > 80 * samples:
-            raise ArithmeticError("sampling failed to avoid the branch cut")
+
+    def clear_of_branch_cut(rng: Random) -> Optional[Tuple[complex, ...]]:
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(w) < 0.3:
-            continue
+            return None
         wp = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         wm = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         t = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if abs(t) < 0.2:
-            continue
+            return None
         s = -2.0 * lam * nu * t
         # principal branch; stay away from the cut so s^(-1/2) is smooth
         if s.real <= 0 and abs(s.imag) < 0.05 * abs(s):
-            continue
+            return None
+        return w, wp, wm, t, s
+
+    points = _accepted_draws(
+        samples, seed, clear_of_branch_cut, "sampling failed to avoid the branch cut"
+    )
+    worst = 0.0
+    for w, wp, wm, t, s in points:
         wplus = wm + (lam * wp + lam * nu * w) / (w * w) + perturb
         r = cmath.exp(-0.5 * cmath.log(s))  # s^(-1/2)
         r3 = r / s
         lhs = lam * nu * r3 * w - r * wp / (2.0 * nu * t)
         rhs = r3 * w * w * (wplus - wm)
         worst = max(worst, abs(lhs - rhs))
-        accepted += 1
     return VerifierReport(
         check="mkdv-reduction",
         params={"lam": str(lam), "nu": str(nu), "perturb": str(perturb)},

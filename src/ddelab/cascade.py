@@ -2,10 +2,13 @@
 
 A cascade starts from local Laurent data at a symbolic base point (variable
 "zhat") and iterates the normal form w(z+1) = w(z-1) + N(z, w, w') forward.
-Seed data keeps the regular value K and the leading coefficient alpha
-symbolic, so genericity is automatic: any coincidence that could change a
-verdict shows up as a field element that is reported, never branched on
-silently.
+The seed is one germ with a zero-filled tail: w(zhat + t) = alpha*t^(+-p)
+and w(zhat - 1 + t) = K, with every later window coefficient an exact 0.
+That is not generic data, since the delay equation leaves the whole germ on
+two unit strips free, so a printed leading describes this germ and may miss
+the terms a generic one adds (ROADMAP.md, open item "Generic seeds").
+Within the germ nothing is branched on silently: a coincidence that could
+change a verdict shows up as a field element that is reported.
 
 Series are strict Laurent expansions in t = z - zhat - j at each offset j.
 A quantity like a(zhat + t)/t carries its own drift: its strict residue is
@@ -23,7 +26,7 @@ vanishes to the end of its window), or the strict c_{-1} and c_{-2} at
 offset 3 that ``confinement_report`` and ``simple_pole_residue`` read when
 the pole orders do not grow geometrically.  Certified orders and
 coefficients are exact, so no result depends on the width at which it was
-read.
+read.  At the cap, the last attempt's pattern is returned as it stands.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from .mpoly import MPoly
 
 _ZERO = FieldElem.const(0)
 _TWO = FieldElem.const(2)
+_K = FieldElem.var("K")  # the regular value one step behind the seed
+_ALPHA = FieldElem.var("alpha")  # the seed's leading coefficient
 
 
 class CascadeError(RuntimeError):
@@ -53,7 +58,6 @@ class CascadeError(RuntimeError):
 
 class SeedKind(str, Enum):
     ZERO_OF_W = "zero-of-w"
-    ZERO_OF_W_MINUS_ROOT = "zero-of-w-minus-root"
     POLE_OF_W = "pole-of-w"
 
 
@@ -61,36 +65,16 @@ class SeedKind(str, Enum):
 class SeedSpec:
     kind: SeedKind
     p: int
-    regular_name: str = "K"
-    leading_name: str = "alpha"
-    root: Optional[FieldElem] = None  # for ZERO_OF_W_MINUS_ROOT
 
     def __post_init__(self):
         if self.p <= 0:
             raise ValueError("seed order p must be a positive integer")
-        if self.kind == SeedKind.ZERO_OF_W_MINUS_ROOT and self.root is None:
-            raise ValueError("zero-of-w-minus-root needs the root function")
 
     def build(self, width: int) -> "LocalData":
-        k_sym = FieldElem.var(self.regular_name)
-        alpha = FieldElem.var(self.leading_name)
-        regular = LaurentSeries(0, [k_sym] + [_ZERO] * (width - 1), exact=False)
-        if self.kind == SeedKind.ZERO_OF_W:
-            at_base = LaurentSeries(
-                self.p, [alpha] + [_ZERO] * (width - 1), exact=False
-            )
-        elif self.kind == SeedKind.POLE_OF_W:
-            at_base = LaurentSeries(
-                -self.p, [alpha] + [_ZERO] * (width - 1), exact=False
-            )
-        else:
-            from .laurent import series_of_ratfunc
-
-            root_series = series_of_ratfunc(self.root, 0, self.p + width)
-            bump = LaurentSeries(
-                self.p, [alpha] + [_ZERO] * (width - 1), exact=False
-            )
-            at_base = root_series + bump
+        tail = [_ZERO] * (width - 1)
+        regular = LaurentSeries(0, [_K] + tail, exact=False)
+        order = self.p if self.kind == SeedKind.ZERO_OF_W else -self.p
+        at_base = LaurentSeries(order, [_ALPHA] + tail, exact=False)
         return LocalData(window={-1: regular, 0: at_base}, seed=self, width=width)
 
 
@@ -103,15 +87,9 @@ class LocalData:
     width: int
 
 
-def seed_local_data(
-    kind: SeedKind,
-    p: int,
-    regular_name: str = "K",
-    leading_name: str = "alpha",
-    root: Optional[FieldElem] = None,
-) -> LocalData:
+def seed_local_data(kind: SeedKind, p: int) -> LocalData:
     """Seed data with a one-coefficient window; ``run_cascade`` widens it."""
-    return SeedSpec(kind, p, regular_name, leading_name, root).build(1)
+    return SeedSpec(kind, p).build(1)
 
 
 def cascade_step(eq: DelayDiffEq, state: LocalData, j: int) -> LaurentSeries:
@@ -145,8 +123,6 @@ class PatternEntry:
 @dataclass(frozen=True)
 class SingularityPattern:
     entries: Tuple[PatternEntry, ...]
-    seed: SeedSpec
-    eq_name: str = ""
 
     def entry_at(self, offset: int) -> PatternEntry:
         for e in self.entries:
@@ -181,20 +157,19 @@ def run_cascade(
         raise ValueError("steps must be >= 1")
     state = seed
     while True:
-        result = _attempt(eq, state, steps)
-        if result is not None:
-            return result
-        if state.width >= MAX_TRUNCATION:
-            return _attempt(eq, state, steps, flag_failures=True)
+        pattern, readable = _attempt(eq, state, steps)
+        if readable or state.width >= MAX_TRUNCATION:
+            return pattern
         state = state.seed.build(min(2 * state.width, MAX_TRUNCATION))
 
 
 def _attempt(
-    eq: DelayDiffEq,
-    seed: LocalData,
-    steps: int,
-    flag_failures: bool = False,
-) -> Optional[SingularityPattern]:
+    eq: DelayDiffEq, seed: LocalData, steps: int
+) -> Tuple[SingularityPattern, bool]:
+    """The pattern at the seed's width, and whether the caller can read all of it.
+
+    An order the window cannot certify ends the pattern with a flagged entry.
+    """
     state = LocalData(window=dict(seed.window), seed=seed.seed, width=seed.width)
     entries = []
     for j in range(steps):
@@ -203,37 +178,32 @@ def _attempt(
             order = s.order
         except (UncertifiedOrderError, CompositionIndeterminateError,
                 SeriesWindowError) as exc:
-            if not flag_failures:
-                return None
             entries.append(PatternEntry(
                 offset=j + 1, order=None, leading=None,
                 series=LaurentSeries.zero(0), certified=False,
                 note=f"uncertified at truncation cap: {exc}",
             ))
-            break
+            return SingularityPattern(tuple(entries)), False
         if order is None:
-            if not flag_failures:
-                return None
             entries.append(PatternEntry(
                 offset=j + 1, order=None, leading=None, series=s,
                 certified=False,
                 note="series vanishes to the truncation window",
             ))
-            break
+            return SingularityPattern(tuple(entries)), False
         state.window[j + 1] = s
         entries.append(PatternEntry(
             offset=j + 1, order=order, leading=s.leading, series=s,
         ))
+    pattern = SingularityPattern(tuple(entries))
     # unless the pole orders grow geometrically, the verdict reads the strict
     # c_-1 and c_-2 at offset 3; a window that holds c_-1 holds c_-2 too
-    if not flag_failures and steps >= 3 and _geometric_ratio(entries) is None:
+    if steps >= 3 and _geometric_ratio(entries) is None:
         try:
             entries[2].series.coefficient(-1)
         except SeriesWindowError:
-            return None
-    return SingularityPattern(
-        entries=tuple(entries), seed=seed.seed, eq_name=eq.name,
-    )
+            return pattern, False
+    return pattern, True
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +316,6 @@ def confinement_report(
         )
 
     e3 = pattern.entry_at(3)
-    alpha = FieldElem.var(pattern.seed.leading_name)
     witnesses: Dict[str, FieldElem] = {}
     if eq.kind == EqKind.INVERSE_SQUARE:
         witnesses["second_difference"] = at_base_point(second_difference(eq.a))
@@ -361,7 +330,7 @@ def confinement_report(
     if e3.order == -1:
         residue = simple_pole_residue(e3)
         if eq.kind == EqKind.INVERSE_SQUARE:
-            witness = residue * alpha  # strips the seed symbol: gamma(zhat)
+            witness = residue * _ALPHA  # strips the seed symbol: gamma(zhat)
         else:
             witness = residue
         return ConfinementVerdict(

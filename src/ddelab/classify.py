@@ -94,8 +94,9 @@ def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
     Branch A needs the numerator degree to exceed the denominator degree by
     exactly one and stay at most three; branch B needs total degree zero or
     one.  Both can hold at once; the verdict then reports branch A and keeps
-    a flag for branch B.  Checkability requires a monic denominator with
-    nonzero constant term, a supplied factorization, and no common roots.
+    a flag for branch B.  Checkability requires a monic denominator, a
+    supplied factorization, and no common roots; ``DelayDiffEq`` already
+    rejects a denominator that is zero or vanishes at w = 0.
 
     Common roots are decided at the supplied roots: P and Q share one exactly
     when P vanishes at one of them, or when P and a residual factor of
@@ -106,17 +107,12 @@ def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
         raise ValueError("classifier expects the rational-in-w class")
     failed = []
     q = eq.q_poly
-    if q.is_zero:
-        failed.append("denominator is identically zero")
-    else:
-        if not q.is_monic:
-            failed.append("denominator is not monic")
-        if q.degree > 0 and (not q.coeffs or q.coeffs[0].is_zero):
-            failed.append("denominator vanishes at w = 0")
-        if q.degree > 0 and eq.q_factors is None:
-            failed.append("denominator factorization not supplied")
-        if not eq.p_poly.is_zero and shares_root(eq.p_poly, q, eq.q_factors):
-            failed.append("numerator and denominator share a root")
+    if not q.is_monic:
+        failed.append("denominator is not monic")
+    if q.degree > 0 and eq.q_factors is None:
+        failed.append("denominator factorization not supplied")
+    if not eq.p_poly.is_zero and shares_root(eq.p_poly, q, eq.q_factors):
+        failed.append("numerator and denominator share a root")
     if eq.p_poly.is_zero:
         failed.append("numerator is identically zero")
     if failed:
@@ -177,11 +173,6 @@ def classify_pure_log_deriv(eq: DelayDiffEq) -> Verdict:
     """Constancy test for the pure logarithmic-derivative class."""
     if eq.kind != EqKind.PURE_LOG_DERIV:
         raise ValueError("classifier expects the pure log-derivative class")
-    if eq.a.is_zero:
-        return Verdict(
-            eq.kind, Outcome.HYPOTHESIS_VIOLATION,
-            ("coefficient of the logarithmic derivative is identically zero",),
-        )
     details = []
     flag = _exponential_family_flag(eq.a, eq.b)
     if flag:
@@ -229,11 +220,6 @@ def classify_inverse_square(eq: DelayDiffEq) -> Verdict:
     """
     if eq.kind != EqKind.INVERSE_SQUARE:
         raise ValueError("classifier expects the inverse-square class")
-    if eq.a.is_zero:
-        return Verdict(
-            eq.kind, Outcome.HYPOTHESIS_VIOLATION,
-            ("coefficient of the derivative term is identically zero",),
-        )
     if not eq.c.is_zero:
         return Verdict(
             eq.kind, Outcome.VIOLATES_NECESSARY_CONDITION,

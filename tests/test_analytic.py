@@ -9,6 +9,7 @@ code.
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -247,3 +248,56 @@ def test_verifier_without_samples_is_rejected(check, samples):
     # with no sample point the residual maximum is 0.0: a pass that tests nothing
     with pytest.raises(ValueError, match="samples"):
         check(samples)
+
+
+class _ZeroRandom:
+    """Stand-in for ``random.Random`` that draws 0.0 every time.
+
+    z = 0 lies on a pole of the elliptic family and on the pole of a = 1/z,
+    and w = 0 lies inside the mKdV check's excluded disk, so every candidate
+    is rejected.  Each candidate draws its first two numbers before it is
+    rejected.
+    """
+
+    draws = 0
+
+    def __init__(self, seed):
+        pass
+
+    def uniform(self, lo, hi):
+        type(self).draws += 1
+        return 0.0
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda n: verify_elliptic_family(
+            elliptic_params(g2=4.0, g3=1.0, omega=0.37 + 0.11j, lam=1.0), samples=n),
+         "singular set"),
+        (lambda n: verify_exponential(fe_const(1) / fe_z(), p=1, C=1.0, samples=n),
+         "coefficient poles"),
+        (lambda n: mkdv_reduction_check(lam=2.0, nu=1.0, samples=n), "branch cut"),
+    ],
+    ids=["elliptic", "exponential", "mkdv"],
+)
+def test_sampler_gives_up_after_eighty_candidates_per_point(monkeypatch, check, message):
+    import ddelab.analytic as analytic
+
+    monkeypatch.setattr(analytic, "Random", _ZeroRandom)
+    monkeypatch.setattr(_ZeroRandom, "draws", 0)
+    with pytest.raises(ArithmeticError, match=message):
+        check(3)
+    assert _ZeroRandom.draws == 2 * 80 * 3
+
+
+def test_zero_cosets_keep_their_origin_exact():
+    # the zeros +-1 + lattice/omega must contain +-1 itself, exactly: a zero
+    # on the boundary circle |z| = 1 counts for n(1, 0) only then
+    rng = Random(1)
+    for _ in range(200):
+        omega = complex(rng.uniform(0.2, 1.5), rng.uniform(-0.8, 0.8))
+        model = EllipticSolutionModel(elliptic_params(g2=4.0, g3=1.0, omega=omega, lam=1.0))
+        zeros = [z for z, _ in model.zeros_upto(1.0)]
+        assert 1.0 + 0j in zeros, omega
+        assert -1.0 + 0j in zeros, omega

@@ -231,14 +231,34 @@ class TestReproducibility:
         assert first == second
 
 
+class TestTruncationCap:
+    def test_cap_ends_the_pattern_after_one_last_attempt(self, monkeypatch):
+        # confined-affine needs width 4 at offset 3; at a cap of 2 its
+        # window there holds only zeros
+        import ddelab.cascade as cascade
+
+        eq = {e.id: e for e in load_demo_corpus()}["confined-affine"].eq
+        widths = []
+        step = cascade.cascade_step
+
+        def recording_step(eq, state, j):
+            widths.append(state.width)
+            return step(eq, state, j)
+
+        monkeypatch.setattr(cascade, "MAX_TRUNCATION", 2)
+        monkeypatch.setattr(cascade, "cascade_step", recording_step)
+        pat = run_cascade(eq, zero_seed(1), 3)
+        assert [e.order for e in pat.entries] == [-2, 1, None]
+        last = pat.entry_at(3)
+        assert not last.certified
+        assert last.note == "series vanishes to the truncation window"
+        assert widths == [1, 1, 1, 2, 2, 2]
+
+
 class TestSeedValidation:
     def test_order_must_be_positive(self):
         with pytest.raises(ValueError):
             SeedSpec(SeedKind.ZERO_OF_W, 0)
-
-    def test_shifted_zero_seed_needs_the_root(self):
-        with pytest.raises(ValueError):
-            SeedSpec(SeedKind.ZERO_OF_W_MINUS_ROOT, 1)
 
     def test_pattern_export_shape(self):
         eq = make_pure_log_deriv(a=Z, b=ONE)
