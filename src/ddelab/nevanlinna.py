@@ -9,9 +9,10 @@ refinement with Richardson extrapolation.  A radius is nudged by one part
 in a million when a pole sits within a thousandth of it; an arc whose
 refinement reaches the level cap unsettled marks its row ``settled: false``.
 
-A table samples its model in batches shared by all its radii: after one
-1024-node scan per circle, each of the 60 bisection steps, the sign test
-of the arcs and each refinement level is one batch over every circle.
+A table samples its model in batches shared by all its radii: the 1024-node
+scans, each bisection step (at most 60; they stop once every cell's midpoint
+rounds to one of its ends), the sign test of the arcs and each refinement level
+is one batch over every circle.
 ``log_abs`` takes and returns arrays; a batch reaches it in slices of at
 most 2048 points, which bounds the memory of one Weierstrass evaluation.
 
@@ -151,14 +152,17 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
     bisected to machine precision, and every positive arc is integrated
     separately; the kinks of log+ then never sit inside an integration
     interval.  A radius is jittered away from any pole modulus within the
-    proximity window so that its scan sees finite values.  After the scans
-    every batch spans all circles, and a point gets the arithmetic it gets
-    alone, so no radius's result depends on the other radii.
+    proximity window so that its scan sees finite values.  Every batch,
+    the scan included, spans all circles, and a point gets the arithmetic
+    it gets alone, so no radius's result depends on the other radii.  The
+    bisection samples every cell until each midpoint rounds to an end of
+    its cell, after at most 60 steps; a further step would move no cell.
     """
     circles = [_jittered_radius(model, r) for r in radii]
     step = 2.0 * math.pi / _SCAN_NODES
     nodes = np.arange(_SCAN_NODES) * step
-    scans = [_sample_circle(model, np.full(_SCAN_NODES, r), nodes) for r in circles]
+    scans = _sample_circle(model, np.repeat(circles, _SCAN_NODES), np.tile(nodes, len(circles)))
+    scans = scans.reshape(len(circles), _SCAN_NODES)
     cells = [np.flatnonzero((v > 0.0) != np.roll(v > 0.0, -1)) for v in scans]
     r_cell = np.repeat(circles, [c.size for c in cells])
     flo = np.concatenate([v[c] for v, c in zip(scans, cells)])
@@ -166,6 +170,8 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
     hi = (np.concatenate(cells) + 1) * step
     for _ in range(60):
         mid = (lo + hi) / 2.0
+        if ((mid == lo) | (mid == hi)).all():
+            break
         fm = _sample_circle(model, r_cell, mid)
         same = (flo > 0.0) == (fm > 0.0)
         lo = np.where(same, mid, lo)

@@ -17,7 +17,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-_SERIES_TERMS = 22  # powers of z^2 kept beyond the double pole
+# powers of z^2 kept beyond the double pole.  c_k = (2k-1) G_2k, so for |u| <= r0 =
+# |omega_min|/4 term k is at most (2k-1) C 4^(-2k) of u^-2 in p and (k-1)(2k-1) C 4^(-2k)
+# of 2u^-3 in p', with C = sum' (|omega_min|/|omega|)^4 < 8: the rest is < 2^-55 of each.
+_SERIES_TERMS = 16
 _HALVING_RADIUS = 0.25  # of the shortest lattice vector
 _POLE_RTOL = 1e-9
 _VALIDATE_TOL = 1e-8
@@ -84,13 +87,14 @@ class WeierstrassP:
     enumeration.  Immutable after construction; every method is safe to
     call concurrently.
 
-    Evaluation comes in two forms that run the same arithmetic.  ``eval``
-    takes one point and raises ``PoleSignal`` on the lattice; the residual
-    verifiers and the family parameter check call it, one point at a time.  ``eval_many`` takes an array
-    and marks lattice points in a mask instead of raising; the circle
-    quadrature of the growth measurements calls it on thousands of points
-    at once.  Both are kept because numpy's fixed cost per call makes a
-    one-point ``eval_many`` about ten times slower than ``eval``.
+    Evaluation comes in two forms that agree to about 1e-12 of 1 + |p|.
+    ``eval`` takes one point and raises ``PoleSignal`` on the lattice; the
+    residual verifiers and the family parameter check call it, one point at
+    a time.  It keeps the power sum, which fixes the printed bytes of alpha.
+    ``eval_many`` takes an array and marks lattice points in a mask instead
+    of raising; the circle quadrature calls it on thousands of points at once.
+    Both are kept because numpy's fixed cost per call makes a one-point
+    ``eval_many`` about 16 times slower than ``eval`` (200 against 12.5 us on 2 vCPUs).
     """
 
     __slots__ = ("g2", "g3", "roots", "omega1", "omega2", "_c", "_inv")
@@ -192,8 +196,9 @@ class WeierstrassP:
         # second derivative comes from differentiating the defining ODE
         d2 = 6.0 * x * x - self.g2 / 2.0
         ratio = d2 / y
-        x2 = ratio * ratio / 4.0 - 2.0 * x
-        y2 = 3.0 * x * ratio - ratio**3 / 4.0 - y
+        r2 = ratio * ratio
+        x2 = r2 / 4.0 - 2.0 * x
+        y2 = 3.0 * x * ratio - r2 * ratio / 4.0 - y
         return x2, y2
 
     def _eval_small(self, u: complex, r0: Optional[float] = None) -> Tuple[complex, complex]:
@@ -227,12 +232,13 @@ class WeierstrassP:
     def eval_many(self, z) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, p', pole_mask) at every point of an array, same shape as z.
 
-        Point by point this is ``eval``: the same lattice reduction, pole
-        test and halving count, then ``_series`` and ``_duplicate`` on the
-        arrays, each point duplicated only as often as it was halved.
-        Where ``pole_mask`` is set, p and p' are infinite.  A duplication
-        that divides by a vanishing p' (an exact half period) gives a
-        non-finite value instead of ``ZeroDivisionError``.
+        Point by point this follows ``eval``: the same lattice reduction,
+        pole test and halving count, the series by Horner's rule in u^2, and
+        ``_duplicate`` on the arrays, each point duplicated only as often as
+        it was halved.  In a batch of two or more, a point's bits do not
+        depend on the other points.  Where ``pole_mask`` is set, p and p' are
+        infinite.  A duplication that divides by a vanishing p' (an exact
+        half period) gives a non-finite value instead of ``ZeroDivisionError``.
         """
         z = np.asarray(z, dtype=complex)
         shape = z.shape
@@ -249,13 +255,24 @@ class WeierstrassP:
         size[pole] = scale
         r0 = _HALVING_RADIUS * scale
         halvings = np.zeros(u.shape, dtype=np.int64)
-        while True:
-            more = (size > r0 * np.ldexp(1.0, halvings)) & (halvings < 40)
+        for level in range(40):
+            more = size > r0 * (1 << level)
             if not more.any():
                 break
             halvings += more
+        c = self._c
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x, y = self._series(u / np.ldexp(1.0, halvings))
+            u = u / np.ldexp(1.0, halvings)
+            s = u * u
+            x, y = np.zeros_like(s), np.zeros_like(s)
+            for k in range(_SERIES_TERMS, 1, -1):  # Horner's rule, one chain each
+                x += c[k]
+                x *= s
+                y *= s
+                y += (2 * k - 2) * c[k]
+            x += 1.0 / s
+            y *= u
+            y -= 2.0 / (s * u)
             for step in range(int(halvings.max(initial=0))):
                 idx = np.flatnonzero(halvings > step)
                 x[idx], y[idx] = self._duplicate(x[idx], y[idx])

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddelab.cascade import SeedKind, confinement_report, run_cascade, seed_local_data
 from ddelab.classify import (
@@ -218,6 +220,50 @@ class TestInverseSquareExtraction:
         assert classify_inverse_square(eq).outcome == Outcome.VIOLATES_NECESSARY_CONDITION
         pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
         assert confinement_report(pat, eq).kind == "simple-pole-tail"
+
+
+small_gaussian = st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3))
+maybe_zero = st.one_of(st.just(gauss(0)), small_gaussian)
+
+
+def _quadratic(c0, c1, c2):
+    return FieldElem.const(c0) + FieldElem.const(c1) * Z + FieldElem.const(c2) * Z * Z
+
+
+@st.composite
+def inverse_square_equations(draw):
+    """Equations w(z+1) - w(z-1) = (a w + b)/w^2 + c with a, b of degree <= 2.
+
+    A third come from the confined family.  A third keep its forcing
+    b = nu*a - mu, with mu the slope of a, but a may be quadratic.  A third
+    have generic a, b and c.
+    """
+    shape = draw(st.sampled_from(["family", "quadratic-a", "generic"]))
+    if shape == "family":
+        lam, mu, nu = draw(small_gaussian), draw(small_gaussian), draw(small_gaussian)
+        if lam.is_zero and mu.is_zero:
+            lam = gauss(1)
+        return build_normal_form(lam, mu, nu)
+    lam, mu = draw(small_gaussian), draw(small_gaussian)
+    a = _quadratic(lam, mu, draw(maybe_zero))
+    if a.is_zero:
+        a = ONE
+    if shape == "quadratic-a":
+        nu = FieldElem.const(draw(small_gaussian))
+        return make_inverse_square(a=a, b=nu * a - FieldElem.const(mu))
+    b = _quadratic(draw(small_gaussian), draw(small_gaussian), draw(maybe_zero))
+    return make_inverse_square(a=a, b=b, c=draw(st.sampled_from([W0, ONE])))
+
+
+class TestClassifyAgreesWithCascade:
+    # classify states the paper's conditions in closed form; the cascade
+    # follows a simple zero of w through three steps of the equation
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inverse_square_equations())
+    def test_branch_a_exactly_when_a_simple_zero_confines(self, eq):
+        consistent = classify(eq).outcome == Outcome.CONSISTENT_BRANCH_A
+        pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
+        assert consistent == (confinement_report(pattern, eq).kind == "confined")
 
 
 class TestDispatch:

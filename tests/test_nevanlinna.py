@@ -176,15 +176,31 @@ class TestBatchedProximity:
     # crossing and which arc belongs to which circle must be exact
     CUBE_ROOTS = [2 ** (1 / 3) * cmath.exp(1j * math.pi * k / 3) for k in (1, 3, 5)]
 
-    @pytest.mark.parametrize("case", ["elliptic", "exponential", "rational"])
-    def test_batch_matches_radius_by_radius(self, case, elliptic_model):
-        model, grid = {
+    # m as float.hex and settled, recorded when every circle was scanned in a
+    # batch of its own and the bisection ran all 60 steps
+    RECORDED = {
+        "exponential": [
+            ("0x0.0p+0", True), ("0x1.cc9ab82c35d9bp-2", True),
+            ("0x1.75e57a94cb7a9p+2", True), ("0x1.8f5d85fff747cp+6", True),
+        ],
+        "rational": [
+            ("0x0.0p+0", True), ("0x1.eaebd6f4422b2p-2", True), ("0x1.9c0de8d084537p+1", False),
+            ("0x1.26bb1bbb5594ep+2", True), ("0x1.26bb1bbb556eap+3", True),
+        ],
+    }
+
+    def instance(self, name, elliptic_model):
+        return {
             "elliptic": (elliptic_model, log_grid(1.0, 16.0, 24)),
             # below r = 0.05 the modulus stays under one all round
             "exponential": (ExponentialModel(C=0.7 - 0.2j, p=2), [0.01, 0.3, 3.0, 50.0]),
             # (z^3 + 2)/(z - 5): under one at r = 0.5, a pole on |z| = 5
             "rational": (RationalFake(self.CUBE_ROOTS, [5.0]), [0.5, 2.0, 5.0, 10.0, 100.0]),
-        }[case]
+        }[name]
+
+    @pytest.mark.parametrize("case", ["elliptic", "exponential", "rational"])
+    def test_batch_matches_radius_by_radius(self, case, elliptic_model):
+        model, grid = self.instance(case, elliptic_model)
         batch = proximity(model, grid)
         alone = [proximity(model, [r])[0] for r in grid]
         assert [(p.m.hex(), p.settled) for p in batch] == [(p.m.hex(), p.settled) for p in alone]
@@ -193,12 +209,20 @@ class TestBatchedProximity:
         if case == "rational":
             assert nevanlinna._jittered_radius(model, 5.0) != 5.0
 
+    @pytest.mark.parametrize("case", ["exponential", "rational"])
+    def test_results_keep_their_recorded_bits(self, case):
+        # neither model evaluates the p-function, so these bits pin the
+        # quadrature's own arithmetic
+        model, grid = self.instance(case, None)
+        assert [(p.m.hex(), p.settled) for p in proximity(model, grid)] == self.RECORDED[case]
+
     def test_a_table_samples_in_few_batches(self, elliptic_model, elliptic_table):
-        # 24 scans, 60 bisection steps, one arc sign test and at most 14
+        # one scan of all 24 circles, 50 bisection steps until every
+        # midpoint rounds to an end, one arc sign test and at most 14
         # refinement levels, each cut into slices of 2048 points
         counting = CountingFake(elliptic_model)
         table = characteristic_table(counting, log_grid(1.0, 16.0, 24))
-        assert counting.calls <= 200
+        assert counting.calls <= 120
         assert table.export()["rows"] == elliptic_table.export()["rows"]
 
 

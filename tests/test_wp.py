@@ -123,6 +123,143 @@ class TestEvalMany:
         assert p.shape == pole.shape == (0,)
 
 
+# the demo lattice (4, 1), that lattice turned a quarter and halved (invariants
+# times (i/2)^-4 and (i/2)^-6), and a lattice with Gaussian invariants
+KERNEL_LATTICES = [(4.0, 1.0), (64.0, -64.0), (1 + 2j, 0.3 - 1j)]
+
+
+def power_sum_reference(g2, g3, u, terms=22):
+    """(p, p') from the first ``terms`` Laurent terms, summed power by power."""
+    c = [0j] * (terms + 1)
+    c[2], c[3] = g2 / 20.0, g3 / 28.0
+    for k in range(4, terms + 1):
+        s = sum(c[m] * c[k - m] for m in range(2, k - 1))
+        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
+    u2 = u * u
+    acc = dacc = 0j
+    pw = 1.0 + 0j
+    for k in range(2, terms + 1):
+        pw *= u2
+        acc += c[k] * pw
+        dacc += (2 * k - 2) * c[k] * pw / u
+    return 1.0 / u2 + acc, -2.0 / (u2 * u) + dacc
+
+
+def hex_pairs(p, dp):
+    return [
+        (a.real.hex(), a.imag.hex(), b.real.hex(), b.imag.hex())
+        for a, b in zip(p.tolist(), dp.tolist())
+    ]
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_truncated_series_matches_a_longer_power_sum(self, g2, g3):
+        # inside the halving radius eval_many sums the series without halving
+        w = WeierstrassP(g2, g3)
+        r0 = 0.25 * min(abs(w.omega1), abs(w.omega2))
+        rng = np.random.default_rng(23)
+        radius = r0 * np.sqrt(rng.uniform(1e-4, 1.0, 2000))
+        u = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 2000))
+        p, dp, pole = w.eval_many(u)
+        assert not pole.any()
+        for k, point in enumerate(u.tolist()):
+            ps, dps = power_sum_reference(complex(g2), complex(g3), point)
+            assert abs(p[k] - ps) <= 1e-15 * abs(ps)
+            assert abs(dp[k] - dps) <= 1e-15 * abs(dps)
+
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_a_point_gets_the_same_bits_in_any_batch_of_two_or_more(self, g2, g3):
+        # one-point arrays take another numpy path and may differ in the last
+        # bit, so chunks start at two points
+        w = WeierstrassP(g2, g3)
+        o1, o2 = w.omega1, w.omega2
+        lattice = [m * o1 + n * o2 for m in range(-2, 3) for n in range(-2, 2)]
+        halves = [(m + 0.5) * o1 + n * o2 for m in range(-2, 2) for n in range(-2, 3)]
+        near = [h * (1 + 1e-9j) for h in halves]
+        rng = np.random.default_rng(29)
+        rest = 2048 - 3 * len(lattice)
+        z = np.concatenate([
+            rng.uniform(-6, 6, rest) + 1j * rng.uniform(-6, 6, rest), lattice, halves, near,
+        ])
+        p, dp, pole = w.eval_many(z)
+        assert pole.sum() == len(lattice)
+        whole = hex_pairs(p, dp)
+        for size in (2, 37):
+            parts = [w.eval_many(z[i:i + size]) for i in range(0, z.size, size)]
+            chunked = hex_pairs(np.concatenate([q[0] for q in parts]),
+                                np.concatenate([q[1] for q in parts]))
+            assert chunked == whole
+        order = rng.permutation(z.size)
+        p, dp, _ = w.eval_many(z[order])
+        back = np.argsort(order)
+        assert hex_pairs(p[back], dp[back]) == whole
+
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_defining_identity_on_many_points(self, g2, g3):
+        w = WeierstrassP(g2, g3)
+        rng = np.random.default_rng(31)
+        z = rng.uniform(-8, 8, 10_000) + 1j * rng.uniform(-8, 8, 10_000)
+        p, dp, pole = w.eval_many(z)
+        p, dp = p[~pole], dp[~pole]
+        defect = np.abs(dp * dp - (4 * p**3 - w.g2 * p - w.g3))
+        assert (defect <= 1e-9 * (1 + np.abs(p)) ** 3).all()
+
+
+class TestFamilyParameterBytes:
+    # alpha of w = alpha*(p(Wz) - p(W)) as the reports print it, recorded
+    # with a 22-term series.  The lattices are those of the nev-numeric
+    # benchmark: the demo lattice (4, 1) with W = 1 + 0.3i, scaled by 1/2, 1
+    # or 2, turned by a multiple of a quarter and maybe mirrored, with every
+    # component rounded to 12 decimals as the generator writes it.  alpha
+    # does not depend on the turn; a mirror conjugates it.
+    ALPHA = {
+        (1, 0.5): "(0.13768495934744218+0.12955371143816824j)",
+        (1, 1.0): "(0.5507398373897687+0.518214845752673j)",
+        (1, 2.0): "(2.202959349559075+2.072859383010692j)",
+        (2, 0.5): "(0.194715936843941+0.18321661577162787j)",
+        (2, 1.0): "(0.778863747375764+0.7328664630865115j)",
+        (2, 2.0): "(3.115454989503056+2.931465852346046j)",
+        (3, 0.5): "(0.23847734502782528+0.22439361052002457j)",
+        (3, 1.0): "(0.9539093801113011+0.8975744420800983j)",
+        (3, 2.0): "(3.8156375204452044+3.590297768320393j)",
+        (0.5, 0.5): "(0.0973579684219705+0.09160830788581394j)",
+        (0.5, 1.0): "(0.389431873687882+0.36643323154325574j)",
+        (0.5, 2.0): "(1.557727494751528+1.465732926173023j)",
+        (1.5, 0.5): "(0.16862894782853924+0.1586702436536424j)",
+        (1.5, 1.0): "(0.674515791314157+0.6346809746145696j)",
+        (1.5, 2.0): "(2.698063165256628+2.5387238984582785j)",
+    }
+
+    @staticmethod
+    def rounded(z):
+        return complex(round(z.real, 12), round(z.imag, 12))
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 0.5, 1.5])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_benchmark_lattices_print_the_recorded_alpha(self, lam, scale):
+        for turn in (1, 1j, -1, -1j):
+            for mirror in (False, True):
+                c = scale * turn
+                g2, g3, omega = 4.0 * c**-4, 1.0 * c**-6, complex(1.0, 0.3) * c
+                if mirror:
+                    g2, g3, omega = g2.conjugate(), g3.conjugate(), omega.conjugate()
+                params = elliptic_params(
+                    self.rounded(g2), self.rounded(g3), self.rounded(omega), complex(lam)
+                )
+                alpha = self.ALPHA[lam, scale]
+                if mirror:
+                    alpha = str(complex(alpha).conjugate())
+                assert params.export()["alpha"] == alpha
+
+    def test_demo_lattices_print_the_recorded_alpha(self):
+        # the demo corpus's verify and nev requests
+        verify = elliptic_params(4.0, 1.0, 0.37 + 0.11j, 1 + 0j).export()
+        nev = elliptic_params(4.0, 1.0, 1.0 + 0.3j, 1 + 0j).export()
+        assert verify["alpha"] == "(0.08819867713340848+0.057798885053613955j)"
+        assert nev["alpha"] == self.ALPHA[1, 1.0]
+
+
 class TestLatticeGeometry:
     def test_pole_raises_signal_with_location(self):
         w = WeierstrassP(4.0, 1.0)
