@@ -4,15 +4,16 @@ The models measured here (the elliptic solution and the exponential) come
 with closed-form pole and zero sets, so the counting side of the
 characteristic is integer-exact and the only numeric error lives in the
 proximity integral.  On each circle the crossings of log|f| = 0 are found
-first, and each arc between them where log|f| > 0 gets iterated trapezoid
-refinement with Richardson extrapolation.  A radius is nudged by one part
-in a million when a pole sits within a thousandth of it; an arc whose
-refinement reaches the level cap unsettled marks its row ``settled: false``.
+first, and each arc between them where log|f| > 0 gets adaptive
+Gauss-Kronrod (7, 15) quadrature, which halves only the panels where log|f|
+bends.  A radius is nudged by one part in a million when a pole sits within
+a thousandth of it; an arc that reaches the point cap unsettled marks its
+row ``settled: false``.
 
 A table samples its model in batches shared by all its radii: the 1024-node
 scans, each bisection step (at most 60; they stop once every cell's midpoint
-rounds to one of its ends), the sign test of the arcs and each refinement level
-is one batch over every circle.
+rounds to one of its ends), the sign test of the arcs and each quadrature
+round is one batch over every circle.
 ``log_abs`` takes and returns arrays; a batch reaches it in slices of at
 most 2048 points, which bounds the memory of one Weierstrass evaluation.
 
@@ -72,6 +73,28 @@ def counting_data(points: Sequence[Tuple[complex, int]], r: float) -> Tuple[int,
 
 
 _CHUNK = 2048
+_POINT_CAP = (1 << 13) + 1
+# Gauss-Kronrod (7, 15) on [-1, 1] (QUADPACK's qk15): the nodes >= 0 from the
+# outside in and their Kronrod weights; the Gauss nodes are every second one
+_KRONROD_X = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_KRONROD_W = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_GAUSS_W = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_NODES = np.array([-x for x in _KRONROD_X] + list(_KRONROD_X[-2::-1]))
+_K15 = np.array(_KRONROD_W + _KRONROD_W[-2::-1])
+_G7 = np.array(_GAUSS_W + _GAUSS_W[-2::-1])
 
 
 class Proximity(NamedTuple):
@@ -107,42 +130,55 @@ def _sample_circle(model, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def _romberg(
     fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, tol: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Iterated trapezoid with Richardson extrapolation on every [a_k, b_k].
+    """Adaptive Gauss-Kronrod (7, 15) quadrature on every [a_k, b_k].
 
-    Each level samples the new midpoints of all intervals still refining in
-    one call of ``fn``.  An interval runs parallel to the real axis: the
+    The name is older than the rule; traced runs wrap it by this name.
+    Each round samples the 15 nodes of every open panel of every interval
+    in one call of ``fn``.  An interval runs parallel to the real axis: the
     imaginary part its ends share reaches ``fn`` unchanged, which is how
-    ``proximity`` refines the arcs of all its circles in one run.  An
-    interval stops at its first level >= 3 whose extrapolated value moved by
-    at most tol_k * (1 + |value|); after level 13 the rest stop unsettled.
-    Returns the estimates and the settled flags.
+    ``proximity`` integrates the arcs of all its circles in one run.  A
+    panel is accepted when |K15 - G7| is at most its share of its interval's
+    length of tol_k * (1 + |estimate_k|); the others are halved.  An
+    interval whose next round would take it past _POINT_CAP points stops
+    unsettled with the open panels' K15 values.  The estimate of an interval
+    sums its panels from left to right, so it does not depend on the other
+    intervals.  Returns the estimates and the settled flags.
     """
-    k = a.size
-    estimate = np.empty(k)
-    settled = np.zeros(k, dtype=bool)
-    live = np.arange(k)
-    h = (b - a).real
-    ends = fn(np.concatenate([a, b]))
-    prev = (h * (ends[:k] + ends[k:]) / 2.0)[:, None]
-    for level in range(1, 14):
-        h = h / 2.0
-        odd = 2.0 * np.arange(1 << (level - 1)) + 1.0
-        x = a[live][:, None] + odd[None, :] * h[:, None]
-        s = fn(x.ravel()).reshape(x.shape).sum(axis=1)
-        row = np.empty((live.size, level + 1))
-        row[:, 0] = prev[:, 0] / 2.0 + h * s
-        for j in range(level):
-            factor = 4.0 ** (j + 1)
-            row[:, j + 1] = (factor * row[:, j] - prev[:, j]) / (factor - 1.0)
-        moved = np.abs(row[:, -1] - prev[:, -1])
-        settles = (moved <= tol[live] * (1.0 + np.abs(row[:, -1]))) & (level >= 3)
-        done = settles | (level == 13)
-        estimate[live[done]] = row[done, -1]
-        settled[live[done]] = settles[done]
-        live, prev, h = live[~done], row[~done], h[~done]
-        if live.size == 0:
-            break
-    return estimate, settled
+    k, length = a.size, (b - a).real
+    settled, used = np.ones(k, dtype=bool), np.zeros(k, dtype=np.int64)
+    # every panel, left to right within each interval: owner, left end,
+    # half width, K15 value and whether it still refines
+    owner, left, half, value = np.arange(k), a, length / 2.0, np.zeros(k)
+    live = np.ones(k, dtype=bool)
+    while live.any():
+        idx = np.flatnonzero(live)
+        h = half[idx]
+        x = (left[idx] + h)[:, None] + h[:, None] * _NODES
+        f = fn(x.ravel()).reshape(x.shape)
+        kronrod = h * (f * _K15).sum(axis=1)
+        gauss = h * (f[:, 1::2] * _G7).sum(axis=1)
+        value[idx] = kronrod
+        used += _NODES.size * np.bincount(owner[idx], minlength=k)
+        estimate = np.bincount(owner, weights=value, minlength=k)
+        arc = owner[idx]
+        # |K15 - G7| <= tol_k * (2h / length_k) * (1 + |estimate_k|), times
+        # length_k so that an interval of length 0 divides by nothing
+        bound = tol[arc] * 2.0 * h * (1.0 + np.abs(estimate[arc]))
+        split = np.zeros(owner.size, dtype=bool)
+        split[idx] = ~(np.abs(kronrod - gauss) * length[arc] <= bound)
+        need = 2 * _NODES.size * np.bincount(owner[split], minlength=k)
+        over = (need > 0) & (used + need > _POINT_CAP)
+        settled &= ~over
+        split &= ~over[owner]
+        # a split panel becomes its two halves, in place
+        twice = np.where(split, 2, 1)
+        right = np.zeros(int(twice.sum()), dtype=bool)
+        right[np.cumsum(twice)[split] - 1] = True
+        owner, left, half, value = (np.repeat(v, twice) for v in (owner, left, half, value))
+        live = np.repeat(split, twice)
+        left = np.where(right, left + half, left)
+        half = np.where(live, half / 2.0, half)
+    return np.bincount(owner, weights=value, minlength=k), settled
 
 
 def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Proximity]:
@@ -150,9 +186,9 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
 
     Each circle is scanned for sign changes of log|f|, each crossing is
     bisected to machine precision, and every positive arc is integrated
-    separately; the kinks of log+ then never sit inside an integration
-    interval.  A radius is jittered away from any pole modulus within the
-    proximity window so that its scan sees finite values.  Every batch,
+    separately by ``_romberg``; the kinks of log+ then never sit inside an
+    integration interval.  A radius is jittered away from any pole modulus
+    within the proximity window so that its scan sees finite values.  Every batch,
     the scan included, spans all circles, and a point gets the arithmetic
     it gets alone, so no radius's result depends on the other radii.  The
     bisection samples every cell until each midpoint rounds to an end of

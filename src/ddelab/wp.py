@@ -235,8 +235,8 @@ class WeierstrassP:
         Point by point this follows ``eval``: the same lattice reduction,
         pole test and halving count, the series by Horner's rule in u^2, and
         ``_duplicate`` on the arrays, each point duplicated only as often as
-        it was halved.  In a batch of two or more, a point's bits do not
-        depend on the other points.  Where ``pole_mask`` is set, p and p' are
+        it was halved.  A point's bits do not depend on the other points,
+        in a batch of any size.  Where ``pole_mask`` is set, p and p' are
         infinite.  A duplication that divides by a vanishing p' (an exact
         half period) gives a non-finite value instead of ``ZeroDivisionError``.
         """
@@ -265,14 +265,13 @@ class WeierstrassP:
             u = u / np.ldexp(1.0, halvings)
             s = u * u
             x, y = np.zeros_like(s), np.zeros_like(s)
-            for k in range(_SERIES_TERMS, 1, -1):  # Horner's rule, one chain each
-                x += c[k]
-                x *= s
-                y *= s
-                y += (2 * k - 2) * c[k]
-            x += 1.0 / s
-            y *= u
-            y -= 2.0 / (s * u)
+            # Horner's rule, one chain each; no in-place complex product, which
+            # numpy computes without fused multiply-adds on one-element arrays
+            for k in range(_SERIES_TERMS, 1, -1):
+                x = (x + c[k]) * s
+                y = y * s + (2 * k - 2) * c[k]
+            x = x + 1.0 / s
+            y = y * u - 2.0 / (s * u)
             for step in range(int(halvings.max(initial=0))):
                 idx = np.flatnonzero(halvings > step)
                 x[idx], y[idx] = self._duplicate(x[idx], y[idx])

@@ -176,16 +176,17 @@ class TestBatchedProximity:
     # crossing and which arc belongs to which circle must be exact
     CUBE_ROOTS = [2 ** (1 / 3) * cmath.exp(1j * math.pi * k / 3) for k in (1, 3, 5)]
 
-    # m as float.hex and settled, recorded when every circle was scanned in a
-    # batch of its own and the bisection ran all 60 steps
+    # m as float.hex and settled, recorded from the Gauss-Kronrod rule with
+    # every circle scanned in one batch and the bisection stopped once it
+    # converged
     RECORDED = {
         "exponential": [
-            ("0x0.0p+0", True), ("0x1.cc9ab82c35d9bp-2", True),
-            ("0x1.75e57a94cb7a9p+2", True), ("0x1.8f5d85fff747cp+6", True),
+            ("0x0.0p+0", True), ("0x1.cc9ab82c35729p-2", True),
+            ("0x1.75e57a94ca87cp+2", True), ("0x1.8f5d85fff6277p+6", True),
         ],
         "rational": [
-            ("0x0.0p+0", True), ("0x1.eaebd6f4422b2p-2", True), ("0x1.9c0de8d084537p+1", False),
-            ("0x1.26bb1bbb5594ep+2", True), ("0x1.26bb1bbb556eap+3", True),
+            ("0x0.0p+0", True), ("0x1.eaebd6f441ed9p-2", True), ("0x1.9c043045cfe6fp+1", True),
+            ("0x1.26bb1bbb55515p+2", True), ("0x1.26bb1bbb55516p+3", True),
         ],
     }
 
@@ -209,31 +210,136 @@ class TestBatchedProximity:
         if case == "rational":
             assert nevanlinna._jittered_radius(model, 5.0) != 5.0
 
+    @staticmethod
+    def exponential_m(C, p, r):
+        # log|C e^(p pi i z)| = c - A sin(theta) with c = log|C|, A = p pi r; for
+        # A > |c| it is positive where sin(theta) < c/A = sin(phi)
+        c, A = math.log(abs(C)), p * math.pi * r
+        if A <= abs(c):
+            return max(c, 0.0)
+        phi = math.asin(c / A)
+        return (c * (math.pi + 2.0 * phi) + 2.0 * A * math.cos(phi)) / (2.0 * math.pi)
+
+    @staticmethod
+    def rational_jensen(model, r):
+        # m(r, f) - m(r, 1/f) = log|f(0)| + N(r, 0) - N(r, oo), f(0) = 2/(-5)
+        zeros = counting_data(model.zeros_upto(r), r)[2]
+        poles = counting_data(model.poles_upto(r), r)[2]
+        return math.log(0.4) + zeros - poles
+
     @pytest.mark.parametrize("case", ["exponential", "rational"])
     def test_results_keep_their_recorded_bits(self, case):
         # neither model evaluates the p-function, so these bits pin the
-        # quadrature's own arithmetic
+        # quadrature's own arithmetic; the values meet exact references
         model, grid = self.instance(case, None)
-        assert [(p.m.hex(), p.settled) for p in proximity(model, grid)] == self.RECORDED[case]
+        found = proximity(model, grid)
+        assert [(p.m.hex(), p.settled) for p in found] == self.RECORDED[case]
+        for r, p in zip(grid, found):
+            if case == "exponential":
+                assert p.m == pytest.approx(self.exponential_m(model.C, model.p, r), rel=1e-12)
+                continue
+            # the circle m is measured on, and 1/f on the same circle
+            used = nevanlinna._jittered_radius(model, r)
+            inverse = proximity(ReciprocalFake(model), [used])[0]
+            assert p.m - inverse.m == pytest.approx(self.rational_jensen(model, used), abs=1e-12)
+        if case == "rational":
+            # |f| > 1 all round from r = 5 on, so there m is Jensen's value itself
+            assert found[2].m == pytest.approx(3.2188778248672003, abs=1e-14)
 
     def test_a_table_samples_in_few_batches(self, elliptic_model, elliptic_table):
         # one scan of all 24 circles, 50 bisection steps until every
-        # midpoint rounds to an end, one arc sign test and at most 14
-        # refinement levels, each cut into slices of 2048 points
+        # midpoint rounds to an end, one arc sign test and the Gauss-Kronrod
+        # rounds, each cut into slices of 2048 points
         counting = CountingFake(elliptic_model)
         table = characteristic_table(counting, log_grid(1.0, 16.0, 24))
         assert counting.calls <= 120
         assert table.export()["rows"] == elliptic_table.export()["rows"]
 
 
+class RoughFake:
+    """log|f| = 1 plus a pseudo-random number in [0, 1) hashed from the bits of arg z.
+
+    Positive all round and rough at every scale a quadrature can reach.
+    Records the size of each ``log_abs`` call.
+    """
+
+    def __init__(self):
+        self.sizes = []
+
+    def log_abs(self, z):
+        bits = np.ascontiguousarray(np.angle(z), dtype=float).view(np.uint64)
+        mixed = (bits * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11)
+        self.sizes.append(bits.size)
+        return 1.0 + mixed.astype(float) / 2.0**53
+
+    def poles_upto(self, radius):
+        return []
+
+    def zeros_upto(self, radius):
+        return []
+
+    def describe(self):
+        return {"tag": "rough-fake"}
+
+
+def dense_reference_m(model, r, splits):
+    """m(r, f) by composite Gauss-Legendre, independent of ``proximity``.
+
+    The circle is cut at the angles in ``splits`` and at the sign changes of
+    log|f| on a 65,536-node scan, each bisected to machine precision.  Every
+    positive piece is graded geometrically towards both its ends, down to
+    2^-40 of its length, with 20 nodes per panel.
+    """
+    theta = np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False)
+    values = model.log_abs(r * np.exp(1j * theta))
+    cells = np.flatnonzero((values > 0.0) != np.roll(values > 0.0, -1))
+    lo, hi = theta[cells], theta[cells] + theta[1]
+    positive_lo = values[cells] > 0.0
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        same = (model.log_abs(r * np.exp(1j * mid)) > 0.0) == positive_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    cuts = np.sort(np.concatenate([np.mod(splits, 2.0 * math.pi), (lo + hi) / 2.0]))
+    cuts = np.append(cuts, cuts[0] + 2.0 * math.pi)
+    x, w = np.polynomial.legendre.leggauss(20)
+    grade = 2.0 ** -np.arange(1, 41)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if model.log_abs(r * np.exp(0.5j * (a + b))) <= 0.0:
+            continue
+        edges = np.unique(np.concatenate([[a, b], a + (b - a) * grade, b - (b - a) * grade]))
+        mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+        nodes = (mid[:, None] + half[:, None] * x).ravel()
+        total += float((model.log_abs(r * np.exp(1j * nodes)).reshape(mid.size, -1) @ w) @ half)
+    return total / (2.0 * math.pi)
+
+
 class TestSettled:
-    def test_radius_jittered_next_to_a_pole_is_unsettled(self, elliptic_model):
-        # the smallest nonzero pole modulus: the jitter leaves the pole 2e-6
-        # off the circle, a spike no 13-level refinement resolves
+    def test_radius_jittered_next_to_a_pole_settles(self, elliptic_model):
+        # the smallest nonzero pole modulus: the jitter leaves the poles of
+        # that modulus 2e-6 off the circle, log spikes the adaptive rule follows
         nearest = min(abs(p) for p, _ in elliptic_model.poles_upto(3.0) if p != 0)
         table = characteristic_table(elliptic_model, [nearest, 3.0])
-        assert [row.settled for row in table.rows] == [False, True]
-        assert table.export()["rows"][0]["settled"] is False
+        assert [row.settled for row in table.rows] == [True, True]
+        used = nevanlinna._jittered_radius(elliptic_model, nearest)
+        assert used != nearest
+        spikes = [cmath.phase(p) for p, _ in elliptic_model.poles_upto(3.0)
+                  if abs(abs(p) - used) <= 1e-3 * used]
+        reference = dense_reference_m(elliptic_model, used, np.array(spikes))
+        assert table.rows[0].m == pytest.approx(reference, abs=1e-9)
+
+    def test_a_model_rough_at_every_scale_stays_unsettled(self):
+        model = RoughFake()
+        table = characteristic_table(model, [2.0])
+        (row,) = table.rows
+        assert row.settled is False and table.export()["rows"][0]["settled"] is False
+        assert 1.0 <= row.m < 2.0
+        # one arc all round: after the 1024-node scan and its one-point sign
+        # test, every point is a quadrature node; an arc never starts a round
+        # that would take it past the cap
+        assert model.sizes[:2] == [nevanlinna._SCAN_NODES, 1]
+        quadrature = sum(model.sizes[2:])
+        assert nevanlinna._POINT_CAP // 2 < quadrature <= nevanlinna._POINT_CAP
 
     def test_demo_grid_settles_everywhere(self, elliptic_table):
         assert all(row.settled for row in elliptic_table.rows)
@@ -367,3 +473,24 @@ class TestFirstMainTheoremSanity:
         stab = characteristic_table(ReciprocalFake(elliptic_model), grid)
         for srow, brow in zip(stab.rows, elliptic_table.rows[-8:]):
             assert abs(srow.T - brow.T) <= 2.0 + 0.05 * brow.T
+
+
+class TestJensenFormula:
+    def test_demo_proximities_meet_jensen(self, elliptic_model, elliptic_table):
+        # f = alpha (p(Omega z) - p(Omega)) = alpha / (Omega z)^2 + ... at 0, so
+        # m(r, f) - m(r, 1/f) = log|alpha / Omega^2| + N(r, 0) - N(r, oo), where
+        # both counts carry the origin term; checked on the circles that
+        # neither f nor 1/f moves off a pole
+        grid = log_grid(1.0, 16.0, 24)
+        reciprocal = ReciprocalFake(elliptic_model)
+        inverse = characteristic_table(reciprocal, grid)
+        params = elliptic_model.params
+        constant = math.log(abs(params.alpha / params.omega**2))
+        checked = 0
+        for r, row, inv in zip(grid, elliptic_table.rows, inverse.rows):
+            if r != nevanlinna._jittered_radius(elliptic_model, r) or (
+                    r != nevanlinna._jittered_radius(reciprocal, r)):
+                continue
+            checked += 1
+            assert row.m - inv.m == pytest.approx(constant + row.N_zero - row.N, abs=1e-10)
+        assert checked == 21

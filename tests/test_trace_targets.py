@@ -9,6 +9,7 @@ them as missing.  This runs all five subcommands on the demo corpus under
 those wraps, in process, so such a change fails here first.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -35,4 +36,8 @@ def test_every_traced_target_and_hook_fits(tmp_path):
     assert raw["broken"] == []
     metrics = layers.derive(raw, {"numpy_import_s": 0.0, "ddelab_import_s": 0.0})
     assert [name for name, value in metrics.items() if value is None] == []
+    # the traced run prints these with json.dumps, which writes NaN and
+    # Infinity where a strict reader expects a number
+    assert [name for name, value in metrics.items()
+            if isinstance(value, bool) or not math.isfinite(value)] == []
     assert len(metrics) == len(layers.PER_LAYER) - 1  # all but the overhead

@@ -168,11 +168,9 @@ class TestBatchKernel:
             assert abs(p[k] - ps) <= 1e-15 * abs(ps)
             assert abs(dp[k] - dps) <= 1e-15 * abs(dps)
 
-    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
-    def test_a_point_gets_the_same_bits_in_any_batch_of_two_or_more(self, g2, g3):
-        # one-point arrays take another numpy path and may differ in the last
-        # bit, so chunks start at two points
-        w = WeierstrassP(g2, g3)
+    @staticmethod
+    def mixed_points(w):
+        # random points, lattice points, half periods and points 1e-9 off them
         o1, o2 = w.omega1, w.omega2
         lattice = [m * o1 + n * o2 for m in range(-2, 3) for n in range(-2, 2)]
         halves = [(m + 0.5) * o1 + n * o2 for m in range(-2, 2) for n in range(-2, 3)]
@@ -182,8 +180,15 @@ class TestBatchKernel:
         z = np.concatenate([
             rng.uniform(-6, 6, rest) + 1j * rng.uniform(-6, 6, rest), lattice, halves, near,
         ])
+        return z, len(lattice)
+
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_a_point_gets_the_same_bits_in_any_batch_of_two_or_more(self, g2, g3):
+        w = WeierstrassP(g2, g3)
+        z, poles = self.mixed_points(w)
+        rng = np.random.default_rng(37)
         p, dp, pole = w.eval_many(z)
-        assert pole.sum() == len(lattice)
+        assert pole.sum() == poles
         whole = hex_pairs(p, dp)
         for size in (2, 37):
             parts = [w.eval_many(z[i:i + size]) for i in range(0, z.size, size)]
@@ -194,6 +199,17 @@ class TestBatchKernel:
         p, dp, _ = w.eval_many(z[order])
         back = np.argsort(order)
         assert hex_pairs(p[back], dp[back]) == whole
+
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_a_point_alone_gets_its_batched_bits(self, g2, g3):
+        # numpy multiplies complex one-element arrays in place without fused
+        # multiply-adds; the kernel must not depend on that path
+        w = WeierstrassP(g2, g3)
+        z, _ = self.mixed_points(w)
+        p, dp, _ = w.eval_many(z)
+        alone = [w.eval_many(z[i:i + 1]) for i in range(z.size)]
+        assert hex_pairs(np.concatenate([q[0] for q in alone]),
+                         np.concatenate([q[1] for q in alone])) == hex_pairs(p, dp)
 
     @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
     def test_defining_identity_on_many_points(self, g2, g3):
