@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
 from .cascade import SeedKind
 from .exprparse import ParseError, parse_expression
+from .fieldelem import FieldElem
 from .model import (
     DelayDiffEq,
     EqKind,
@@ -164,18 +165,28 @@ class CorpusEntry:
     requests: Mapping[str, Mapping[str, Any]]
 
 
-def _expr(entry_id: str, name: str, text: Any):
-    if not isinstance(text, str):
-        raise CorpusError(f"entry {entry_id!r}: field {name!r} must be an expression string")
-    try:
-        return parse_expression(text)
-    except ParseError as exc:
-        raise CorpusError(f"entry {entry_id!r}: field {name!r}: {exc}") from exc
+def parse_equation(raw: Mapping[str, Any],
+                   parsed: Dict[str, FieldElem] | None = None) -> DelayDiffEq:
+    """Exact equation from one corpus entry mapping.
 
-
-def parse_equation(raw: Mapping[str, Any]) -> DelayDiffEq:
-    """Exact equation from one corpus entry mapping."""
+    ``parsed`` maps expression texts to their parsed values: a text found
+    there is not parsed again, and one parsed here is added.
+    """
     entry_id = raw.get("id", "<missing id>")
+    if parsed is None:
+        parsed = {}
+
+    def expr(name: str, text: Any) -> FieldElem:
+        if not isinstance(text, str):
+            raise CorpusError(f"entry {entry_id!r}: field {name!r} must be an expression string")
+        value = parsed.get(text)
+        if value is None:
+            try:
+                value = parsed[text] = parse_expression(text)
+            except ParseError as exc:
+                raise CorpusError(f"entry {entry_id!r}: field {name!r}: {exc}") from exc
+        return value
+
     tag = raw.get("class")
     kind = _CLASS_TAGS.get(tag)
     if kind is None:
@@ -190,14 +201,14 @@ def parse_equation(raw: Mapping[str, Any]) -> DelayDiffEq:
     name = str(entry_id)
     try:
         if kind == EqKind.LOG_DERIV:
-            a = _expr(entry_id, "a", raw["a"])
+            a = expr("a", raw["a"])
             p_field = raw["p"]
             if not isinstance(p_field, Sequence) or isinstance(p_field, str) or not p_field:
                 raise CorpusError(
                     f"entry {entry_id!r}: 'p' must be a nonempty list of "
                     "coefficient expressions, constant term first"
                 )
-            p_poly = WPoly([_expr(entry_id, f"p[{i}]", c) for i, c in enumerate(p_field)])
+            p_poly = WPoly([expr(f"p[{i}]", c) for i, c in enumerate(p_field)])
             factors = []
             q_field = raw["q_factors"]
             if not isinstance(q_field, Sequence) or isinstance(q_field, str):
@@ -214,14 +225,14 @@ def parse_equation(raw: Mapping[str, Any]) -> DelayDiffEq:
                         f"entry {entry_id!r}: q_factors[{i}].mult must be a "
                         "positive integer"
                     )
-                factors.append((_expr(entry_id, f"q_factors[{i}].root", item["root"]), mult))
+                factors.append((expr(f"q_factors[{i}].root", item["root"]), mult))
             residual = None
             if raw.get("q_residual") is not None:
                 res_field = raw["q_residual"]
                 if not isinstance(res_field, Sequence) or isinstance(res_field, str):
                     raise CorpusError(f"entry {entry_id!r}: 'q_residual' must be a list")
                 residual = WPoly(
-                    [_expr(entry_id, f"q_residual[{i}]", c) for i, c in enumerate(res_field)]
+                    [expr(f"q_residual[{i}]", c) for i, c in enumerate(res_field)]
                 )
             return make_log_deriv(
                 a=a, p_poly=p_poly,
@@ -230,14 +241,14 @@ def parse_equation(raw: Mapping[str, Any]) -> DelayDiffEq:
             )
         if kind == EqKind.PURE_LOG_DERIV:
             return make_pure_log_deriv(
-                a=_expr(entry_id, "a", raw["a"]),
-                b=_expr(entry_id, "b", raw["b"]),
+                a=expr("a", raw["a"]),
+                b=expr("b", raw["b"]),
                 name=name,
             )
         return make_inverse_square(
-            a=_expr(entry_id, "a", raw["a"]),
-            b=_expr(entry_id, "b", raw["b"]),
-            c=_expr(entry_id, "c", raw.get("c", "0")),
+            a=expr("a", raw["a"]),
+            b=expr("b", raw["b"]),
+            c=expr("c", raw.get("c", "0")),
             name=name,
         )
     except EquationError as exc:
@@ -276,13 +287,13 @@ def _request(entry_id: str, eq_kind: EqKind, name: str, raw: Any) -> Dict[str, A
     return out
 
 
-def _validate_entry(raw: Any) -> CorpusEntry:
+def _validate_entry(raw: Any, parsed: Dict[str, FieldElem]) -> CorpusEntry:
     if not isinstance(raw, Mapping):
         raise CorpusError("each corpus entry must be a JSON object")
     entry_id = raw.get("id")
     if not isinstance(entry_id, str) or not entry_id:
         raise CorpusError("every entry needs a nonempty string 'id'")
-    eq = parse_equation(raw)
+    eq = parse_equation(raw, parsed)
     unknown = set(raw) - _COMMON_FIELDS - set(_REQUESTS) - _CLASS_FIELDS[eq.kind]
     if unknown:
         raise CorpusError(f"entry {entry_id!r}: unknown fields {sorted(unknown)}")
@@ -294,7 +305,11 @@ def _validate_entry(raw: Any) -> CorpusEntry:
 
 
 def load_corpus(text: str) -> Tuple[CorpusEntry, ...]:
-    """Validate a corpus from its JSON text."""
+    """Validate a corpus from its JSON text.
+
+    Each distinct expression text is parsed once per call, and entries that
+    repeat a text share its value (a ``FieldElem`` is immutable).
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -310,7 +325,9 @@ def load_corpus(text: str) -> Tuple[CorpusEntry, ...]:
     if not isinstance(entries_field, Sequence) or isinstance(entries_field, str):
         raise CorpusError("corpus 'entries' must be a list")
     entries: Dict[str, CorpusEntry] = {}
-    for entry in map(_validate_entry, entries_field):
+    parsed: Dict[str, FieldElem] = {}
+    for raw in entries_field:
+        entry = _validate_entry(raw, parsed)
         if entry.id in entries:
             raise CorpusError(f"duplicate entry id {entry.id!r}")
         entries[entry.id] = entry

@@ -9,17 +9,37 @@ Grammar (whitespace-insensitive):
     atom    := INTEGER | 'i' | NAME | '(' expr ')'
     exponent:= ['-'] INTEGER
 
-Integers are unbounded; rationals are written as quotients (``3/4``), which the
-general division rule handles.  ``i`` is the imaginary unit.  Allowed variable
-names are checked against a caller-supplied set (default: just ``z``), and any
-error carries a 1-based line and column.
+INTEGER is a run of Unicode decimal digits (regex ``\\d``), exactly the digits
+``int()`` reads; NAME is a letter or ``_`` followed by letters, digits and
+``_``.  Integers are unbounded; rationals are written as quotients (``3/4``),
+which the general division rule handles.  ``i`` is the imaginary unit.
+Allowed variable names are checked against a caller-supplied set (default:
+just ``z``), and any error carries a 1-based line and column.
+
+Numbers are folded while parsing: a value stays a ``GaussianRational`` until
+it meets a variable, where it is lifted with ``FieldElem.const`` and the
+``FieldElem`` operator runs.  Every ``FieldElem`` operation is therefore one
+that unfolded parsing would make too, and the result is the same down to the
+variable tables and term maps of numerator and denominator.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+import operator
+import re
+from typing import Iterable, List, Tuple, Union
 
 from .fieldelem import FieldElem
+from .gaussian import I, GaussianRational
+
+Value = Union[GaussianRational, FieldElem]
+Token = Tuple[str, str, int]  # kind (INT, NAME, OP, END), text, offset
+
+# leading whitespace is skipped; BAD catches any other character
+_TOKEN = re.compile(
+    r"\s*(?:(?P<INT>\d+)|(?P<NAME>\w+)|(?P<OP>[-+*/^()])|(?P<END>\Z)|(?P<BAD>.))"
+)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ParseError(ValueError):
@@ -29,163 +49,122 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # INT, NAME, OP, END
-    text: str
-    line: int
-    col: int
+def _error(message: str, text: str, offset: int) -> ParseError:
+    start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - start + 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("OP", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("END", "", line, col))
+def _tokenize(text: str) -> List[Token]:
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = m[kind]
+        # a NAME must start with a letter or '_'; \w also admits numerals such as '²'
+        if kind == "BAD" or kind == "NAME" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise _error(f"unexpected character {tok[0]!r}", text, m.start(kind))
+        tokens.append((kind, tok, m.start(kind)))
     return tokens
 
 
+def _lift(x: Value) -> FieldElem:
+    return FieldElem.const(x) if type(x) is GaussianRational else x
+
+
+def _apply(op: str, lhs: Value, rhs: Value) -> Value:
+    """``lhs op rhs``, in Q(i) while both are numbers."""
+    if type(lhs) is not type(rhs):
+        lhs, rhs = _lift(lhs), _lift(rhs)
+    return _BINARY[op](lhs, rhs)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], allowed: frozenset[str]):
-        self.tokens = tokens
+    def __init__(self, text: str, allowed: frozenset[str]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.allowed = allowed
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == text:
-            return self.advance()
-        raise ParseError(f"expected {text!r}", tok.line, tok.col)
+    def error(self, message: str, tok: Token) -> ParseError:
+        return _error(message, self.text, tok[2])
 
     def parse(self) -> FieldElem:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        return value
+        tok = self.tokens[self.pos]
+        if tok[0] != "END":
+            raise self.error(f"unexpected {tok[1]!r}", tok)
+        return _lift(value)
 
-    def expr(self) -> FieldElem:
+    def expr(self) -> Value:
         value = self.term()
         while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
+            tok = self.tokens[self.pos]
+            if tok[0] != "OP" or tok[1] not in "+-":
                 return value
+            self.pos += 1
+            value = _apply(tok[1], value, self.term())
 
-    def term(self) -> FieldElem:
+    def term(self) -> Value:
         value = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "*/":
-                self.advance()
-                rhs = self.factor()
-                if tok.text == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero:
-                        raise ParseError("division by zero", tok.line, tok.col)
-                    value = value / rhs
-            else:
+            tok = self.tokens[self.pos]
+            if tok[0] != "OP" or tok[1] not in "*/":
                 return value
+            self.pos += 1
+            rhs = self.factor()
+            if tok[1] == "/" and rhs.is_zero:
+                raise self.error("division by zero", tok)
+            value = _apply(tok[1], value, rhs)
 
-    def factor(self) -> FieldElem:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
+    def factor(self) -> Value:
+        if self.tokens[self.pos][:2] == ("OP", "-"):
+            self.pos += 1
             return -self.factor()
         return self.power()
 
-    def power(self) -> FieldElem:
+    def power(self) -> Value:
         value = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "^":
-                self.advance()
-                n = self.exponent()
-                if n < 0 and value.is_zero:
-                    raise ParseError("zero raised to a negative power", tok.line, tok.col)
-                value = value ** n
-            else:
-                return value
+        while self.tokens[self.pos][:2] == ("OP", "^"):
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            n = self.exponent()
+            if n < 0 and value.is_zero:
+                raise self.error("zero raised to a negative power", tok)
+            value = value ** n
+        return value
 
     def exponent(self) -> int:
         sign = 1
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
+        if self.tokens[self.pos][:2] == ("OP", "-"):
+            self.pos += 1
             sign = -1
-            tok = self.peek()
-        if tok.kind != "INT":
-            raise ParseError("expected an integer exponent", tok.line, tok.col)
-        self.advance()
-        return sign * int(tok.text)
+        kind, text, _ = tok = self.tokens[self.pos]
+        if kind != "INT":
+            raise self.error("expected an integer exponent", tok)
+        self.pos += 1
+        return sign * int(text)
 
-    def atom(self) -> FieldElem:
-        tok = self.advance()
-        if tok.kind == "INT":
-            return FieldElem.const(int(tok.text))
-        if tok.kind == "NAME":
-            if tok.text == "i":
-                from .gaussian import I
-
-                return FieldElem.const(I)
-            if tok.text in self.allowed:
-                return FieldElem.var(tok.text)
-            raise ParseError(f"unknown symbol {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "OP" and tok.text == "(":
+    def atom(self) -> Value:
+        kind, text, _ = tok = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "INT":
+            return GaussianRational(int(text))
+        if kind == "NAME":
+            if text == "i":
+                return I
+            if text in self.allowed:
+                return FieldElem.var(text)
+            raise self.error(f"unknown symbol {text!r}", tok)
+        if text == "(":
             value = self.expr()
-            self.expect_op(")")
+            if self.tokens[self.pos][:2] != ("OP", ")"):
+                raise self.error("expected ')'", self.tokens[self.pos])
+            self.pos += 1
             return value
-        shown = tok.text if tok.text else "end of input"
-        raise ParseError(f"unexpected {shown!r}", tok.line, tok.col)
+        raise self.error(f"unexpected {text or 'end of input'!r}", tok)
 
 
 def parse_expression(text: str, allowed_vars: Iterable[str] = ("z",)) -> FieldElem:
     """Parse an exact rational expression into a FieldElem."""
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {type(text).__name__}", 1, 1)
-    tokens = _tokenize(text)
-    return _Parser(tokens, frozenset(allowed_vars)).parse()
+    return _Parser(text, frozenset(allowed_vars)).parse()

@@ -266,3 +266,10 @@ def _corpus(*entries, version=1):
 ], ids=["invalid-json", "unknown-entry-field", "duplicate-id", "schema-version"])
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text, message):
     assert _load_error(tmp_path, capsys, "classify", text) == message + "\n"
+
+
+def test_superscript_exponent_is_a_load_error(tmp_path, capsys):
+    # str.isdigit accepts '²' and int() does not; the load must not crash on it
+    entry = {"id": "sq", "class": "inverse-square", "a": "z^²", "b": "0", "c": "0"}
+    err = _load_error(tmp_path, capsys, "classify", _corpus(entry))
+    assert err == "error: entry 'sq': field 'a': unexpected character '²' (line 1, column 3)\n"

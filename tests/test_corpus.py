@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from ddelab.cascade import SeedKind
-from ddelab.corpus import demo_corpus_text, load_corpus, load_demo_corpus
+from ddelab.corpus import (
+    CorpusError,
+    demo_corpus_text,
+    load_corpus,
+    load_demo_corpus,
+    parse_equation,
+)
+from ddelab.exprparse import parse_expression
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -61,3 +68,41 @@ def test_every_benchmark_corpus_loads(seed):
         assert [e.id for e in entries] == [raw["id"] for raw in doc["entries"]]
         for entry in entries:
             assert set(entry.requests) - {"cascade"} <= set(expect[entry.id])
+
+
+def _corpus_text(entries):
+    return json.dumps({"schema_version": 1, "entries": entries})
+
+
+def test_each_distinct_expression_is_parsed_once(monkeypatch):
+    import ddelab.corpus as corpus
+
+    entries = [
+        {"id": "e1", "class": "inverse-square", "a": "1 + z", "b": "z", "c": "0"},
+        {"id": "e2", "class": "inverse-square", "a": "1 + z", "b": "2*z - 1"},
+        {"id": "e3", "class": "pure-log-deriv", "a": "z", "b": "1 + z"},
+        {"id": "e4", "class": "log-deriv", "a": "z", "p": ["0", "1", "z"],
+         "q_factors": [{"root": "1"}, {"root": "z", "mult": 2}], "q_residual": ["1", "0"]},
+    ]
+    distinct = {"1 + z", "z", "0", "2*z - 1", "1"}
+    calls = []
+
+    def counted(text, *args):
+        calls.append(text)
+        return parse_expression(text, *args)
+
+    monkeypatch.setattr(corpus, "parse_expression", counted)
+    loaded = load_corpus(_corpus_text(entries))
+    assert sorted(calls) == sorted(distinct)
+    # the shared values build the same equations as parsing each entry alone
+    assert [e.eq for e in loaded] == [parse_equation(raw) for raw in entries]
+
+
+def test_a_repeated_malformed_expression_names_its_first_carrier():
+    entries = [
+        {"id": "ok", "class": "inverse-square", "a": "1 + z", "b": "z"},
+        {"id": "first", "class": "inverse-square", "a": "z", "b": "z +* 1"},
+        {"id": "second", "class": "inverse-square", "a": "z +* 1", "b": "z"},
+    ]
+    with pytest.raises(CorpusError, match=r"^entry 'first': field 'b': unexpected '\*'"):
+        load_corpus(_corpus_text(entries))
