@@ -11,10 +11,14 @@ Grammar (whitespace-insensitive):
 
 INTEGER is a run of Unicode decimal digits (regex ``\\d``), exactly the digits
 ``int()`` reads; NAME is a letter or ``_`` followed by letters, digits and
-``_``.  Integers are unbounded; rationals are written as quotients (``3/4``),
-which the general division rule handles.  ``i`` is the imaginary unit.
-Allowed variable names are checked against a caller-supplied set (default:
-just ``z``), and any error carries a 1-based line and column.
+``_``.  Rationals are written as quotients (``3/4``), which the general
+division rule handles.  ``i`` is the imaginary unit.  Allowed variable names
+are checked against a caller-supplied set (default: just ``z``), and any
+error carries a 1-based line and column.  Limits bound the work of one text,
+each a ``ParseError`` at the token that passes it: parentheses and unary
+minus signs nest at most 100 deep; an INTEGER has at most 8192 bits; a power
+x^n needs |n| * (total degree of x) <= 64 and |n| * (bit length of x's
+largest numerator or denominator) <= 8192.
 
 Numbers are folded while parsing: a value stays a ``GaussianRational`` until
 it meets a variable, where it is lifted with ``FieldElem.const`` and the
@@ -25,6 +29,7 @@ variable tables and term maps of numerator and denominator.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from typing import Iterable, List, Tuple, Union
@@ -40,6 +45,7 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<INT>\d+)|(?P<NAME>\w+)|(?P<OP>[-+*/^()])|(?P<END>\Z)|(?P<BAD>.))"
 )
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_MAX_DEPTH, _MAX_DEGREE, _MAX_BITS = 100, 64, 8192
 
 
 class ParseError(ValueError):
@@ -62,6 +68,8 @@ def _tokenize(text: str) -> List[Token]:
         # a NAME must start with a letter or '_'; \w also admits numerals such as '²'
         if kind == "BAD" or kind == "NAME" and not (tok[0].isalpha() or tok[0] == "_"):
             raise _error(f"unexpected character {tok[0]!r}", text, m.start(kind))
+        if kind == "INT" and len(tok) * math.log2(10) > _MAX_BITS:
+            raise _error(f"integer beyond {_MAX_BITS} bits", text, m.start(kind))
         tokens.append((kind, tok, m.start(kind)))
     return tokens
 
@@ -83,6 +91,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allowed = allowed
+        self.depth = 0
 
     def error(self, message: str, tok: Token) -> ParseError:
         return _error(message, self.text, tok[2])
@@ -116,10 +125,18 @@ class _Parser:
             value = _apply(tok[1], value, rhs)
 
     def factor(self) -> Value:
-        if self.tokens[self.pos][:2] == ("OP", "-"):
+        # each '(' and unary '-' starts a factor: the open factors count the nesting
+        tok = self.tokens[self.pos]
+        if self.depth == _MAX_DEPTH and tok[:2] in (("OP", "("), ("OP", "-")):
+            raise self.error(f"nested deeper than {_MAX_DEPTH}", tok)
+        self.depth += 1
+        if tok[:2] == ("OP", "-"):
             self.pos += 1
-            return -self.factor()
-        return self.power()
+            value = -self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> Value:
         value = self.atom()
@@ -129,6 +146,12 @@ class _Parser:
             n = self.exponent()
             if n < 0 and value.is_zero:
                 raise self.error("zero raised to a negative power", tok)
+            polys = (_lift(value).num, _lift(value).den)
+            degree = max(sum(e) for p in polys for e in p.terms)
+            bits = max(q.bit_length() for p in polys for c in p.terms.values()
+                       for part in (c.re, c.im) for q in (part.numerator, part.denominator))
+            if abs(n) * degree > _MAX_DEGREE or abs(n) * bits > _MAX_BITS:
+                raise self.error(f"power beyond degree {_MAX_DEGREE} or {_MAX_BITS} bits", tok)
             value = value ** n
         return value
 

@@ -11,9 +11,9 @@ a thousandth of it; an arc that reaches the point cap unsettled marks its
 row ``settled: false``.
 
 A table samples its model in batches shared by all its radii: the 1024-node
-scans, each bisection step (at most 60; they stop once every cell's midpoint
-rounds to one of its ends), the sign test of the arcs and each quadrature
-round is one batch over every circle.
+scans, each step of the ITP crossing refinement (at most 37; Oliveira and
+Takahashi, ACM TOMS 47(1), 2020), the sign test of the arcs and each
+quadrature round is one batch over every circle.
 ``log_abs`` takes and returns arrays; a batch reaches it in slices of at
 most 2048 points, which bounds the memory of one Weierstrass evaluation.
 
@@ -35,6 +35,10 @@ _JITTER = 1e-6
 _POLE_PROXIMITY = 1e-3
 _QUAD_TOL = 1e-9
 _SCAN_NODES = 1024
+_CELL = 2.0 * math.pi / _SCAN_NODES
+_ITP_EPS = 2.0**-44  # rad; a crossing off by d moves m by O(d^2 |d log|f|/d theta|) << _QUAD_TOL
+_ITP_KAPPA1 = 0.2 / _CELL  # the first step pulls 0.2 of a cell
+_ITP_STEPS = math.ceil(math.log2(_CELL / (2.0 * _ITP_EPS))) + 1  # bisection's count + n0 = 1
 
 
 # ---------------------------------------------------------------------------
@@ -185,38 +189,41 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
     """m(r, f), the mean of log+|f| over the circle |z| = r, for every r in radii.
 
     Each circle is scanned for sign changes of log|f|, each crossing is
-    bisected to machine precision, and every positive arc is integrated
+    bracketed to 2^-43 rad, and every positive arc is integrated
     separately by ``_romberg``; the kinks of log+ then never sit inside an
     integration interval.  A radius is jittered away from any pole modulus
     within the proximity window so that its scan sees finite values.  Every batch,
     the scan included, spans all circles, and a point gets the arithmetic
-    it gets alone, so no radius's result depends on the other radii.  The
-    bisection samples every cell until each midpoint rounds to an end of
-    its cell, after at most 60 steps; a further step would move no cell.
+    it gets alone, so no radius's result depends on the other radii.  ITP
+    step j samples each cell of width w > 2 _ITP_EPS at its regula falsi point,
+    moved max(_ITP_KAPPA1 w^2, _ITP_EPS/2) towards the midpoint and held within
+    _ITP_EPS 2^(_ITP_STEPS - j) - w/2 of it; no cell takes over _ITP_STEPS steps.
     """
     circles = [_jittered_radius(model, r) for r in radii]
-    step = 2.0 * math.pi / _SCAN_NODES
-    nodes = np.arange(_SCAN_NODES) * step
+    nodes = np.arange(_SCAN_NODES) * _CELL
     scans = _sample_circle(model, np.repeat(circles, _SCAN_NODES), np.tile(nodes, len(circles)))
     scans = scans.reshape(len(circles), _SCAN_NODES)
-    cells = [np.flatnonzero((v > 0.0) != np.roll(v > 0.0, -1)) for v in scans]
+    succ = np.roll(scans, -1, axis=1)  # cell k runs from node k to node k + 1
+    cells = [np.flatnonzero((v > 0.0) != (u > 0.0)) for v, u in zip(scans, succ)]
     r_cell = np.repeat(circles, [c.size for c in cells])
-    flo = np.concatenate([v[c] for v, c in zip(scans, cells)])
-    lo = np.concatenate(cells) * step
-    hi = (np.concatenate(cells) + 1) * step
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if ((mid == lo) | (mid == hi)).all():
+    ends = np.concatenate([np.column_stack([c, c + 1]) for c in cells]) * _CELL
+    vals = np.concatenate([np.column_stack([v, u])[c] for v, u, c in zip(scans, succ, cells)])
+    for j in range(_ITP_STEPS):
+        idx = np.flatnonzero(ends[:, 1] - ends[:, 0] > 2.0 * _ITP_EPS)
+        if not idx.size:
             break
-        fm = _sample_circle(model, r_cell, mid)
-        same = (flo > 0.0) == (fm > 0.0)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+        (a, b), (fa, fb) = ends[idx].T, vals[idx].T
+        mid, falsi = (a + b) / 2.0, a + (b - a) * fa / (fa - fb)
+        delta = np.maximum(_ITP_KAPPA1 * (b - a) ** 2, _ITP_EPS / 2.0)
+        reach = _ITP_EPS * 2.0 ** (_ITP_STEPS - j) - (b - a) / 2.0
+        x = mid - np.sign(mid - falsi) * np.clip(np.abs(mid - falsi) - delta, 0.0, reach)
+        fx = _sample_circle(model, r_cell[idx], x)
+        side = ((fa > 0.0) != (fx > 0.0)).astype(np.intp)  # the end x replaces
+        ends[idx, side], vals[idx, side] = x, fx
     # arcs between crossings, circle after circle; one sign all round is one arc
     bounds = [
         np.append(c, c[0] + 2.0 * math.pi) if c.size else np.array([0.0, 2.0 * math.pi])
-        for c in np.split((lo + hi) / 2.0, np.cumsum([c.size for c in cells])[:-1])
+        for c in np.split((ends[:, 0] + ends[:, 1]) / 2.0, np.cumsum([c.size for c in cells])[:-1])
     ]
     a = np.concatenate([x[:-1] for x in bounds])
     b = np.concatenate([x[1:] for x in bounds])

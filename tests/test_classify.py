@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddelab.cascade import SeedKind, confinement_report, run_cascade, seed_local_data
+from ddelab.cascade import (
+    SeedKind,
+    confinement_report,
+    polynomial_blowup,
+    run_cascade,
+    seed_local_data,
+)
 from ddelab.classify import (
     NormalFormParams,
     Outcome,
@@ -264,6 +270,34 @@ class TestClassifyAgreesWithCascade:
         consistent = classify(eq).outcome == Outcome.CONSISTENT_BRANCH_A
         pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
         assert consistent == (confinement_report(pattern, eq).kind == "confined")
+
+
+nonzero_gaussian = small_gaussian.filter(lambda g: not g.is_zero)
+
+
+@st.composite
+def polynomial_log_deriv_equations(draw):
+    """(d, q, eq): w(z+1) - w(z-1) + a w'/w = P(w) with P of w-degree d, Q = 1.
+
+    P has coefficients in Q(i), its leading one nonzero; a is 0, 1 or z, and
+    q is the order of the pole that seeds the cascade.
+    """
+    d = draw(st.integers(0, 4))
+    coeffs = [draw(small_gaussian) for _ in range(d)] + [draw(nonzero_gaussian)]
+    a = draw(st.sampled_from([W0, ONE, Z]))
+    return d, draw(st.integers(1, 2)), _log_deriv(coeffs, [], a=a)
+
+
+class TestClassifyAgreesWithPolynomialBlowup:
+    # a polynomial right side of w-degree d >= 2 fits neither branch, and a
+    # pole of order q then feeds poles of orders q d, q d^2, q d^3
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(polynomial_log_deriv_equations())
+    def test_violation_exactly_when_pole_orders_grow_by_the_degree(self, case):
+        d, q, eq = case
+        violates = classify(eq).outcome == Outcome.VIOLATES_NECESSARY_CONDITION
+        orders = polynomial_blowup(eq, 3, q=q)
+        assert violates == (d >= 2 and orders == (q * d, q * d**2, q * d**3))
 
 
 class TestDispatch:

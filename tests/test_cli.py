@@ -273,3 +273,11 @@ def test_superscript_exponent_is_a_load_error(tmp_path, capsys):
     entry = {"id": "sq", "class": "inverse-square", "a": "z^²", "b": "0", "c": "0"}
     err = _load_error(tmp_path, capsys, "classify", _corpus(entry))
     assert err == "error: entry 'sq': field 'a': unexpected character '²' (line 1, column 3)\n"
+
+
+def test_deep_nesting_is_a_load_error(tmp_path, capsys):
+    # 200 levels once escaped the load as RecursionError
+    entry = {"id": "deep", "class": "inverse-square", "a": "(" * 200 + "z" + ")" * 200,
+             "b": "0", "c": "0"}
+    err = _load_error(tmp_path, capsys, "classify", _corpus(entry))
+    assert err == "error: entry 'deep': field 'a': nested deeper than 100 (line 1, column 101)\n"

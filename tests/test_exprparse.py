@@ -4,12 +4,14 @@ import json
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ddelab import exprparse
 from ddelab.corpus import demo_corpus_text
 from ddelab.exprparse import ParseError, parse_expression
 from ddelab.fieldelem import FieldElem
@@ -94,6 +96,42 @@ def test_unbalanced_parens():
         parse_expression("(z+1", ("z",))
     with pytest.raises(ParseError):
         parse_expression("z+1)", ("z",))
+
+
+def test_nesting_is_capped_before_the_stack_gives_out():
+    deepest = exprparse._MAX_DEPTH
+    for text in ("(" * deepest + "z" + ")" * deepest, "-" * deepest + "z",
+                 "(-" * (deepest // 2) + "z" + ")" * (deepest // 2)):
+        assert parse_expression(text) in (Z, -Z)
+    for text in ("(" * (deepest + 1) + "z" + ")" * (deepest + 1), "-" * (deepest + 1) + "z",
+                 "-(" * (deepest // 2) + "-z" + ")" * (deepest // 2)):
+        with pytest.raises(ParseError, match=rf"nested deeper than {deepest} "
+                           rf"\(line 1, column {deepest + 1}\)"):
+            parse_expression(text)
+    with pytest.raises(ParseError, match=r"\(line 2, column 4\)"):
+        parse_expression("(" * (deepest - 2) + "\n (-(z" + ")" * deepest)
+
+
+@pytest.mark.parametrize("text, column", [
+    ("(1+z)^100000", 6), ("9^999999999", 2), ("(2/3)^-999999999", 6),
+])
+def test_huge_powers_are_rejected_at_once(text, column):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=rf"power beyond .* \(line 1, column {column}\)"):
+        parse_expression(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_power_and_integer_limits_are_inclusive():
+    assert parse_expression("(1+z)^64") == (Z + 1) ** 64
+    assert parse_expression("((z^2)^4)^-8") == ONE / Z ** 64
+    assert parse_expression("z^2*(2^4095)^2") == FieldElem.const(2 ** 8190) * Z * Z
+    assert parse_expression("9" * 2466) == FieldElem.const(int("9" * 2466))
+    for text in ("(1+z)^65", "((z^2)^4)^-9", "(2^4096)^3", "(1/i)^8193"):
+        with pytest.raises(ParseError, match="power beyond"):
+            parse_expression(text)
+    with pytest.raises(ParseError, match=r"integer beyond 8192 bits \(line 1, column 3\)"):
+        parse_expression("z+" + "1" * 2467)
 
 
 # ---------------------------------------------------------------------------

@@ -177,12 +177,11 @@ class TestBatchedProximity:
     CUBE_ROOTS = [2 ** (1 / 3) * cmath.exp(1j * math.pi * k / 3) for k in (1, 3, 5)]
 
     # m as float.hex and settled, recorded from the Gauss-Kronrod rule with
-    # every circle scanned in one batch and the bisection stopped once it
-    # converged
+    # every circle scanned in one batch and each crossing refined by ITP
     RECORDED = {
         "exponential": [
-            ("0x0.0p+0", True), ("0x1.cc9ab82c35729p-2", True),
-            ("0x1.75e57a94ca87cp+2", True), ("0x1.8f5d85fff6277p+6", True),
+            ("0x0.0p+0", True), ("0x1.cc9ab82c35728p-2", True),
+            ("0x1.75e57a94ca87bp+2", True), ("0x1.8f5d85fff6277p+6", True),
         ],
         "rational": [
             ("0x0.0p+0", True), ("0x1.eaebd6f441ed9p-2", True), ("0x1.9c043045cfe6fp+1", True),
@@ -247,12 +246,12 @@ class TestBatchedProximity:
             assert found[2].m == pytest.approx(3.2188778248672003, abs=1e-14)
 
     def test_a_table_samples_in_few_batches(self, elliptic_model, elliptic_table):
-        # one scan of all 24 circles, 50 bisection steps until every
-        # midpoint rounds to an end, one arc sign test and the Gauss-Kronrod
-        # rounds, each cut into slices of 2048 points
+        # one scan of all 24 circles, 12 ITP steps until every bracket is
+        # 2^-43 wide, one arc sign test and the Gauss-Kronrod rounds, each cut
+        # into slices of 2048 points: 42 calls, where plain bisection made 82
         counting = CountingFake(elliptic_model)
         table = characteristic_table(counting, log_grid(1.0, 16.0, 24))
-        assert counting.calls <= 120
+        assert counting.calls <= 44
         assert table.export()["rows"] == elliptic_table.export()["rows"]
 
 
@@ -349,6 +348,44 @@ class TestSettled:
             model = ExponentialModel(C=0.7 - 0.2j, p=p)
             table = characteristic_table(model, log_grid(10.0, 1e12, 24))
             assert all(row.settled for row in table.rows)
+
+
+class StepFake:
+    """log|f| = +1 on the arc 1 < arg z < 4 and -1 elsewhere; records call sizes."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def log_abs(self, z):
+        self.sizes.append(np.size(z))
+        theta = np.mod(np.angle(z), 2.0 * math.pi)
+        return np.where((theta > 1.0) & (theta < 4.0), 1.0, -1.0)
+
+    def poles_upto(self, radius):
+        return []
+
+    def zeros_upto(self, radius):
+        return []
+
+
+class TestCrossingRefinement:
+    def test_zero_on_a_scan_node(self):
+        # z = 2 is the theta = 0 node: its value is clamped to -1e300, and the
+        # cells on both sides of it hold a crossing close to that clamped end
+        model = RationalFake([2.0, 100.0, 100j], [])
+        with np.errstate(divide="ignore"):
+            reference = dense_reference_m(model, 2.0, np.array([]))
+        assert proximity(model, [2.0])[0].m == pytest.approx(reference, rel=1e-12)
+
+    def test_a_step_in_log_modulus(self):
+        # regula falsi gains nothing on a step, so ITP must fall back on its
+        # bisection bound: the scan, at most _ITP_STEPS refinement batches,
+        # the sign test of the two arcs and one round on the positive one
+        model = StepFake()
+        (found,) = proximity(model, [3.0])
+        assert found == (pytest.approx(3.0 / (2.0 * math.pi), rel=1e-12), True)
+        assert model.sizes[0] == nevanlinna._SCAN_NODES and model.sizes[-2:] == [2, 15]
+        assert len(model.sizes) - 3 <= nevanlinna._ITP_STEPS
 
 
 class TestCharacteristicTable:
