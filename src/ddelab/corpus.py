@@ -16,12 +16,15 @@ loads, before any analysis starts.  The requests, by ``kind``:
     nev elliptic (inverse-square)  r_min, r_max, radii, g2, g3, omega
     nev exponential (pure-log-deriv)  r_min, r_max, radii, p, C
 
-Fields, with defaults in brackets: ``steps`` and ``order`` integers >= 1
-[3, 1]; ``seed`` "zero-of-w" or "pole-of-w" ["zero-of-w"]; ``samples`` an
-integer >= 1 [100]; ``p`` a nonzero integer [1]; ``C``, ``g2``, ``g3`` and
-``omega`` a finite number or an [re, im] pair of finite numbers, ``C`` also
-nonzero [C: 1; the others required]; ``r_min`` < ``r_max`` positive finite
-numbers [1, 16]; ``radii`` an integer >= 2 [24].
+Fields, with defaults in brackets: ``steps`` an integer from 1 to 4 [3];
+``order`` an integer >= 1 [1]; ``seed`` "zero-of-w" or "pole-of-w"
+["zero-of-w"]; ``samples`` an integer from 1 to 10000 [100]; ``p`` a nonzero
+integer [1]; ``C``, ``g2``, ``g3`` and ``omega`` a finite number or an
+[re, im] pair of finite numbers, ``C`` also nonzero [C: 1; the others
+required]; ``r_min`` < ``r_max`` positive finite numbers [1, 16]; ``radii``
+an integer from 2 to 500 [24].  The caps on ``steps``, ``samples`` and
+``radii`` bound the work of one request; ``_REQUESTS`` gives the reason for
+each.
 """
 
 from __future__ import annotations
@@ -97,12 +100,14 @@ def _as_nonzero_complex(value: Any) -> complex:
     return z
 
 
-def _as_int(rule: str, ok: Callable[[int], bool]) -> Callable[[Any], int]:
+def _as_int(rule: str, ok: Callable[[int], bool], cap: float = math.inf) -> Callable[[Any], int]:
     def convert(value: Any) -> int:
         if not (_is_number(value) and isinstance(value, int)):
             raise ValueError(f"expected an integer, got {value!r}")
         if not ok(value):
             raise ValueError(f"must be {rule}, got {value!r}")
+        if value > cap:
+            raise ValueError(f"must be at most {cap}, got {value!r}")
         return value
     return convert
 
@@ -124,13 +129,16 @@ def _as_seed(value: Any) -> SeedKind:
 
 
 _COUNT = _as_int("at least 1", lambda n: n >= 1)
-_SAMPLES = {"samples": (_COUNT, 100)}
+# samples sets the size of one p batch (3 points a sample); the slowest demo
+# verify takes 0.2 s at 10000 samples
+_SAMPLES = {"samples": (_as_int("at least 1", lambda n: n >= 1, 10_000), 100)}
 _LATTICE = {"g2": (_as_complex, None), "g3": (_as_complex, None), "omega": (_as_complex, None)}
 _FAMILY = {"p": (_as_int("nonzero", lambda n: n != 0), 1), "C": (_as_nonzero_complex, 1.0)}
 _GRID = {
     "r_min": (_as_radius, 1.0),
     "r_max": (_as_radius, 16.0),
-    "radii": (_as_int("at least 2", lambda n: n >= 2), 24),
+    # one proximity quadrature a radius; the demo's elliptic table takes 0.5 s at 500
+    "radii": (_as_int("at least 2", lambda n: n >= 2, 500), 24),
 }
 
 # request -> kind -> (entry class the kind needs, or None for any;
@@ -138,7 +146,9 @@ _GRID = {
 # the kind None, a request without a ``kind`` field.
 _REQUESTS = {
     "cascade": {None: (None, {
-        "steps": (_COUNT, 3), "order": (_COUNT, 1), "seed": (_as_seed, "zero-of-w"),
+        # the demo's slowest cascade (confined-affine) takes 0.05 s at 4 steps, over 100 s at 5
+        "steps": (_as_int("at least 1", lambda n: n >= 1, 4), 3),
+        "order": (_COUNT, 1), "seed": (_as_seed, "zero-of-w"),
     })},
     "verify": {
         "elliptic": (EqKind.INVERSE_SQUARE, {**_SAMPLES, **_LATTICE}),

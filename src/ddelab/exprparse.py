@@ -18,7 +18,9 @@ error carries a 1-based line and column.  Limits bound the work of one text,
 each a ``ParseError`` at the token that passes it: parentheses and unary
 minus signs nest at most 100 deep; an INTEGER has at most 8192 bits; a power
 x^n needs |n| * (total degree of x) <= 64 and |n| * (bit length of x's
-largest numerator or denominator) <= 8192.
+largest numerator or denominator) <= 8192; and the result of every ``+``,
+``-``, ``*`` and ``/`` has total degree <= 64 and bit length <= 8192 in the
+same sense.
 
 Numbers are folded while parsing: a value stays a ``GaussianRational`` until
 it meets a variable, where it is lifted with ``FieldElem.const`` and the
@@ -78,11 +80,17 @@ def _lift(x: Value) -> FieldElem:
     return FieldElem.const(x) if type(x) is GaussianRational else x
 
 
-def _apply(op: str, lhs: Value, rhs: Value) -> Value:
-    """``lhs op rhs``, in Q(i) while both are numbers."""
-    if type(lhs) is not type(rhs):
-        lhs, rhs = _lift(lhs), _lift(rhs)
-    return _BINARY[op](lhs, rhs)
+def _size(value: Value) -> Tuple[int, int]:
+    """Total degree, and bit length of the largest numerator or denominator."""
+    if type(value) is GaussianRational:
+        degree, coeffs = 0, (value,)
+    else:
+        polys = (value.num, value.den)
+        degree = max(sum(e) for p in polys for e in p.terms)
+        coeffs = [c for p in polys for c in p.terms.values()]
+    bits = max(q.bit_length() for c in coeffs for part in (c.re, c.im)
+               for q in (part.numerator, part.denominator))
+    return degree, bits
 
 
 class _Parser:
@@ -110,7 +118,7 @@ class _Parser:
             if tok[0] != "OP" or tok[1] not in "+-":
                 return value
             self.pos += 1
-            value = _apply(tok[1], value, self.term())
+            value = self.apply(tok, value, self.term())
 
     def term(self) -> Value:
         value = self.factor()
@@ -122,7 +130,17 @@ class _Parser:
             rhs = self.factor()
             if tok[1] == "/" and rhs.is_zero:
                 raise self.error("division by zero", tok)
-            value = _apply(tok[1], value, rhs)
+            value = self.apply(tok, value, rhs)
+
+    def apply(self, tok: Token, lhs: Value, rhs: Value) -> Value:
+        """``lhs op rhs`` for the operator token, in Q(i) while both are numbers."""
+        if type(lhs) is not type(rhs):
+            lhs, rhs = _lift(lhs), _lift(rhs)
+        value = _BINARY[tok[1]](lhs, rhs)
+        degree, bits = _size(value)
+        if degree > _MAX_DEGREE or bits > _MAX_BITS:
+            raise self.error(f"result beyond degree {_MAX_DEGREE} or {_MAX_BITS} bits", tok)
+        return value
 
     def factor(self) -> Value:
         # each '(' and unary '-' starts a factor: the open factors count the nesting
@@ -146,10 +164,7 @@ class _Parser:
             n = self.exponent()
             if n < 0 and value.is_zero:
                 raise self.error("zero raised to a negative power", tok)
-            polys = (_lift(value).num, _lift(value).den)
-            degree = max(sum(e) for p in polys for e in p.terms)
-            bits = max(q.bit_length() for p in polys for c in p.terms.values()
-                       for part in (c.re, c.im) for q in (part.numerator, part.denominator))
+            degree, bits = _size(value)
             if abs(n) * degree > _MAX_DEGREE or abs(n) * bits > _MAX_BITS:
                 raise self.error(f"power beyond degree {_MAX_DEGREE} or {_MAX_BITS} bits", tok)
             value = value ** n

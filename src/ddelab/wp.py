@@ -1,12 +1,13 @@
 """Numeric Weierstrass elliptic functions from invariants.
 
-Evaluation works from (g2, g3) alone: a truncated Laurent expansion near the
-origin, argument halving until the expansion applies, and the algebraic
-duplication formula back up.  Periods are recovered from the cubic's roots
-by the arithmetic-geometric mean and validated against the function itself
-(half-period values hit the roots, translation by a period is invisible),
-so a wrong AGM branch is rejected rather than propagated.  Accuracy target
-is 1e-12 relative away from poles; engineering target, not a proof.
+Evaluation works from (g2, g3) alone, in one kernel over arrays: argument
+halving until a truncated Laurent expansion near the origin applies, the
+expansion by Horner's rule, and the algebraic duplication formula back up.
+Periods are recovered from the cubic's roots by the arithmetic-geometric mean
+and validated against the function itself (half-period values hit the roots,
+translation by a period is invisible), so a wrong AGM branch is rejected
+rather than propagated.  Accuracy target is 1e-12 relative away from poles;
+engineering target, not a proof.
 """
 
 from __future__ import annotations
@@ -87,14 +88,10 @@ class WeierstrassP:
     enumeration.  Immutable after construction; every method is safe to
     call concurrently.
 
-    Evaluation comes in two forms that agree to about 1e-12 of 1 + |p|.
-    ``eval`` takes one point and raises ``PoleSignal`` on the lattice; the
-    residual verifiers and the family parameter check call it, one point at
-    a time.  It keeps the power sum, which fixes the printed bytes of alpha.
-    ``eval_many`` takes an array and marks lattice points in a mask instead
-    of raising; the circle quadrature calls it on thousands of points at once.
-    Both are kept because numpy's fixed cost per call makes a one-point
-    ``eval_many`` about 16 times slower than ``eval`` (200 against 12.5 us on 2 vCPUs).
+    All evaluation goes through one array kernel.  ``eval_many`` takes an
+    array and marks lattice points in a mask; the circle quadrature and the
+    residual verifier call it on all their points at once.  ``eval`` is a
+    one-point adapter over it that raises ``PoleSignal`` on the lattice.
     """
 
     __slots__ = ("g2", "g3", "roots", "omega1", "omega2", "_c", "_inv")
@@ -149,50 +146,36 @@ class WeierstrassP:
         )
 
     def _basis_defect(self, basis: Tuple[complex, complex]) -> float:
-        """Max violation of the facts a true fundamental basis must satisfy."""
+        """Max violation of the facts a true fundamental basis must satisfy.
+
+        The probes go through one ``_kernel`` call with the candidate's own
+        halving radius; a non-finite value rejects the candidate.
+        """
         p1, p2 = basis
         if p1 == 0 or p2 == 0:
             return float("inf")
         tau = p2 / p1
         if abs(tau.imag) < 1e-9:
             return float("inf")
-        r0 = _HALVING_RADIUS * min(abs(p1), abs(p2))
-        worst = 0.0
-        # half-period values must reproduce the cubic's roots as a set
-        halves = (p1 / 2.0, p2 / 2.0, (p1 + p2) / 2.0)
-        vals = []
-        for h in halves:
-            x, y = self._eval_small(h, r0)
-            vals.append(x)
-            worst = max(worst, abs(y) / (1.0 + abs(x)) ** 1.5)
-        for r in self.roots:
-            d = min(abs(v - r) for v in vals)
-            worst = max(worst, d / (1.0 + abs(r)))
-        # translation by a candidate period must be invisible
-        for z in (0.31 + 0.17j, -0.22 + 0.41j):
-            u = z * min(abs(p1), abs(p2))
-            xa, _ = self._eval_small(u, r0)
-            xb, _ = self._eval_small(u + p1, r0)
-            xc, _ = self._eval_small(u + p2, r0)
-            m = 1.0 + abs(xa)
-            worst = max(worst, abs(xb - xa) / m, abs(xc - xa) / m)
-        return worst
+        short = min(abs(p1), abs(p2))
+        # the 3 half periods, then two probes v at v, v + p1 and v + p2
+        probes = [v * short for v in (0.31 + 0.17j, -0.22 + 0.41j)]
+        u = [(p1 / 2.0, p2 / 2.0, (p1 + p2) / 2.0)] + [(v, v + p1, v + p2) for v in probes]
+        x, y = self._kernel(np.array(u).ravel(), _HALVING_RADIUS * short)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            return float("inf")
+        x, roots = x.reshape(3, 3), np.array(self.roots)
+        # half-period values must reproduce the cubic's roots as a set,
+        # and translation by a candidate period must be invisible
+        return float(max(
+            (np.abs(y[:3]) / (1.0 + np.abs(x[0])) ** 1.5).max(),
+            (np.abs(x[0][:, None] - roots).min(axis=0) / (1.0 + np.abs(roots))).max(),
+            (np.abs(x[1:, 1:] - x[1:, :1]) / (1.0 + np.abs(x[1:, :1]))).max(),
+        ))
 
     # -- evaluation ----------------------------------------------------------
 
-    def _series(self, u: complex) -> Tuple[complex, complex]:
-        """(p, p') from the Laurent expansion; caller keeps |u| small."""
-        u2 = u * u
-        acc = 0j
-        dacc = 0j
-        pw = 1.0 + 0j
-        for k in range(2, _SERIES_TERMS + 1):
-            pw *= u2  # u^(2k-2)
-            acc += self._c[k] * pw
-            dacc += (2 * k - 2) * self._c[k] * pw / u
-        return 1.0 / u2 + acc, -2.0 / (u2 * u) + dacc
-
-    def _duplicate(self, x: complex, y: complex) -> Tuple[complex, complex]:
+    def _duplicate(self, x, y):
         # second derivative comes from differentiating the defining ODE
         d2 = 6.0 * x * x - self.g2 / 2.0
         ratio = d2 / y
@@ -201,59 +184,15 @@ class WeierstrassP:
         y2 = 3.0 * x * ratio - r2 * ratio / 4.0 - y
         return x2, y2
 
-    def _eval_small(self, u: complex, r0: Optional[float] = None) -> Tuple[complex, complex]:
-        """Series-plus-duplication evaluation without lattice reduction."""
-        if u == 0:
-            raise PoleSignal(u, 0j)
-        if r0 is None:
-            r0 = _HALVING_RADIUS * min(abs(self.omega1), abs(self.omega2))
-        n = 0
-        while abs(u) > r0 * (1 << n) and n < 40:
-            n += 1
-        x, y = self._series(u / (1 << n))
-        for _ in range(n):
-            x, y = self._duplicate(x, y)
-        return x, y
+    def _kernel(self, u: np.ndarray, r0: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(p, p') at nonzero points of a 1-d array, without lattice reduction.
 
-    def reduce(self, z: complex) -> complex:
-        """Translate z by lattice vectors into the cell around the origin."""
-        ia, ib, ic, id_ = self._inv
-        m = round(ia * z.real + ib * z.imag)
-        n = round(ic * z.real + id_ * z.imag)
-        return z - m * self.omega1 - n * self.omega2
-
-    def eval(self, z: complex) -> Tuple[complex, complex]:
-        """(p(z), p'(z)), raising PoleSignal on lattice points."""
-        u = self.reduce(complex(z))
-        if abs(u) <= _POLE_RTOL * min(abs(self.omega1), abs(self.omega2)):
-            raise PoleSignal(z, z - u)
-        return self._eval_small(u)
-
-    def eval_many(self, z) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p, p', pole_mask) at every point of an array, same shape as z.
-
-        Point by point this follows ``eval``: the same lattice reduction,
-        pole test and halving count, the series by Horner's rule in u^2, and
-        ``_duplicate`` on the arrays, each point duplicated only as often as
-        it was halved.  A point's bits do not depend on the other points,
-        in a batch of any size.  Where ``pole_mask`` is set, p and p' are
-        infinite.  A duplication that divides by a vanishing p' (an exact
-        half period) gives a non-finite value instead of ``ZeroDivisionError``.
+        Each point is halved at most 40 times, until it lies within r0, summed
+        by Horner's rule in u^2, and duplicated as often as it was halved, so
+        its bits do not depend on the other points.  Duplicating at a zero of
+        p' (an exact half period) gives a non-finite value.
         """
-        z = np.asarray(z, dtype=complex)
-        shape = z.shape
-        z = z.ravel()
-        ia, ib, ic, id_ = self._inv
-        m = np.round(ia * z.real + ib * z.imag)
-        n = np.round(ic * z.real + id_ * z.imag)
-        u = z - m * self.omega1 - n * self.omega2
-        scale = min(abs(self.omega1), abs(self.omega2))
         size = np.abs(u)
-        pole = size <= _POLE_RTOL * scale
-        # a harmless stand-in at poles keeps the arithmetic below finite
-        u[pole] = scale
-        size[pole] = scale
-        r0 = _HALVING_RADIUS * scale
         halvings = np.zeros(u.shape, dtype=np.int64)
         for level in range(40):
             more = size > r0 * (1 << level)
@@ -275,6 +214,40 @@ class WeierstrassP:
             for step in range(int(halvings.max(initial=0))):
                 idx = np.flatnonzero(halvings > step)
                 x[idx], y[idx] = self._duplicate(x[idx], y[idx])
+        return x, y
+
+    def reduce(self, z: complex) -> complex:
+        """Translate z by lattice vectors into the cell around the origin."""
+        ia, ib, ic, id_ = self._inv
+        m = round(ia * z.real + ib * z.imag)
+        n = round(ic * z.real + id_ * z.imag)
+        return z - m * self.omega1 - n * self.omega2
+
+    def eval(self, z: complex) -> Tuple[complex, complex]:
+        """(p(z), p'(z)) at one point by ``eval_many``, raising PoleSignal on lattice points."""
+        p, dp, pole = self.eval_many(z)
+        if pole:
+            raise PoleSignal(z, z - self.reduce(complex(z)))
+        return complex(p), complex(dp)
+
+    def eval_many(self, z) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, p', pole_mask) at every point of an array, same shape as z.
+
+        Each point is reduced into the cell around the origin and evaluated
+        by ``_kernel``.  Where ``pole_mask`` is set, p and p' are infinite.
+        """
+        z = np.asarray(z, dtype=complex)
+        shape = z.shape
+        z = z.ravel()
+        ia, ib, ic, id_ = self._inv
+        m = np.round(ia * z.real + ib * z.imag)
+        n = np.round(ic * z.real + id_ * z.imag)
+        u = z - m * self.omega1 - n * self.omega2
+        scale = min(abs(self.omega1), abs(self.omega2))
+        pole = np.abs(u) <= _POLE_RTOL * scale
+        # a harmless stand-in at poles keeps the arithmetic below finite
+        u[pole] = scale
+        x, y = self._kernel(u, _HALVING_RADIUS * scale)
         x[pole] = np.inf
         y[pole] = np.inf
         return x.reshape(shape), y.reshape(shape), pole.reshape(shape)

@@ -272,6 +272,25 @@ class TestClassifyAgreesWithCascade:
         assert consistent == (confinement_report(pattern, eq).kind == "confined")
 
 
+class TestDoubleZeroDoesNotConfine:
+    # the family's simple zero closes at offset 3; a zero of order 2 leaves
+    # poles of order 3 at offsets 1 and 3, for constant and z-dependent a
+    @pytest.mark.parametrize("triple", [(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 0, 1), (3, 2, 1)])
+    def test_probed_triples(self, triple):
+        self.check(build_normal_form(*triple))
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(small_gaussian, small_gaussian, small_gaussian)
+    def test_drawn_triples(self, lam, mu, nu):
+        self.check(build_normal_form(gauss(1) if lam.is_zero and mu.is_zero else lam, mu, nu))
+
+    @staticmethod
+    def check(eq):
+        pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 2), 3)
+        assert [pattern.entry_at(j).order for j in (1, 2, 3)] == [-3, 2, -3]
+        assert confinement_report(pattern, eq).kind == "bounded-pole-chain"
+
+
 nonzero_gaussian = small_gaussian.filter(lambda g: not g.is_zero)
 
 

@@ -59,7 +59,16 @@ def test_omitted_request_fields_take_their_defaults():
     assert all(type(v) is float for k, v in loaded.requests["nev"].items() if k[:2] == "r_")
 
 
-@pytest.mark.parametrize("seed", range(10))
+def test_request_counts_load_at_their_caps():
+    entry = json.loads(demo_corpus_text())["entries"][2]  # confined-basic
+    caps = {("cascade", "steps"): 4, ("verify", "samples"): 10_000, ("nev", "radii"): 500}
+    for (sub, field), cap in caps.items():
+        entry[sub][field] = cap
+    [loaded] = load_corpus(json.dumps({"schema_version": 1, "entries": [entry]}))
+    assert {(sub, field): loaded.requests[sub][field] for sub, field in caps} == caps
+
+
+@pytest.mark.parametrize("seed", range(30))
 def test_every_benchmark_corpus_loads(seed):
     # a load-time check that rejected a benchmark corpus would fail every operation
     for workload in _workloads().values():

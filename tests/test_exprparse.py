@@ -134,6 +134,24 @@ def test_power_and_integer_limits_are_inclusive():
         parse_expression("z+" + "1" * 2467)
 
 
+def test_folded_results_are_bounded():
+    # 32 factors of (1+z)^64 once took 2 s: each power passed, their product did not
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"result beyond degree 64 or 8192 bits "
+                       r"\(line 1, column 9\)"):
+        parse_expression("*".join(["(1+z)^64"] * 32))
+    assert time.perf_counter() - start < 0.1
+    assert parse_expression("z^32*z^32") == Z ** 64
+    assert parse_expression("1/z^40+1/(1+z)^24") == (Z ** 40 + (Z + 1) ** 24) / (
+        Z ** 40 * (Z + 1) ** 24)
+    assert parse_expression("2^4095*2^4096") == FieldElem.const(2 ** 8191)
+    for text, column in (("z^32*z^33", 5), ("1/z^40/z^25", 7), ("1/z^40+1/(1+z)^25", 7),
+                         ("z^64-1/z", 5), ("2^4096*2^4096", 7),
+                         ("2^4095*2^4096+2^4095*2^4096", 14)):
+        with pytest.raises(ParseError, match=rf"result beyond .* \(line 1, column {column}\)"):
+            parse_expression(text)
+
+
 # ---------------------------------------------------------------------------
 # Differential test: the parser against an unfolded reference
 
