@@ -163,10 +163,6 @@ def test_unknown_request_field_is_rejected(tmp_path, capsys, sub, entry_id, fiel
     ("cascade", "confined-basic", "order", 0, "at least 1"),
     ("verify", "confined-drifting", "samples", 0, "at least 1"),
     ("nev", "confined-basic", "radii", 1, "at least 2"),
-    # 5 cascade steps of confined-affine once ran for over 100 s
-    ("cascade", "confined-affine", "steps", 5, "at most 4"),
-    ("verify", "confined-basic", "samples", 10_001, "at most 10000"),
-    ("nev", "confined-basic", "radii", 501, "at most 500"),
     ("nev", "confined-basic", "r_min", 0, "positive and finite"),
     ("nev", "confined-basic", "r_max", -2.0, "positive and finite"),
     ("verify", "exponential-near-forcing", "p", 0, "nonzero"),
@@ -178,6 +174,10 @@ def test_unknown_request_field_is_rejected(tmp_path, capsys, sub, entry_id, fiel
     # as an unrelated ValueError or LinAlgError row
     ("verify", "confined-basic", "omega", [float("nan"), 0], "finite"),
     ("nev", "confined-basic", "g2", [float("inf"), 0], "finite"),
+    # 5 cascade steps of confined-affine once ran for over 100 s
+    ("cascade", "confined-affine", "steps", 5, "at most 4"),
+    ("verify", "confined-basic", "samples", 10_001, "at most 10000"),
+    ("nev", "confined-basic", "radii", 501, "at most 500"),
 ])
 def test_request_number_out_of_range_is_rejected(tmp_path, capsys, sub, entry_id, field,
                                                  value, rule):
