@@ -230,8 +230,7 @@ def verify_elliptic_family(
     p, dp, _ = w.eval_many(np.concatenate([z, z + 1.0, z - 1.0]) * om)
     value = alpha * (p - params.p_omega)
     wz, w_next, w_prev = np.split(value, 3)
-    res = np.abs(w_next - w_prev - lam * (alpha * om * dp[:samples]) / (wz * wz))
-    worst = float(res.max())
+    worst = float(np.abs(w_next - w_prev - lam * (alpha * om * dp[:samples]) / (wz * wz)).max())
     return VerifierReport(
         check="elliptic-family",
         params={**params.export(), "perturb": str(perturb)},

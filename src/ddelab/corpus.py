@@ -100,14 +100,13 @@ def _as_nonzero_complex(value: Any) -> complex:
     return z
 
 
-def _as_int(rule: str, ok: Callable[[int], bool], cap: float = math.inf) -> Callable[[Any], int]:
+def _as_int(*rules: Tuple[str, Callable[[int], bool]]) -> Callable[[Any], int]:
     def convert(value: Any) -> int:
         if not (_is_number(value) and isinstance(value, int)):
             raise ValueError(f"expected an integer, got {value!r}")
-        if not ok(value):
-            raise ValueError(f"must be {rule}, got {value!r}")
-        if value > cap:
-            raise ValueError(f"must be at most {cap}, got {value!r}")
+        for rule, ok in rules:
+            if not ok(value):
+                raise ValueError(f"must be {rule}, got {value!r}")
         return value
     return convert
 
@@ -128,17 +127,17 @@ def _as_seed(value: Any) -> SeedKind:
     return SeedKind(value)
 
 
-_COUNT = _as_int("at least 1", lambda n: n >= 1)
+_POSITIVE = ("at least 1", lambda n: n >= 1)
 # samples sets the size of one p batch (3 points a sample); the slowest demo
 # verify takes 0.2 s at 10000 samples
-_SAMPLES = {"samples": (_as_int("at least 1", lambda n: n >= 1, 10_000), 100)}
+_SAMPLES = {"samples": (_as_int(_POSITIVE, ("at most 10000", lambda n: n <= 10_000)), 100)}
 _LATTICE = {"g2": (_as_complex, None), "g3": (_as_complex, None), "omega": (_as_complex, None)}
-_FAMILY = {"p": (_as_int("nonzero", lambda n: n != 0), 1), "C": (_as_nonzero_complex, 1.0)}
+_FAMILY = {"p": (_as_int(("nonzero", lambda n: n != 0)), 1), "C": (_as_nonzero_complex, 1.0)}
 _GRID = {
     "r_min": (_as_radius, 1.0),
     "r_max": (_as_radius, 16.0),
     # one proximity quadrature a radius; the demo's elliptic table takes 0.5 s at 500
-    "radii": (_as_int("at least 2", lambda n: n >= 2, 500), 24),
+    "radii": (_as_int(("at least 2", lambda n: n >= 2), ("at most 500", lambda n: n <= 500)), 24),
 }
 
 # request -> kind -> (entry class the kind needs, or None for any;
@@ -147,8 +146,8 @@ _GRID = {
 _REQUESTS = {
     "cascade": {None: (None, {
         # the demo's slowest cascade (confined-affine) takes 0.05 s at 4 steps, over 100 s at 5
-        "steps": (_as_int("at least 1", lambda n: n >= 1, 4), 3),
-        "order": (_COUNT, 1), "seed": (_as_seed, "zero-of-w"),
+        "steps": (_as_int(_POSITIVE, ("at most 4", lambda n: n <= 4)), 3),
+        "order": (_as_int(_POSITIVE), 1), "seed": (_as_seed, "zero-of-w"),
     })},
     "verify": {
         "elliptic": (EqKind.INVERSE_SQUARE, {**_SAMPLES, **_LATTICE}),

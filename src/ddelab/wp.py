@@ -56,6 +56,27 @@ def _series_coefficients(g2: complex, g3: complex, terms: int) -> List[complex]:
     return c
 
 
+def _parts(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """b as the pair (Re b, i Im b) of complex arrays, for ``_times``.
+
+    numpy may fuse the multiply-adds of a complex product, which then rounds by
+    host and unlike its quarter turn; a product by a real or an imaginary
+    number has nothing to fuse.
+    """
+    return b.real.astype(complex), 1j * b.imag
+
+
+def _times(a, b: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """a * b for b given by ``_parts``, without a fused multiply-add."""
+    return a * b[0] + a * b[1]
+
+
+def _reciprocal(b: np.ndarray) -> np.ndarray:
+    """1/b as conj(b)/|b|^2 in real arithmetic, with no fused product either."""
+    d = b.real**2 + b.imag**2
+    return b.real / d - 1j * (b.imag / d)
+
+
 def _agm(a: complex, b: complex) -> complex:
     """Arithmetic-geometric mean with the right-choice square root branch."""
     for _ in range(64):
@@ -97,16 +118,14 @@ class WeierstrassP:
     __slots__ = ("g2", "g3", "roots", "omega1", "omega2", "_c", "_inv")
 
     def __init__(self, g2: complex, g3: complex):
-        g2 = complex(g2)
-        g3 = complex(g3)
+        g2, g3 = complex(g2), complex(g3)
         disc = g2**3 - 27.0 * g3**2
         scale = max(abs(g2) ** 3, abs(g3) ** 2, 1.0)
         if abs(disc) <= 1e-12 * scale:
             raise DegenerateLatticeError(
                 f"discriminant g2^3 - 27 g3^2 = {disc} is numerically zero"
             )
-        self.g2 = g2
-        self.g3 = g3
+        self.g2, self.g3 = g2, g3
         self.roots: Tuple[complex, complex, complex] = tuple(
             complex(r) for r in np.roots([4.0, 0.0, -g2, -g3])
         )
@@ -152,10 +171,7 @@ class WeierstrassP:
         halving radius; a non-finite value rejects the candidate.
         """
         p1, p2 = basis
-        if p1 == 0 or p2 == 0:
-            return float("inf")
-        tau = p2 / p1
-        if abs(tau.imag) < 1e-9:
+        if p1 == 0 or p2 == 0 or abs((p2 / p1).imag) < 1e-9:
             return float("inf")
         short = min(abs(p1), abs(p2))
         # the 3 half periods, then two probes v at v, v + p1 and v + p2
@@ -175,42 +191,36 @@ class WeierstrassP:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _duplicate(self, x, y):
-        # second derivative comes from differentiating the defining ODE
-        d2 = 6.0 * x * x - self.g2 / 2.0
-        ratio = d2 / y
-        r2 = ratio * ratio
-        x2 = r2 / 4.0 - 2.0 * x
-        y2 = 3.0 * x * ratio - r2 * ratio / 4.0 - y
-        return x2, y2
+    def _duplicate(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # the tangent at (x, y) to y^2 = 4x^3 - g2 x - g3 meets it again at (p(2u), -p'(2u))
+        slope = _parts(_times(6.0 * _times(x, _parts(x)) - self.g2 / 2.0, _parts(_reciprocal(y))))
+        x2 = 0.25 * _times(slope[0] + slope[1], slope) - 2.0 * x
+        return x2, _times(x - x2, slope) - y
 
     def _kernel(self, u: np.ndarray, r0: float) -> Tuple[np.ndarray, np.ndarray]:
         """(p, p') at nonzero points of a 1-d array, without lattice reduction.
 
-        Each point is halved at most 40 times, until it lies within r0, summed
-        by Horner's rule in u^2, and duplicated as often as it was halved, so
-        its bits do not depend on the other points.  Duplicating at a zero of
-        p' (an exact half period) gives a non-finite value.
+        Each point is halved until it lies within r0 (at most 40 times), summed
+        by Horner's rule in u^2 and duplicated back up, with no fused product
+        (see ``_parts``): its bits depend neither on the other points nor on the
+        host, and turn exactly with the lattice.  A zero of p' gives non-finite values.
         """
-        size = np.abs(u)
-        halvings = np.zeros(u.shape, dtype=np.int64)
-        for level in range(40):
-            more = size > r0 * (1 << level)
-            if not more.any():
-                break
-            halvings += more
+        # the least k >= 0 with |u| <= r0 * 2^k; a mantissa of 1/2 is a power of 2
+        mantissa, exponent = np.frexp(np.abs(u) / r0)
+        halvings = np.clip(exponent - (mantissa == 0.5), 0, 40)
         c = self._c
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u = u / np.ldexp(1.0, halvings)
-            s = u * u
-            x, y = np.zeros_like(s), np.zeros_like(s)
-            # Horner's rule, one chain each; no in-place complex product, which
-            # numpy computes without fused multiply-adds on one-element arrays
+            u = u * np.ldexp(1.0, -halvings)
+            by_u = _parts(u)
+            s = _times(u, by_u)
+            by_s = _parts(s)
+            x = y = 0j
             for k in range(_SERIES_TERMS, 1, -1):
-                x = (x + c[k]) * s
-                y = y * s + (2 * k - 2) * c[k]
-            x = x + 1.0 / s
-            y = y * u - 2.0 / (s * u)
+                x = _times(x, by_s) + c[k]
+                y = _times(y, by_s) + (2 * k - 2) * c[k]
+            # p = s x + 1/s and p' = u y - 2/(s u)
+            x = _times(x, by_s) + _reciprocal(s)
+            y = _times(y, by_u) - 2.0 * _reciprocal(_times(s, by_u))
             for step in range(int(halvings.max(initial=0))):
                 idx = np.flatnonzero(halvings > step)
                 x[idx], y[idx] = self._duplicate(x[idx], y[idx])
@@ -248,8 +258,7 @@ class WeierstrassP:
         # a harmless stand-in at poles keeps the arithmetic below finite
         u[pole] = scale
         x, y = self._kernel(u, _HALVING_RADIUS * scale)
-        x[pole] = np.inf
-        y[pole] = np.inf
+        x[pole] = y[pole] = np.inf
         return x.reshape(shape), y.reshape(shape), pole.reshape(shape)
 
     # -- lattice geometry ----------------------------------------------------
