@@ -48,8 +48,7 @@ def _series_coefficients(g2: complex, g3: complex, terms: int) -> List[complex]:
     earlier ones.
     """
     c = [0j] * (terms + 1)
-    c[2] = g2 / 20.0
-    c[3] = g3 / 28.0
+    c[2], c[3] = g2 / 20.0, g3 / 28.0
     for k in range(4, terms + 1):
         s = sum(c[m] * c[k - m] for m in range(2, k - 1))
         c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
@@ -68,7 +67,9 @@ def _parts(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _times(a, b: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """a * b for b given by ``_parts``, without a fused multiply-add."""
-    return a * b[0] + a * b[1]
+    out = a * b[0]
+    out += a * b[1]
+    return out
 
 
 def _reciprocal(b: np.ndarray) -> np.ndarray:
@@ -153,9 +154,7 @@ class WeierstrassP:
             m2 = _agm(cmath.sqrt(ea - ec), cmath.sqrt(eb - ec))
             if m1 == 0 or m2 == 0:
                 continue
-            half1 = cmath.pi / (2.0 * m1)
-            half2 = cmath.pi / (2.0j * m2)
-            basis = _gauss_reduce(2.0 * half1, 2.0 * half2)
+            basis = _gauss_reduce(cmath.pi / m1, cmath.pi / (1j * m2))
             err = self._basis_defect(basis)
             if err < _VALIDATE_TOL:
                 return basis
@@ -214,10 +213,12 @@ class WeierstrassP:
             by_u = _parts(u)
             s = _times(u, by_u)
             by_s = _parts(s)
-            x = y = 0j
-            for k in range(_SERIES_TERMS, 1, -1):
-                x = _times(x, by_s) + c[k]
-                y = _times(y, by_s) + (2 * k - 2) * c[k]
+            x, y = c[_SERIES_TERMS], (2 * _SERIES_TERMS - 2) * c[_SERIES_TERMS]
+            for k in range(_SERIES_TERMS - 1, 1, -1):
+                x = _times(x, by_s)
+                x += c[k]
+                y = _times(y, by_s)
+                y += (2 * k - 2) * c[k]
             # p = s x + 1/s and p' = u y - 2/(s u)
             x = _times(x, by_s) + _reciprocal(s)
             y = _times(y, by_u) - 2.0 * _reciprocal(_times(s, by_u))
@@ -246,9 +247,8 @@ class WeierstrassP:
         Each point is reduced into the cell around the origin and evaluated
         by ``_kernel``.  Where ``pole_mask`` is set, p and p' are infinite.
         """
-        z = np.asarray(z, dtype=complex)
-        shape = z.shape
-        z = z.ravel()
+        shape = np.shape(z)
+        z = np.asarray(z, dtype=complex).ravel()
         ia, ib, ic, id_ = self._inv
         m = np.round(ia * z.real + ib * z.imag)
         n = np.round(ic * z.real + id_ * z.imag)

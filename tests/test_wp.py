@@ -159,6 +159,27 @@ def scalar_reference(w, z):
     return x, y
 
 
+class ProductSpy(np.ndarray):
+    """Arrays that count the products (and quotients) they take part in, and
+    those of two complex factors each with nonzero real and imaginary parts:
+    the only products numpy may fuse into multiply-adds."""
+
+    products = fusable = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, ProductSpy) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in kwargs["out"])
+        if ufunc in (np.multiply, np.divide, np.square, np.power):
+            factors = plain if ufunc in (np.multiply, np.divide) else plain[:1] * 2
+            full = [x for x in factors
+                    if np.iscomplexobj(x) and np.any(np.real(x)) and np.any(np.imag(x))]
+            ProductSpy.products += 1
+            ProductSpy.fusable += len(full) == 2
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(ProductSpy) if isinstance(out, np.ndarray) else out
+
+
 def hex_pairs(p, dp):
     return [
         (a.real.hex(), a.imag.hex(), b.real.hex(), b.imag.hex())
@@ -224,6 +245,16 @@ class TestBatchKernel:
         alone = [w.eval_many(z[i:i + 1]) for i in range(z.size)]
         assert hex_pairs(np.concatenate([q[0] for q in alone]),
                          np.concatenate([q[1] for q in alone])) == hex_pairs(p, dp)
+
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_no_product_can_be_fused(self, g2, g3):
+        # so the kernel's bits do not depend on whether the host fuses
+        w = WeierstrassP(g2, g3)
+        rng = np.random.default_rng(43)
+        u = rng.uniform(-6, 6, 300) + 1j * rng.uniform(-6, 6, 300)
+        ProductSpy.products = ProductSpy.fusable = 0
+        w._kernel(u.view(ProductSpy), 0.25 * min(abs(w.omega1), abs(w.omega2)))
+        assert ProductSpy.products > 0 and ProductSpy.fusable == 0
 
     @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
     def test_turns_and_mirrors_move_the_bits_exactly(self, g2, g3):
