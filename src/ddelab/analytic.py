@@ -23,7 +23,7 @@ import numpy as np
 
 from .fieldelem import FieldElem
 from .mpoly import MPoly
-from .wp import PoleSignal, WeierstrassP
+from .wp import PoleSignal, WeierstrassP, _parts, _reciprocal, _times
 
 
 class ParamDomainError(ValueError):
@@ -154,6 +154,7 @@ class EllipticSolutionModel:
     """
 
     tag = "elliptic-solution"
+    even = True  # w(-z) = w(z), as p is even
 
     __slots__ = ("params", "_w")
 
@@ -162,9 +163,10 @@ class EllipticSolutionModel:
         self._w = params.engine
 
     def log_abs(self, z: np.ndarray) -> np.ndarray:
-        """log|w| on an array; infinite at poles instead of raising."""
-        p, _, _ = self._w.eval_many(np.asarray(z) * self.params.omega)
-        return np.log(np.abs(self.params.alpha * (p - self.params.p_omega)))
+        """log|w| on an array, infinite at poles; z W takes no fused product, so
+        log_abs(-z) has the bits of log_abs(z)."""
+        p, _, _ = self._w.eval_many(_times(z, _parts(self.params.omega)), derivative=False)
+        return np.log(abs(self.params.alpha) * np.abs(p - self.params.p_omega))
 
     def _scaled_lattice(self, radius: float, offset: complex) -> List[complex]:
         """Points (offset*omega + l)/omega with modulus <= radius, l on the lattice.
@@ -226,11 +228,13 @@ def verify_elliptic_family(
     z = np.array(_accepted_draws(
         samples, seed, clear_of_singularities, "sampling failed to avoid the singular set"
     ))
-    # p at z, z + 1 and z - 1 for every sample, in one batch
-    p, dp, _ = w.eval_many(np.concatenate([z, z + 1.0, z - 1.0]) * om)
-    value = alpha * (p - params.p_omega)
-    wz, w_next, w_prev = np.split(value, 3)
-    worst = float(np.abs(w_next - w_prev - lam * (alpha * om * dp[:samples]) / (wz * wz)).max())
+    # p at z, z + 1 and z - 1 for every sample, in one batch; no product is fused
+    p, dp, _ = w.eval_many(_times(np.concatenate([z, z + 1.0, z - 1.0]), _parts(om)))
+    wz, w_next, w_prev = np.split(_times(p - params.p_omega, _parts(alpha)), 3)
+    # lam w'(z) / w(z)^2, with w'(z) = alpha W p'(W z)
+    quotient = _times(dp[:samples], _parts(lam * alpha * om))
+    quotient = _times(quotient, _parts(_reciprocal(_times(wz, _parts(wz)))))
+    worst = float(np.abs(w_next - w_prev - quotient).max())
     return VerifierReport(
         check="elliptic-family",
         params={**params.export(), "perturb": str(perturb)},
@@ -253,6 +257,7 @@ class ExponentialModel:
     """
 
     tag = "exponential"
+    even = False
 
     __slots__ = ("C", "p", "rho")
 

@@ -8,12 +8,14 @@ first, and each arc between them where log|f| > 0 gets adaptive
 Gauss-Kronrod (7, 15) quadrature, which halves only the panels where log|f|
 bends.  A radius is nudged by one part in a million when a pole sits within
 a thousandth of it; an arc that reaches the point cap unsettled marks its
-row ``settled: false``.
+row ``settled: false``.  A model whose ``even`` is true has f(-z) = f(z), so
+log|f| repeats after a half turn: its circles are measured on [0, pi) alone,
+with half the scan nodes, arcs that wrap at pi, and m the arcs' sum over pi.
 
-A table samples its model in batches shared by all its radii: the 1024-node
-scans, each step of the ITP crossing refinement (at most 37; Oliveira and
-Takahashi, ACM TOMS 47(1), 2020), the sign test of the arcs and each
-quadrature round is one batch over every circle.
+A table samples its model in batches shared by all its radii: the scans
+(1024 nodes a circle), each step of the ITP crossing refinement (at most
+37; Oliveira and Takahashi, ACM TOMS 47(1), 2020), the sign test of the
+arcs and each quadrature round is one batch over every circle.
 ``log_abs`` takes and returns arrays; a batch reaches it in slices of at
 most 2048 points, which bounds the memory of one Weierstrass evaluation.
 
@@ -192,7 +194,9 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
     bracketed to 2^-43 rad, and every positive arc is integrated
     separately by ``_romberg``; the kinks of log+ then never sit inside an
     integration interval.  A radius is jittered away from any pole modulus
-    within the proximity window so that its scan sees finite values.  Every batch,
+    within the proximity window so that its scan sees finite values.  For an even
+    model the circle is the half turn [0, pi): the first half of the scan nodes,
+    arcs that wrap at pi, and the arcs' sum divided by pi.  Every batch,
     the scan included, spans all circles, and a point gets the arithmetic
     it gets alone, so no radius's result depends on the other radii.  ITP
     step j samples each cell of width w > 2 _ITP_EPS at its regula falsi point,
@@ -200,9 +204,10 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
     _ITP_EPS 2^(_ITP_STEPS - j) - w/2 of it; no cell takes over _ITP_STEPS steps.
     """
     circles = [_jittered_radius(model, r) for r in radii]
-    nodes = np.arange(_SCAN_NODES) * _CELL
-    scans = _sample_circle(model, np.repeat(circles, _SCAN_NODES), np.tile(nodes, len(circles)))
-    scans = scans.reshape(len(circles), _SCAN_NODES)
+    turn = math.pi if model.even else 2.0 * math.pi  # log|f(-z)| = log|f(z)| for an even f
+    nodes = np.arange(round(turn / _CELL)) * _CELL
+    scans = _sample_circle(model, np.repeat(circles, nodes.size), np.tile(nodes, len(circles)))
+    scans = scans.reshape(len(circles), nodes.size)
     succ = np.roll(scans, -1, axis=1)  # cell k runs from node k to node k + 1
     cells = [np.flatnonzero((v > 0.0) != (u > 0.0)) for v, u in zip(scans, succ)]
     r_cell = np.repeat(circles, [c.size for c in cells])
@@ -222,7 +227,7 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
         ends[idx, side], vals[idx, side] = x, fx
     # arcs between crossings, circle after circle; one sign all round is one arc
     bounds = [
-        np.append(c, c[0] + 2.0 * math.pi) if c.size else np.array([0.0, 2.0 * math.pi])
+        np.append(c, c[0] + turn) if c.size else np.array([0.0, turn])
         for c in np.split((ends[:, 0] + ends[:, 1]) / 2.0, np.cumsum([c.size for c in cells])[:-1])
     ]
     a = np.concatenate([x[:-1] for x in bounds])
@@ -235,7 +240,7 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
         lambda x: _sample_circle(model, x.imag, x.real),
         a + 1j * r_arc, b + 1j * r_arc, tol * np.maximum(b - a, 1e-3),
     )
-    return [Proximity(sum(totals[owner == k].tolist(), 0.0) / (2.0 * math.pi),
+    return [Proximity(sum(totals[owner == k].tolist(), 0.0) / turn,
                       bool(settled[owner == k].all())) for k in range(len(circles))]
 
 

@@ -2,7 +2,8 @@
 
 Evaluation works from (g2, g3) alone, in one kernel over arrays: argument
 halving until a truncated Laurent expansion near the origin applies, the
-expansion by Horner's rule, and the algebraic duplication formula back up.
+expansion by Horner's rule, and the duplication formula of p alone back up;
+p' is summed and doubled only for a caller that asks for it.
 Periods are recovered from the cubic's roots by the arithmetic-geometric mean
 and validated against the function itself (half-period values hit the roots,
 translation by a period is invisible), so a wrong AGM branch is rejected
@@ -21,6 +22,8 @@ import numpy as np
 # powers of z^2 kept beyond the double pole.  c_k = (2k-1) G_2k, so for |u| <= r0 =
 # |omega_min|/4 term k is at most (2k-1) C 4^(-2k) of u^-2 in p and (k-1)(2k-1) C 4^(-2k)
 # of 2u^-3 in p', with C = sum' (|omega_min|/|omega|)^4 < 8: the rest is < 2^-55 of each.
+# p' is summed only on request: p doubles by ((p^2 + g2/4)^2 + 2g3 p)/(4p^3 - g2 p - g3) (DLMF
+# 23.10), which needs no p' and, unlike the tangent's slope^2/4 - 2p, does not cancel near a pole.
 _SERIES_TERMS = 16
 _HALVING_RADIUS = 0.25  # of the shortest lattice vector
 _POLE_RTOL = 1e-9
@@ -55,13 +58,14 @@ def _series_coefficients(g2: complex, g3: complex, terms: int) -> List[complex]:
     return c
 
 
-def _parts(b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """b as the pair (Re b, i Im b) of complex arrays, for ``_times``.
+def _parts(b) -> Tuple[np.ndarray, np.ndarray]:
+    """b, an array or a number, as the pair (Re b, i Im b) of complex arrays, for ``_times``.
 
     numpy may fuse the multiply-adds of a complex product, which then rounds by
     host and unlike its quarter turn; a product by a real or an imaginary
     number has nothing to fuse.
     """
+    b = np.asanyarray(b)
     return b.real.astype(complex), 1j * b.imag
 
 
@@ -190,19 +194,27 @@ class WeierstrassP:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _duplicate(self, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # the tangent at (x, y) to y^2 = 4x^3 - g2 x - g3 meets it again at (p(2u), -p'(2u))
-        slope = _parts(_times(6.0 * _times(x, _parts(x)) - self.g2 / 2.0, _parts(_reciprocal(y))))
-        x2 = 0.25 * _times(slope[0] + slope[1], slope) - 2.0 * x
-        return x2, _times(x - x2, slope) - y
+    def _duplicate(self, x: np.ndarray, y: Optional[np.ndarray], idx: np.ndarray) -> None:
+        """p(u) to p(2u) in x[idx], and p'(u) to p'(2u) in y[idx] unless y is None."""
+        x1 = x[idx]
+        by_x = _parts(x1)
+        s = _times(x1, by_x)
+        top = s + self.g2 / 4.0
+        top = _times(top, _parts(top)) + _times(x1, _parts(2.0 * self.g3))
+        x[idx] = _times(top, _parts(_reciprocal(_times(4.0 * s - self.g2, by_x) - self.g3)))
+        if y is not None:
+            # the tangent at (x1, y) to y^2 = 4x^3 - g2 x - g3 meets it again at (p(2u), -p'(2u))
+            slope = _parts(_times(6.0 * s - self.g2 / 2.0, _parts(_reciprocal(y[idx]))))
+            y[idx] = _times(x1 - x[idx], slope) - y[idx]
 
-    def _kernel(self, u: np.ndarray, r0: float) -> Tuple[np.ndarray, np.ndarray]:
+    def _kernel(self, u: np.ndarray, r0: float, derivative: bool = True):
         """(p, p') at nonzero points of a 1-d array, without lattice reduction.
 
         Each point is halved until it lies within r0 (at most 40 times), summed
         by Horner's rule in u^2 and duplicated back up, with no fused product
         (see ``_parts``): its bits depend neither on the other points nor on the
-        host, and turn exactly with the lattice.  A zero of p' gives non-finite values.
+        host, and turn exactly with the lattice.  p' is None unless ``derivative``;
+        p has the same bits either way.  A zero of p' gives non-finite values.
         """
         # the least k >= 0 with |u| <= r0 * 2^k; a mantissa of 1/2 is a power of 2
         mantissa, exponent = np.frexp(np.abs(u) / r0)
@@ -217,14 +229,14 @@ class WeierstrassP:
             for k in range(_SERIES_TERMS - 1, 1, -1):
                 x = _times(x, by_s)
                 x += c[k]
-                y = _times(y, by_s)
-                y += (2 * k - 2) * c[k]
+                if derivative:
+                    y = _times(y, by_s)
+                    y += (2 * k - 2) * c[k]
             # p = s x + 1/s and p' = u y - 2/(s u)
             x = _times(x, by_s) + _reciprocal(s)
-            y = _times(y, by_u) - 2.0 * _reciprocal(_times(s, by_u))
+            y = _times(y, by_u) - 2.0 * _reciprocal(_times(s, by_u)) if derivative else None
             for step in range(int(halvings.max(initial=0))):
-                idx = np.flatnonzero(halvings > step)
-                x[idx], y[idx] = self._duplicate(x[idx], y[idx])
+                self._duplicate(x, y, np.flatnonzero(halvings > step))
         return x, y
 
     def reduce(self, z: complex) -> complex:
@@ -241,11 +253,11 @@ class WeierstrassP:
             raise PoleSignal(z, z - self.reduce(complex(z)))
         return complex(p), complex(dp)
 
-    def eval_many(self, z) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def eval_many(self, z, derivative: bool = True):
         """(p, p', pole_mask) at every point of an array, same shape as z.
 
-        Each point is reduced into the cell around the origin and evaluated
-        by ``_kernel``.  Where ``pole_mask`` is set, p and p' are infinite.
+        Each point is reduced into the cell around the origin and evaluated by
+        ``_kernel``.  p' is None unless ``derivative``; both are infinite at ``pole_mask``.
         """
         shape = np.shape(z)
         z = np.asarray(z, dtype=complex).ravel()
@@ -257,9 +269,9 @@ class WeierstrassP:
         pole = np.abs(u) <= _POLE_RTOL * scale
         # a harmless stand-in at poles keeps the arithmetic below finite
         u[pole] = scale
-        x, y = self._kernel(u, _HALVING_RADIUS * scale)
-        x[pole] = y[pole] = np.inf
-        return x.reshape(shape), y.reshape(shape), pole.reshape(shape)
+        x, y = (v if v is None else np.where(pole, np.inf, v).reshape(shape)
+                for v in self._kernel(u, _HALVING_RADIUS * scale, derivative))
+        return x, y, pole.reshape(shape)
 
     # -- lattice geometry ----------------------------------------------------
 

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from ddelab.analytic import (
@@ -46,6 +47,15 @@ class TestEllipticFamily:
         assert report.passed
         assert report.samples == 100
         assert report.max_residual <= 1e-8
+
+    def test_log_abs_is_even_to_the_bit(self):
+        # the half-circle proximity relies on log|w(-z)| = log|w(z)|
+        model = EllipticSolutionModel(self.params())
+        rng = np.random.default_rng(53)
+        z = rng.uniform(-9, 9, 4000) + 1j * rng.uniform(-9, 9, 4000)
+        z = np.concatenate([z, 3.0 * np.exp(2j * np.pi * np.arange(512) / 1024)])
+        assert [v.hex() for v in model.log_abs(-z).tolist()] == [
+            v.hex() for v in model.log_abs(z).tolist()]
 
     def test_wrong_scale_sign_breaks_the_identity(self):
         bad = self.params(flip_alpha_square=True)

@@ -178,6 +178,8 @@ def test_unknown_request_field_is_rejected(tmp_path, capsys, sub, entry_id, fiel
     ("cascade", "confined-affine", "steps", 5, "at most 4"),
     ("verify", "confined-basic", "samples", 10_001, "at most 10000"),
     ("nev", "confined-basic", "radii", 501, "at most 500"),
+    # order 8 of the demo cascade did not finish in 55 s
+    ("cascade", "confined-affine", "order", 4, "at most 3"),
 ])
 def test_request_number_out_of_range_is_rejected(tmp_path, capsys, sub, entry_id, field,
                                                  value, rule):

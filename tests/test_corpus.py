@@ -61,7 +61,8 @@ def test_omitted_request_fields_take_their_defaults():
 
 def test_request_counts_load_at_their_caps():
     entry = json.loads(demo_corpus_text())["entries"][2]  # confined-basic
-    caps = {("cascade", "steps"): 4, ("verify", "samples"): 10_000, ("nev", "radii"): 500}
+    caps = {("cascade", "steps"): 4, ("cascade", "order"): 3, ("verify", "samples"): 10_000,
+            ("nev", "radii"): 500}
     for (sub, field), cap in caps.items():
         entry[sub][field] = cap
     [loaded] = load_corpus(json.dumps({"schema_version": 1, "entries": [entry]}))

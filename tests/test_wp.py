@@ -14,7 +14,8 @@ from random import Random
 import numpy as np
 import pytest
 
-from ddelab.analytic import EllipticSolutionModel, elliptic_params
+import ddelab.analytic as analytic
+from ddelab.analytic import EllipticSolutionModel, elliptic_params, verify_elliptic_family
 from ddelab.nevanlinna import characteristic_table, growth_estimates, log_grid
 from ddelab.wp import DegenerateLatticeError, PoleSignal, WeierstrassP
 
@@ -187,6 +188,38 @@ def hex_pairs(p, dp):
     ]
 
 
+def hexes(values):
+    return [(a.real.hex(), a.imag.hex()) for a in values.tolist()]
+
+
+def reference_45_digits(g2, g3, u, r0, terms=80):
+    """(p, p') at u to 45 digits: halving below r0/2, an 80-term series, and the
+    tangent duplication, all in mpmath; no step rounds to double precision."""
+    import mpmath
+
+    with mpmath.workdps(45):
+        g2, g3 = mpmath.mpc(g2), mpmath.mpc(g3)
+        c = [mpmath.mpc(0)] * (terms + 1)
+        c[2], c[3] = g2 / 20, g3 / 28
+        for k in range(4, terms + 1):
+            c[k] = 3 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3))
+        out = []
+        for point in u:
+            v, n = mpmath.mpc(point), 0
+            while abs(v) > r0 / 2:
+                v, n = v / 2, n + 1
+            s, x, y = v * v, mpmath.mpc(0), mpmath.mpc(0)
+            for k in range(terms, 1, -1):
+                x, y = x * s + c[k], y * s + (2 * k - 2) * c[k]
+            x, y = x * s + 1 / s, y * v - 2 / (s * v)
+            for _ in range(n):
+                slope = (6 * x * x - g2 / 2) / y
+                x2 = slope * slope / 4 - 2 * x
+                x, y = x2, slope * (x - x2) - y
+            out.append((x, y))
+        return out
+
+
 class TestBatchKernel:
     @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
     def test_truncated_series_matches_a_longer_power_sum(self, g2, g3):
@@ -247,14 +280,40 @@ class TestBatchKernel:
                          np.concatenate([q[1] for q in alone])) == hex_pairs(p, dp)
 
     @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_p_has_the_same_bits_without_p_prime(self, g2, g3):
+        w = WeierstrassP(g2, g3)
+        z, _ = self.mixed_points(w)
+        p, _, pole = w.eval_many(z)
+        alone, none, alone_pole = w.eval_many(z, derivative=False)
+        assert none is None and (alone_pole == pole).all()
+        assert hexes(alone) == hexes(p)
+
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
+    def test_p_meets_a_45_digit_reference(self, g2, g3):
+        # 400 points of the cell around the origin, which eval_many leaves
+        # where they are; p within 2e-15 (1 + |p|), p' within 2e-12 |p'|
+        w = WeierstrassP(g2, g3)
+        rng = np.random.default_rng(47)
+        a, b = rng.uniform(-0.49, 0.49, (2, 400))
+        u = a * w.omega1 + b * w.omega2
+        p, dp, pole = w.eval_many(u)
+        assert not pole.any()
+        r0 = 0.25 * min(abs(w.omega1), abs(w.omega2))
+        for k, (x, y) in enumerate(reference_45_digits(g2, g3, u.tolist(), r0)):
+            assert abs(p[k] - x) <= 2e-15 * (1 + abs(x))
+            assert abs(dp[k] - y) <= 2e-12 * abs(y)
+
+    @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
     def test_no_product_can_be_fused(self, g2, g3):
-        # so the kernel's bits do not depend on whether the host fuses
+        # so the kernel's bits do not depend on whether the host fuses, with
+        # p' and without it
         w = WeierstrassP(g2, g3)
         rng = np.random.default_rng(43)
         u = rng.uniform(-6, 6, 300) + 1j * rng.uniform(-6, 6, 300)
-        ProductSpy.products = ProductSpy.fusable = 0
-        w._kernel(u.view(ProductSpy), 0.25 * min(abs(w.omega1), abs(w.omega2)))
-        assert ProductSpy.products > 0 and ProductSpy.fusable == 0
+        for derivative in (True, False):
+            ProductSpy.products = ProductSpy.fusable = 0
+            w._kernel(u.view(ProductSpy), 0.25 * min(abs(w.omega1), abs(w.omega2)), derivative)
+            assert ProductSpy.products > 0 and ProductSpy.fusable == 0
 
     @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
     def test_turns_and_mirrors_move_the_bits_exactly(self, g2, g3):
@@ -271,6 +330,9 @@ class TestBatchKernel:
         x, y = w._kernel(u, r0)
         assert hex_pairs(*turned._kernel(1j * u, r0)) == hex_pairs(-x, 1j * y)
         assert hex_pairs(*mirrored._kernel(u.conj(), r0)) == hex_pairs(x.conj(), y.conj())
+        # and p alone, as log|w| asks for it
+        assert hexes(turned._kernel(1j * u, r0, derivative=False)[0]) == hexes(-x)
+        assert hexes(mirrored._kernel(u.conj(), r0, derivative=False)[0]) == hexes(x.conj())
 
     @pytest.mark.parametrize("g2, g3", KERNEL_LATTICES)
     def test_defining_identity_on_many_points(self, g2, g3):
@@ -283,29 +345,72 @@ class TestBatchKernel:
         assert (defect <= 1e-9 * (1 + np.abs(p)) ** 3).all()
 
 
+class SpyingNumpy:
+    """numpy, except that ``array`` and ``concatenate`` return ProductSpy arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array(*args, **kwargs):
+        return np.array(*args, **kwargs).view(ProductSpy)
+
+    @staticmethod
+    def concatenate(*args, **kwargs):
+        return np.concatenate(*args, **kwargs).view(ProductSpy)
+
+
+class TestFamilyProducts:
+    # log|w| and the elliptic residual take no product numpy may fuse either,
+    # so the nev floats and max_residual of a lattice do not depend on the host
+    @pytest.fixture
+    def params(self, monkeypatch):
+        params = elliptic_params(4.0, 1.0, 1.0 + 0.3j, 1.0)
+        eval_many = WeierstrassP.eval_many
+
+        def spied(engine, z, derivative=True):
+            return tuple(v if v is None else v.view(ProductSpy)
+                         for v in eval_many(engine, z, derivative))
+
+        monkeypatch.setattr(WeierstrassP, "eval_many", spied)
+        ProductSpy.products = ProductSpy.fusable = 0
+        return params
+
+    def test_no_product_in_log_abs_can_be_fused(self, params):
+        z = 3.0 * np.exp(2j * np.pi * np.arange(300) / 300)
+        EllipticSolutionModel(params).log_abs(z.view(ProductSpy))
+        assert ProductSpy.products > 0 and ProductSpy.fusable == 0
+
+    def test_no_product_in_the_residual_can_be_fused(self, params, monkeypatch):
+        # the verifier makes its sample points with np.array and np.concatenate
+        monkeypatch.setattr(analytic, "np", SpyingNumpy())
+        assert verify_elliptic_family(params).passed
+        assert ProductSpy.products > 0 and ProductSpy.fusable == 0
+
+
 class TestFamilyParameterBytes:
     # alpha of w = alpha*(p(Wz) - p(W)) as the reports print it, recorded
-    # with the one p kernel.  The lattices are those of the nev-numeric
+    # with the one p kernel and its duplication of p alone.  The lattices are those of the nev-numeric
     # benchmark: the demo lattice (4, 1) with W = 1 + 0.3i, scaled by 1/2, 1
     # or 2, turned by a multiple of a quarter and maybe mirrored, with every
     # component rounded to 12 decimals as the generator writes it.  alpha
     # does not depend on the turn; a mirror conjugates it.
     ALPHA = {
-        (1, 0.5): "(0.13768495934744204+0.12955371143816716j)",
-        (1, 1.0): "(0.5507398373897682+0.5182148457526686j)",
-        (1, 2.0): "(2.2029593495590727+2.0728593830106745j)",
-        (2, 0.5): "(0.19471593684394078+0.18321661577162637j)",
-        (2, 1.0): "(0.7788637473757631+0.7328664630865055j)",
-        (2, 2.0): "(3.1154549895030526+2.931465852346022j)",
-        (3, 0.5): "(0.23847734502782503+0.22439361052002274j)",
-        (3, 1.0): "(0.9539093801113001+0.897574442080091j)",
-        (3, 2.0): "(3.8156375204452004+3.590297768320364j)",
-        (0.5, 0.5): "(0.09735796842197039+0.09160830788581319j)",
-        (0.5, 1.0): "(0.38943187368788157+0.36643323154325275j)",
-        (0.5, 2.0): "(1.5577274947515263+1.465732926173011j)",
-        (1.5, 0.5): "(0.16862894782853907+0.1586702436536411j)",
-        (1.5, 1.0): "(0.6745157913141563+0.6346809746145644j)",
-        (1.5, 2.0): "(2.698063165256625+2.5387238984582576j)",
+        (1, 0.5): "(0.13768495934744238+0.1295537114381671j)",
+        (1, 1.0): "(0.5507398373897695+0.5182148457526684j)",
+        (1, 2.0): "(2.202959349559078+2.0728593830106736j)",
+        (2, 0.5): "(0.19471593684394126+0.1832166157716263j)",
+        (2, 1.0): "(0.778863747375765+0.7328664630865052j)",
+        (2, 2.0): "(3.11545498950306+2.9314658523460206j)",
+        (3, 0.5): "(0.23847734502782558+0.22439361052002266j)",
+        (3, 1.0): "(0.9539093801113023+0.8975744420800906j)",
+        (3, 2.0): "(3.8156375204452093+3.5902977683203625j)",
+        (0.5, 0.5): "(0.09735796842197063+0.09160830788581314j)",
+        (0.5, 1.0): "(0.3894318736878825+0.3664332315432526j)",
+        (0.5, 2.0): "(1.55772749475153+1.4657329261730103j)",
+        (1.5, 0.5): "(0.16862894782853946+0.15867024365364105j)",
+        (1.5, 1.0): "(0.6745157913141578+0.6346809746145642j)",
+        (1.5, 2.0): "(2.6980631652566314+2.5387238984582567j)",
     }
 
     @staticmethod
