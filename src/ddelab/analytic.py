@@ -30,6 +30,10 @@ class ParamDomainError(ValueError):
     """Parameters outside the family's domain of validity."""
 
 
+# the residual bound of each family's verifier, exported in its report as "tol"
+_ELLIPTIC_TOL, _EXPONENTIAL_TOL, _MKDV_TOL = 1e-8, 1e-10, 1e-12
+
+
 # ---------------------------------------------------------------------------
 # verifier reports
 
@@ -42,8 +46,11 @@ class VerifierReport:
     params: Dict[str, str]
     samples: int
     max_residual: float
-    passed: bool
     tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
 
     def export(self) -> dict:
         return {
@@ -197,7 +204,6 @@ class EllipticSolutionModel:
 def verify_elliptic_family(
     params: EllipticParams,
     samples: int = 100,
-    tol: float = 1e-8,
     seed: int = 0,
     perturb: float = 0.0,
 ) -> VerifierReport:
@@ -240,8 +246,7 @@ def verify_elliptic_family(
         params={**params.export(), "perturb": str(perturb)},
         samples=samples,
         max_residual=worst,
-        passed=worst <= tol,
-        tol=tol,
+        tol=_ELLIPTIC_TOL,
     )
 
 
@@ -291,7 +296,6 @@ def verify_exponential(
     p: int,
     C: complex,
     samples: int = 100,
-    tol: float = 1e-10,
     seed: int = 0,
     perturb_b: complex = 0.0,
 ) -> VerifierReport:
@@ -328,8 +332,7 @@ def verify_exponential(
         params={"a": str(a), "p": str(p), "C": str(C), "perturb_b": str(perturb_b)},
         samples=samples,
         max_residual=worst,
-        passed=worst <= tol,
-        tol=tol,
+        tol=_EXPONENTIAL_TOL,
     )
 
 
@@ -443,7 +446,6 @@ def mkdv_reduction_check(
     lam: complex,
     nu: complex,
     samples: int = 100,
-    tol: float = 1e-12,
     seed: int = 0,
     perturb: float = 0.0,
 ) -> VerifierReport:
@@ -491,6 +493,5 @@ def mkdv_reduction_check(
         params={"lam": str(lam), "nu": str(nu), "perturb": str(perturb)},
         samples=samples,
         max_residual=worst,
-        passed=worst <= tol,
-        tol=tol,
+        tol=_MKDV_TOL,
     )

@@ -12,15 +12,14 @@ Grammar (whitespace-insensitive):
 INTEGER is a run of Unicode decimal digits (regex ``\\d``), exactly the digits
 ``int()`` reads; NAME is a letter or ``_`` followed by letters, digits and
 ``_``.  Rationals are written as quotients (``3/4``), which the general
-division rule handles.  ``i`` is the imaginary unit.  Allowed variable names
-are checked against a caller-supplied set (default: just ``z``), and any
-error carries a 1-based line and column.  Limits bound the work of one text,
-each a ``ParseError`` at the token that passes it: parentheses and unary
-minus signs nest at most 100 deep; an INTEGER has at most 8192 bits; a power
-x^n needs |n| * (total degree of x) <= 64 and |n| * (bit length of x's
-largest numerator or denominator) <= 8192; and the result of every ``+``,
-``-``, ``*`` and ``/`` has total degree <= 64 and bit length <= 8192 in the
-same sense.
+division rule handles.  ``i`` is the imaginary unit and ``z`` the one
+variable; any other NAME is an unknown symbol.  Any error carries a 1-based
+line and column.  Limits bound the work of one text, each a ``ParseError`` at
+the token that passes it: parentheses and unary minus signs nest at most 100
+deep; an INTEGER has at most 8192 bits; a power x^n needs |n| * (total degree
+of x) <= 64 and |n| * (bit length of x's largest numerator or denominator)
+<= 8192; and the result of every ``+``, ``-``, ``*`` and ``/`` has total
+degree <= 64 and bit length <= 8192 in the same sense.
 
 Numbers are folded while parsing: a value stays a ``GaussianRational`` until
 it meets a variable, where it is lifted with ``FieldElem.const`` and the
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .fieldelem import FieldElem
 from .gaussian import I, GaussianRational
@@ -94,11 +93,10 @@ def _size(value: Value) -> Tuple[int, int]:
 
 
 class _Parser:
-    def __init__(self, text: str, allowed: frozenset[str]):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.allowed = allowed
         self.depth = 0
 
     def error(self, message: str, tok: Token) -> ParseError:
@@ -189,7 +187,7 @@ class _Parser:
         if kind == "NAME":
             if text == "i":
                 return I
-            if text in self.allowed:
+            if text == "z":
                 return FieldElem.var(text)
             raise self.error(f"unknown symbol {text!r}", tok)
         if text == "(":
@@ -201,8 +199,8 @@ class _Parser:
         raise self.error(f"unexpected {text or 'end of input'!r}", tok)
 
 
-def parse_expression(text: str, allowed_vars: Iterable[str] = ("z",)) -> FieldElem:
+def parse_expression(text: str) -> FieldElem:
     """Parse an exact rational expression into a FieldElem."""
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {type(text).__name__}", 1, 1)
-    return _Parser(text, frozenset(allowed_vars)).parse()
+    return _Parser(text).parse()

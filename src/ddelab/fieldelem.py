@@ -101,9 +101,9 @@ class FieldElem:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def is_constant(self, var: str = "z") -> bool:
-        """Constant as a function of one variable (may involve other symbols)."""
-        return self.num.degree(var) <= 0 and self.den.degree(var) <= 0
+    def is_constant(self) -> bool:
+        """Constant as a function of z (may involve other symbols)."""
+        return self.num.degree("z") <= 0 and self.den.degree("z") <= 0
 
     def is_number(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -170,10 +170,9 @@ class FieldElem:
 
     # -- function-field operations -------------------------------------------------
 
-    def shift(self, c: Coeffish, var: str = "z") -> "FieldElem":
-        """Substitute var -> var + c."""
-        repl = MPoly.var(var) + MPoly.const(c)
-        return FieldElem(self.num.compose(var, repl), self.den.compose(var, repl))
+    def shift(self, c: Coeffish) -> "FieldElem":
+        """Substitute z -> z + c."""
+        return self.compose_var("z", MPoly.var("z") + MPoly.const(c))
 
     def derivative(self, var: str = "z") -> "FieldElem":
         n, d = self.num, self.den

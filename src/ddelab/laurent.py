@@ -152,10 +152,6 @@ class LaurentSeries:
             raise UncertifiedOrderError("series vanishes to the end of its window")
         return self.coefficient(self.lo)
 
-    @property
-    def is_zero_to_window(self) -> bool:
-        return not self.nums
-
     def coefficient(self, e: int) -> FieldElem:
         if e < self.lo:
             return _ZERO_FE
@@ -251,10 +247,6 @@ class LaurentSeries:
         return LaurentSeries._raw(
             self.lo, self.den * fe.den, [n * fe.num for n in self.nums], self.exact
         )
-
-    def shift_exponent(self, k: int) -> "LaurentSeries":
-        """Multiply by t^k."""
-        return LaurentSeries._raw(self.lo + k, self.den, list(self.nums), self.exact)
 
     def __pow__(self, n: int) -> "LaurentSeries":
         if not isinstance(n, int) or n < 0:
@@ -418,49 +410,30 @@ def _common_denominator(cs: Sequence[FieldElem]) -> tuple[MPoly, List[MPoly]]:
     return den, nums
 
 
-def ls_log_derivative(s: LaurentSeries, width: "int | None" = None) -> LaurentSeries:
-    """S'/S.  The leading coefficient is the exact local order.
-
-    ``width`` is passed to ``div``; an exact series of more than one term
-    needs it, a monomial does not.
-    """
-    if not s.nums:
-        if s.exact:
-            raise ZeroDivisionError("log-derivative of the zero series")
-        raise UncertifiedOrderError("log-derivative needs a certified leading term")
-    return s.derivative().div(s, width)
-
-
-def series_of_ratfunc(
-    r: FieldElem,
-    offset: Coeffish,
-    width: int,
-    var: str = "z",
-    center_var: str = "zhat",
-) -> LaurentSeries:
-    """Expand a rational function of ``var`` around ``center_var + offset``.
+def series_of_ratfunc(r: FieldElem, offset: Coeffish, width: int) -> LaurentSeries:
+    """Expand a rational function of z around z = zhat + offset.
 
     The result is a series in the local variable t with coefficients that are
-    exact field elements in ``center_var`` and any parameter symbols.  When
-    ``r`` is a polynomial of degree below ``width`` in ``var``, the expansion
-    terminates and the series is exact.
+    exact field elements in zhat and any parameter symbols.  When ``r`` is a
+    polynomial of degree below ``width`` in z, the expansion terminates and
+    the series is exact.
     """
-    num = _taylor_poly(r.num, offset, width, var, center_var)
-    den = _taylor_poly(r.den, offset, width, var, center_var)
+    num = _taylor_poly(r.num, offset, width)
+    den = _taylor_poly(r.den, offset, width)
     return num.div(den, width=width)
 
 
-def _taylor_poly(p: MPoly, offset: Coeffish, width: int, var: str, center_var: str) -> LaurentSeries:
-    """p at var = c + t, c = center_var + offset, as a series in t.
+def _taylor_poly(p: MPoly, offset: Coeffish, width: int) -> LaurentSeries:
+    """p at z = c + t, c = zhat + offset, as a series in t.
 
-    With p = sum_e P_e * var^e, coefficient m is
+    With p = sum_e P_e * z^e, coefficient m is
     sum_{e >= m} C(e, m) * P_e * c^(e - m): integer binomial weights on
     powers of c computed once, with no factorial to divide by.  The first
     ``width`` coefficients are kept, and the series is exact iff
-    deg_var(p) < width.
+    deg_z(p) < width.
     """
-    ps = p.coefficients(var)
-    pows = [_ONE_MP, MPoly.var(center_var) + MPoly.const(offset)][:len(ps)]
+    ps = p.coefficients("z")
+    pows = [_ONE_MP, MPoly.var("zhat") + MPoly.const(offset)][:len(ps)]
     while len(pows) < len(ps):
         pows.append(pows[-1] * pows[1])
     nums = []

@@ -359,18 +359,14 @@ def normal_form_series(
 ) -> LaurentSeries:
     """Evaluate N at z = zhat + offset + t with w given as a series in t."""
     wp = w.derivative()
-    if eq.kind == EqKind.PURE_LOG_DERIV:
-        a_s = series_of_ratfunc(eq.a, offset, width)
-        return series_of_ratfunc(eq.b, offset, width) - a_s * wp.div(w, width)
-    if eq.kind == EqKind.LOG_DERIV:
-        rhs = compose_rational(
-            eq.p_poly.coeffs, eq.q_poly.coeffs, w, offset, width
-        )
-        a_s = series_of_ratfunc(eq.a, offset, width)
-        return rhs - a_s * wp.div(w, width)
-    # inverse-square
     a_s = series_of_ratfunc(eq.a, offset, width)
-    b_s = series_of_ratfunc(eq.b, offset, width)
-    c_s = series_of_ratfunc(eq.c, offset, width)
-    winv = w.inverse(width)
-    return a_s * wp * winv * winv + b_s * winv + c_s
+    if eq.kind == EqKind.INVERSE_SQUARE:
+        b_s, c_s = (series_of_ratfunc(f, offset, width) for f in (eq.b, eq.c))
+        winv = w.inverse(width)
+        return a_s * wp * winv * winv + b_s * winv + c_s
+    # both log-derivative classes: a right side minus a(z) w'/w
+    if eq.kind == EqKind.PURE_LOG_DERIV:
+        rhs = series_of_ratfunc(eq.b, offset, width)
+    else:
+        rhs = compose_rational(eq.p_poly.coeffs, eq.q_poly.coeffs, w, offset, width)
+    return rhs - a_s * wp.div(w, width)

@@ -3,8 +3,10 @@
 The models measured here (the elliptic solution and the exponential) come
 with closed-form pole and zero sets, so the counting side of the
 characteristic is integer-exact and the only numeric error lives in the
-proximity integral.  On each circle the crossings of log|f| = 0 are found
-first, and each arc between them where log|f| > 0 gets adaptive
+proximity integral.  A table enumerates each inventory once: the counts of
+all its radii come from one sorted list of moduli, and one pole list decides
+the jitter of every radius.  On each circle the crossings of log|f| = 0 are
+found first, and each arc between them where log|f| > 0 gets adaptive
 Gauss-Kronrod (7, 15) quadrature, which halves only the panels where log|f|
 bends.  A radius is nudged by one part in a million when a pole sits within
 a thousandth of it; an arc that reaches the point cap unsettled marks its
@@ -26,6 +28,7 @@ grid, reported with confidence widths and never as asymptotic claims.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -47,31 +50,26 @@ _ITP_STEPS = math.ceil(math.log2(_CELL / (2.0 * _ITP_EPS))) + 1  # bisection's c
 # counting side: exact inventories to integrated counts
 
 
-def counting_data(points: Sequence[Tuple[complex, int]], r: float) -> Tuple[int, int, float, float]:
-    """(n, n_bar, N, N_bar) at radius r from an inventory of (point, mult).
+def counting_data(
+    points: Sequence[Tuple[complex, int]], radii: Sequence[float]
+) -> List[Tuple[int, int, float, float]]:
+    """(n, n_bar, N, N_bar) at every radius from an inventory of (point, mult).
 
-    The integrated counts use the closed form sum of log(r/|p|) plus the
-    origin term n(0) log r, which equals the standard logarithmic integral
-    of n exactly.
+    The moduli are sorted once, and a binary search finds each circle's
+    points.  N sums mult log(r/|p|) over them, plus the origin term n(0) log r:
+    the logarithmic integral of n, exactly.  Its split n log r - sum log|p|
+    would cancel.
     """
-    n = 0
-    n_bar = 0
-    acc = 0.0
-    acc_bar = 0.0
-    logr = math.log(r)
-    for p, mult in points:
-        ap = abs(p)
-        if ap > r:
-            continue
-        n += mult
-        n_bar += 1
-        if ap == 0.0:
-            acc += mult * logr
-            acc_bar += logr
-        else:
-            acc += mult * math.log(r / ap)
-            acc_bar += math.log(r / ap)
-    return n, n_bar, acc, acc_bar
+    inventory = sorted((abs(p), m) for p, m in points)
+    moduli = [ap for ap, _ in inventory]
+    mult = np.array([m for _, m in inventory], dtype=np.int64)
+    away = np.array([ap or 1.0 for ap in moduli])  # log(r/1) is the origin's log r
+    out = []
+    for r in radii:
+        k = bisect_right(moduli, r)
+        logs = np.log(r / away[:k])
+        out.append((int(mult[:k].sum()), k, float((mult[:k] * logs).sum()), float(logs.sum())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +185,15 @@ def _romberg(
     return np.bincount(owner, weights=value, minlength=k), settled
 
 
-def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Proximity]:
+def proximity(model, radii: Sequence[float]) -> List[Proximity]:
     """m(r, f), the mean of log+|f| over the circle |z| = r, for every r in radii.
 
     Each circle is scanned for sign changes of log|f|, each crossing is
     bracketed to 2^-43 rad, and every positive arc is integrated
     separately by ``_romberg``; the kinks of log+ then never sit inside an
-    integration interval.  A radius is jittered away from any pole modulus
-    within the proximity window so that its scan sees finite values.  For an even
+    integration interval.  The poles are enumerated once, out to the largest
+    radius's proximity window, and ``_jittered_radius`` moves each radius off
+    any pole modulus in its window so that its scan sees finite values.  For an even
     model the circle is the half turn [0, pi): the first half of the scan nodes,
     arcs that wrap at pi, and the arcs' sum divided by pi.  Every batch,
     the scan included, spans all circles, and a point gets the arithmetic
@@ -203,7 +202,9 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
     moved max(_ITP_KAPPA1 w^2, _ITP_EPS/2) towards the midpoint and held within
     _ITP_EPS 2^(_ITP_STEPS - j) - w/2 of it; no cell takes over _ITP_STEPS steps.
     """
-    circles = [_jittered_radius(model, r) for r in radii]
+    reach = max(radii) * (1.0 + 2.0 * _POLE_PROXIMITY)
+    moduli = sorted(abs(p) for p, _ in model.poles_upto(reach))
+    circles = [_jittered_radius(moduli, r) for r in radii]
     turn = math.pi if model.even else 2.0 * math.pi  # log|f(-z)| = log|f(z)| for an even f
     nodes = np.arange(round(turn / _CELL)) * _CELL
     scans = _sample_circle(model, np.repeat(circles, nodes.size), np.tile(nodes, len(circles)))
@@ -238,19 +239,25 @@ def proximity(model, radii: Sequence[float], tol: float = _QUAD_TOL) -> List[Pro
     a, b, r_arc, owner = a[positive], b[positive], r_arc[positive], owner[positive]
     totals, settled = _romberg(
         lambda x: _sample_circle(model, x.imag, x.real),
-        a + 1j * r_arc, b + 1j * r_arc, tol * np.maximum(b - a, 1e-3),
+        a + 1j * r_arc, b + 1j * r_arc, _QUAD_TOL * np.maximum(b - a, 1e-3),
     )
     return [Proximity(sum(totals[owner == k].tolist(), 0.0) / turn,
                       bool(settled[owner == k].all())) for k in range(len(circles))]
 
 
-def _jittered_radius(model, r: float) -> float:
-    poles = model.poles_upto(r * (1.0 + 2.0 * _POLE_PROXIMITY))
-    offend = [abs(p) for p, _ in poles if abs(abs(p) - r) <= _POLE_PROXIMITY * r]
-    if not offend:
+def _jittered_radius(moduli: Sequence[float], r: float) -> float:
+    """r, or r moved by _JITTER away from the nearest pole within _POLE_PROXIMITY r.
+
+    ``moduli`` are the sorted pole moduli out to at least r (1 + 2 _POLE_PROXIMITY).
+    r moves out if that pole is inside or on the circle; a tie goes to the
+    first pole in sorted order.
+    """
+    reach = 2.0 * _POLE_PROXIMITY * r  # wider than the window, so rounding misses no pole
+    lo = bisect_left(moduli, r - reach)
+    gaps = [abs(ap - r) for ap in moduli[lo:bisect_left(moduli, r + reach)]]
+    if not gaps or min(gaps) > _POLE_PROXIMITY * r:
         return r
-    nearest = min(offend, key=lambda ap: abs(ap - r))
-    direction = 1.0 if nearest <= r else -1.0
+    direction = 1.0 if moduli[lo + gaps.index(min(gaps))] <= r else -1.0
     return r * (1.0 + direction * _JITTER)
 
 
@@ -274,13 +281,7 @@ class NevRow:
     settled: bool
 
     def export(self) -> dict:
-        return {
-            "r": self.r, "n": self.n, "n_bar": self.n_bar,
-            "N": self.N, "N_bar": self.N_bar, "m": self.m, "T": self.T,
-            "n_zero": self.n_zero, "nbar_zero": self.nbar_zero,
-            "N_zero": self.N_zero, "Nbar_zero": self.Nbar_zero,
-            "settled": self.settled,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -300,22 +301,18 @@ def log_grid(r_min: float, r_max: float, count: int = 24) -> List[float]:
     return [r_min * ratio**i for i in range(count)]
 
 
-def characteristic_table(
-    model, r_grid: Sequence[float], tol: float = _QUAD_TOL
-) -> NevTable:
+def characteristic_table(model, r_grid: Sequence[float]) -> NevTable:
     """Counting and proximity data for each radius of an increasing grid."""
     grid = list(r_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("radius grid must be strictly increasing")
-    r_max = grid[-1]
-    poles = model.poles_upto(r_max)
-    zeros = model.zeros_upto(r_max)
-
-    rows = []
-    for r, (m, settled) in zip(grid, proximity(model, grid, tol)):
-        n, n_bar, N, N_bar = counting_data(poles, r)
-        nz, nbz, Nz, Nbz = counting_data(zeros, r)
-        rows.append(NevRow(r, n, n_bar, N, N_bar, m, m + N, nz, nbz, Nz, Nbz, settled))
+    poles = counting_data(model.poles_upto(grid[-1]), grid)
+    zeros = counting_data(model.zeros_upto(grid[-1]), grid)
+    rows = [
+        NevRow(r, n, n_bar, N, N_bar, m, m + N, nz, nbz, Nz, Nbz, settled)
+        for r, (m, settled), (n, n_bar, N, N_bar), (nz, nbz, Nz, Nbz)
+        in zip(grid, proximity(model, grid), poles, zeros)
+    ]
     return NevTable(model=model.describe(), rows=tuple(rows))
 
 
@@ -335,33 +332,19 @@ class GrowthEstimate:
     note: str
 
     def export(self) -> dict:
-        return {
-            "order": self.order,
-            "order_width": self.order_width,
-            "hyper_order": self.hyper_order,
-            "hyper_order_width": self.hyper_order_width,
-            "pole_hyper": self.pole_hyper,
-            "pole_hyper_width": self.pole_hyper_width,
-            "low_confidence": self.low_confidence,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
 
 def _slope_with_width(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares slope and a two-sigma width from the fit residuals."""
+    """Least-squares slope and a two-sigma width from the residuals of n > 2 points."""
     x = np.asarray(xs)
     y = np.asarray(ys)
-    n = len(x)
     xm = x - x.mean()
     denom = float(np.dot(xm, xm))
     slope = float(np.dot(xm, y) / denom)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
-    if n > 2:
-        se = math.sqrt(float(np.dot(resid, resid)) / (n - 2) / denom)
-    else:
-        se = float("inf")
-    return slope, 2.0 * se
+    return slope, 2.0 * math.sqrt(float(np.dot(resid, resid)) / (len(x) - 2) / denom)
 
 
 def growth_estimates(table: NevTable) -> GrowthEstimate:
@@ -422,15 +405,8 @@ class RatioRow:
     note: str = ""
 
     def export(self) -> dict:
-        return {
-            "r": self.r,
-            "zero_ratio": self.zero_ratio,
-            "degree_gap_lhs": self.degree_gap_lhs,
-            "zero_count_rhs": self.zero_count_rhs,
-            # no longer measured; kept as null so report layouts stay the same
-            "power_ratio": None,
-            "note": self.note,
-        }
+        # power_ratio is no longer measured; kept as null so report layouts stay the same
+        return {**vars(self), "power_ratio": None}
 
 
 @dataclass(frozen=True)

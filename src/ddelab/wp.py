@@ -28,6 +28,7 @@ _SERIES_TERMS = 16
 _HALVING_RADIUS = 0.25  # of the shortest lattice vector
 _POLE_RTOL = 1e-9
 _VALIDATE_TOL = 1e-8
+_LATTICE_CAP = 2_000_000  # cells one enumeration may visit, whatever radius a corpus asks for
 
 
 class DegenerateLatticeError(ValueError):
@@ -275,9 +276,7 @@ class WeierstrassP:
 
     # -- lattice geometry ----------------------------------------------------
 
-    def lattice_points_in_disk(
-        self, radius: float, offset: complex = 0j, cap: int = 2_000_000
-    ) -> List[complex]:
+    def lattice_points_in_disk(self, radius: float, offset: complex = 0j) -> List[complex]:
         """All points offset + m*omega1 + n*omega2 with modulus <= radius."""
         ia, ib, ic, id_ = self._inv
         # integer bounds from the inverse basis applied to the disk's box
@@ -287,10 +286,10 @@ class WeierstrassP:
         cn = ic * (-offset.real) + id_ * (-offset.imag)
         m_lo, m_hi = int(cm - reach_m) - 1, int(cm + reach_m) + 2
         n_lo, n_hi = int(cn - reach_n) - 1, int(cn + reach_n) + 2
-        if (m_hi - m_lo) * (n_hi - n_lo) > cap:
+        if (m_hi - m_lo) * (n_hi - n_lo) > _LATTICE_CAP:
             raise ValueError(
                 f"lattice enumeration would visit {(m_hi - m_lo) * (n_hi - n_lo)}"
-                f" cells; cap is {cap}"
+                f" cells; cap is {_LATTICE_CAP}"
             )
         # each point from its own integers: a running sum of periods would
         # carry rounding, and the origin of a generic lattice would miss 0

@@ -43,7 +43,7 @@ class TestEllipticFamily:
         return elliptic_params(g2=4.0, g3=1.0, omega=0.37 + 0.11j, lam=1.0, **kw)
 
     def test_family_satisfies_equation(self):
-        report = verify_elliptic_family(self.params(), samples=100, tol=1e-8)
+        report = verify_elliptic_family(self.params(), samples=100)
         assert report.passed
         assert report.samples == 100
         assert report.max_residual <= 1e-8
@@ -59,7 +59,7 @@ class TestEllipticFamily:
 
     def test_wrong_scale_sign_breaks_the_identity(self):
         bad = self.params(flip_alpha_square=True)
-        report = verify_elliptic_family(bad, samples=100, tol=1e-8)
+        report = verify_elliptic_family(bad, samples=100)
         assert not report.passed
         assert report.max_residual > 1e-3
 

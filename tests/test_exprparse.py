@@ -22,51 +22,44 @@ ONE = FieldElem.const(1)
 
 
 def test_integers_and_rationals():
-    assert parse_expression("3", ("z",)) == FieldElem.const(3)
-    assert parse_expression("2/3", ("z",)) == FieldElem.const(2) / FieldElem.const(3)
-    assert parse_expression("-1/4", ("z",)) == FieldElem.const(-1) / FieldElem.const(4)
+    assert parse_expression("3") == FieldElem.const(3)
+    assert parse_expression("2/3") == FieldElem.const(2) / FieldElem.const(3)
+    assert parse_expression("-1/4") == FieldElem.const(-1) / FieldElem.const(4)
 
 
 def test_imaginary_unit():
-    assert parse_expression("i", ("z",)) == FieldElem.const(gauss(0, 1))
-    assert parse_expression("i^2", ("z",)) == FieldElem.const(-1)
-    assert parse_expression("(1+i)*(1-i)", ("z",)) == FieldElem.const(2)
+    assert parse_expression("i") == FieldElem.const(gauss(0, 1))
+    assert parse_expression("i^2") == FieldElem.const(-1)
+    assert parse_expression("(1+i)*(1-i)") == FieldElem.const(2)
 
 
 def test_variables_and_precedence():
-    assert parse_expression("z^2 + 2*z + 1", ("z",)) == (Z + 1) * (Z + 1)
-    assert parse_expression("2*z^3", ("z",)) == FieldElem.const(2) * Z ** 3
+    assert parse_expression("z^2 + 2*z + 1") == (Z + 1) * (Z + 1)
+    assert parse_expression("2*z^3") == FieldElem.const(2) * Z ** 3
     # ^ binds tighter than unary minus on the base
-    assert parse_expression("-z^2", ("z",)) == FieldElem.const(-1) * Z * Z
+    assert parse_expression("-z^2") == FieldElem.const(-1) * Z * Z
 
 
 def test_division_and_rational_functions():
-    f = parse_expression("(z+1)/(z-1)", ("z",))
+    f = parse_expression("(z+1)/(z-1)")
     assert f == (Z + 1) / (Z - 1)
-    g = parse_expression("1/z^2", ("z",))
+    g = parse_expression("1/z^2")
     assert g == ONE / (Z * Z)
 
 
 def test_negative_exponent():
-    assert parse_expression("z^-1", ("z",)) == ONE / Z
-    assert parse_expression("2^-2", ("z",)) == FieldElem.const(1) / FieldElem.const(4)
-
-
-def test_multiple_variables():
-    f = parse_expression("lam + mu*z", ("z", "lam", "mu"))
-    lam = FieldElem.var("lam")
-    mu = FieldElem.var("mu")
-    assert f == lam + mu * Z
+    assert parse_expression("z^-1") == ONE / Z
+    assert parse_expression("2^-2") == FieldElem.const(1) / FieldElem.const(4)
 
 
 def test_unknown_symbol_rejected():
     with pytest.raises(ParseError):
-        parse_expression("q + 1", ("z",))
+        parse_expression("q + 1")
 
 
 def test_error_positions():
     try:
-        parse_expression("z + @", ("z",))
+        parse_expression("z + @")
     except ParseError as e:
         assert e.line == 1
         assert e.col == 5
@@ -76,26 +69,26 @@ def test_error_positions():
 
 def test_division_by_literal_zero():
     with pytest.raises(ParseError):
-        parse_expression("1/0", ("z",))
+        parse_expression("1/0")
     with pytest.raises(ParseError):
-        parse_expression("1/(2-2)", ("z",))
+        parse_expression("1/(2-2)")
 
 
 def test_zero_to_negative_power():
     with pytest.raises(ParseError):
-        parse_expression("0^-1", ("z",))
+        parse_expression("0^-1")
 
 
 def test_whitespace_and_nesting():
-    f = parse_expression("  ( z + 1 ) ^ 2  ", ("z",))
+    f = parse_expression("  ( z + 1 ) ^ 2  ")
     assert f == (Z + 1) * (Z + 1)
 
 
 def test_unbalanced_parens():
     with pytest.raises(ParseError):
-        parse_expression("(z+1", ("z",))
+        parse_expression("(z+1")
     with pytest.raises(ParseError):
-        parse_expression("z+1)", ("z",))
+        parse_expression("z+1)")
 
 
 def test_nesting_is_capped_before_the_stack_gives_out():
@@ -335,10 +328,10 @@ def _reference_parser():
 _reference_parse, _ReferenceParseError = _reference_parser()
 
 
-def _outcome(parse, errors, text, allowed):
+def _outcome(parse, errors, text):
     """What a parser makes of ``text``: the exact structure, or the error."""
     try:
-        value = parse(text, allowed)
+        value = parse(text)
     except errors as exc:
         return ("error", str(exc), exc.line, exc.col)
     num, den = value.num, value.den
@@ -351,9 +344,9 @@ def _tame(text):
     return math.prod(int(e) for e in re.findall(r"\^\s*-?\s*(\d+)", text)) <= 64
 
 
-def _assert_same_as_reference(text, allowed=("z",)):
-    assert _outcome(parse_expression, ParseError, text, allowed) == _outcome(
-        _reference_parse, _ReferenceParseError, text, allowed)
+def _assert_same_as_reference(text):
+    assert _outcome(parse_expression, ParseError, text) == _outcome(
+        _reference_parse, _ReferenceParseError, text)
 
 
 _ALPHABET = "0123456789zix+-*/^() \t\n$."
@@ -377,17 +370,17 @@ def _expressions(draw, depth=3):
 
 
 @_SETTINGS
-@given(st.text(alphabet=_ALPHABET, max_size=24), st.sampled_from([("z",), ("z", "x")]))
-def test_agrees_with_the_reference_on_any_text(text, allowed):
+@given(st.text(alphabet=_ALPHABET, max_size=24))
+def test_agrees_with_the_reference_on_any_text(text):
     assume(_tame(text))
-    _assert_same_as_reference(text, allowed)
+    _assert_same_as_reference(text)
 
 
 @_SETTINGS
-@given(_expressions(), st.sampled_from([("z",), ("z", "x")]))
-def test_agrees_with_the_reference_on_expressions(text, allowed):
+@given(_expressions())
+def test_agrees_with_the_reference_on_expressions(text):
     assume(_tame(text))
-    _assert_same_as_reference(text, allowed)
+    _assert_same_as_reference(text)
 
 
 def _texts(entry):

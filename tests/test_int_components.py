@@ -221,7 +221,7 @@ offsets = st.one_of(
 @SETTINGS
 @given(z_polys, offsets, st.integers(1, 6))
 def test_taylor_expansion_matches_the_derivative_definition(p, offset, width):
-    got = _taylor_poly(p, offset, width, "z", "zhat")
+    got = _taylor_poly(p, offset, width)
     want = reference_taylor(p, offset, width)
     assert got.exact == want.exact == (p.degree("z") < width)
     assert got.lo == want.lo

@@ -9,6 +9,7 @@ of the characteristic are confirmed against independent routes.
 import cmath
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -91,6 +92,26 @@ class CountingFake:
         return getattr(self.base, name)
 
 
+class InventoryFake:
+    """A model that counts the calls of its pole and zero inventories."""
+
+    def __init__(self, base):
+        self.base = base
+        self.even = base.even
+        self.calls = Counter()
+
+    def poles_upto(self, radius):
+        self.calls["poles_upto"] += 1
+        return self.base.poles_upto(radius)
+
+    def zeros_upto(self, radius):
+        self.calls["zeros_upto"] += 1
+        return self.base.zeros_upto(radius)
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+
 class WholeCircleFake:
     """A model with the values of its base, declared not even."""
 
@@ -101,6 +122,12 @@ class WholeCircleFake:
 
     def __getattr__(self, name):
         return getattr(self.base, name)
+
+
+def jittered(model, r):
+    """The radius ``proximity`` measures for r, from the model's poles near r."""
+    reach = r * (1.0 + 2.0 * nevanlinna._POLE_PROXIMITY)
+    return nevanlinna._jittered_radius(sorted(abs(p) for p, _ in model.poles_upto(reach)), r)
 
 
 @pytest.fixture(scope="module")
@@ -133,16 +160,16 @@ class TestLogGrid:
 
 class TestCountingData:
     def test_origin_point_contributes_log_r(self):
-        n, n_bar, N, N_bar = counting_data([(0j, 2)], 4.0)
+        ((n, n_bar, N, N_bar),) = counting_data([(0j, 2)], [4.0])
         assert (n, n_bar) == (2, 1)
         assert N == pytest.approx(2 * math.log(4.0))
         assert N_bar == pytest.approx(math.log(4.0))
         # below radius one the origin term goes negative, by convention
-        assert counting_data([(0j, 2)], 0.5)[2] < 0
+        assert counting_data([(0j, 2)], [0.5])[0][2] < 0
 
     def test_points_outside_radius_ignored(self):
         pts = [(3.0 + 0j, 1), (10.0 + 0j, 5)]
-        n, n_bar, N, N_bar = counting_data(pts, 5.0)
+        ((n, n_bar, N, N_bar),) = counting_data(pts, [5.0])
         assert (n, n_bar) == (1, 1)
         assert N == pytest.approx(math.log(5.0 / 3.0))
 
@@ -150,7 +177,7 @@ class TestCountingData:
         """Independent oracle: trapezoid integral of n(t)/t on 4e6 nodes."""
         r = 16.0
         pts = elliptic_model.poles_upto(r)
-        _, _, N_closed, _ = counting_data(pts, r)
+        ((_, _, N_closed, _),) = counting_data(pts, [r])
         mods = sorted(abs(p) for p, m in pts for _ in range(m))
         n0 = sum(1 for ap in mods if ap == 0.0)
         ts = np.linspace(1e-9, r, 4_000_001)
@@ -159,6 +186,67 @@ class TestCountingData:
             nvals[i:] += 1
         integral = float(np.trapezoid(nvals / ts, ts)) + n0 * math.log(r)
         assert abs(N_closed - integral) <= 1e-6 * abs(N_closed)
+
+
+def counts_alone(points, r):
+    """(n, n_bar, N, N_bar) at one radius, term by term with math.log."""
+    inside = [(p, mult) for p, mult in points if abs(p) <= r]
+    logs = [math.log(r) if p == 0 else math.log(r / abs(p)) for p, _ in inside]
+    return (sum(mult for _, mult in inside), len(inside),
+            math.fsum(mult * x for (_, mult), x in zip(inside, logs)), math.fsum(logs))
+
+
+def jittered_alone(model, r):
+    """The jitter as one enumeration per radius decides it."""
+    window = nevanlinna._POLE_PROXIMITY * r
+    near = [abs(p) for p, _ in model.poles_upto(r + 2.0 * window) if abs(abs(p) - r) <= window]
+    if not near:
+        return r
+    nearest = min(near, key=lambda ap: abs(ap - r))
+    return r * (1.0 + (1.0 if nearest <= r else -1.0) * nevanlinna._JITTER)
+
+
+class TestOneInventory:
+    # a table enumerates each inventory once for all its radii
+
+    def test_a_table_reads_each_inventory_once(self, elliptic_model, elliptic_table):
+        model = InventoryFake(elliptic_model)
+        table = characteristic_table(model, log_grid(1.0, 16.0, 24))
+        assert model.calls["poles_upto"] <= 2 and model.calls["zeros_upto"] == 1
+        assert table.export()["rows"] == elliptic_table.export()["rows"]
+
+    def test_counts_at_every_radius_match_one_radius_at_a_time(self, elliptic_model):
+        grid = log_grid(1.0, 16.0, 24)
+        for points in (elliptic_model.poles_upto(16.0), elliptic_model.zeros_upto(16.0)):
+            for r, found in zip(grid, counting_data(points, grid)):
+                want = counts_alone(points, r)
+                assert found[:2] == want[:2]
+                for got, ref in zip(found[2:], want[2:]):
+                    assert math.isclose(got, ref, rel_tol=1e-14, abs_tol=0.0)
+
+    @pytest.mark.parametrize("case", ["demo", "demo-reciprocal", "pole-on-circle", "tie"])
+    def test_jitter_from_one_inventory_matches_one_radius_at_a_time(
+        self, case, elliptic_model, monkeypatch
+    ):
+        nearest = min(abs(p) for p, _ in elliptic_model.poles_upto(3.0) if p != 0)
+        model, grid = {
+            "demo": (elliptic_model, log_grid(1.0, 16.0, 24) + [nearest]),
+            # the zeros at +-1 lie on |z| = 1
+            "demo-reciprocal": (ReciprocalFake(elliptic_model), log_grid(1.0, 16.0, 24)),
+            "pole-on-circle": (RationalFake([], [2.0]), [1.0, 2.0, 3.0]),
+            # poles 2^-10 inside and outside |z| = 2: the first in sorted order wins
+            "tie": (RationalFake([], [2.0 - 2.0**-10, 2.0 + 2.0**-10]), [2.0]),
+        }[case]
+        used = []
+        real = nevanlinna._jittered_radius
+        monkeypatch.setattr(nevanlinna, "_jittered_radius",
+                            lambda moduli, r: used.append(real(moduli, r)) or used[-1])
+        proximity(model, grid)
+        assert [x.hex() for x in used] == [jittered_alone(model, r).hex() for r in grid]
+        moved = sum(x != r for x, r in zip(used, grid))
+        assert moved == {"demo": 1, "demo-reciprocal": 3, "pole-on-circle": 1, "tie": 1}[case]
+        if case == "tie":
+            assert used == [2.0 * (1.0 + nevanlinna._JITTER)]
 
 
 class TestProximity:
@@ -187,10 +275,12 @@ class TestProximity:
             assert half_row.settled and whole_row.settled
             assert half_row.m == pytest.approx(whole_row.m, rel=1e-12)
 
-    def test_refinement_stability(self, elliptic_model):
+    def test_refinement_stability(self, elliptic_model, monkeypatch):
         r = 5.5
-        coarse = proximity(elliptic_model, [r], tol=1e-9)[0].m
-        fine = proximity(elliptic_model, [r], tol=1e-12)[0].m
+        monkeypatch.setattr(nevanlinna, "_QUAD_TOL", 1e-9)
+        coarse = proximity(elliptic_model, [r])[0].m
+        monkeypatch.setattr(nevanlinna, "_QUAD_TOL", 1e-12)
+        fine = proximity(elliptic_model, [r])[0].m
         assert abs(coarse - fine) <= 1e-8 * (1.0 + abs(fine))
 
 
@@ -230,7 +320,7 @@ class TestBatchedProximity:
         if case != "elliptic":
             assert alone[0] == (0.0, True) and all(p.m > 0.0 for p in alone[1:])
         if case == "rational":
-            assert nevanlinna._jittered_radius(model, 5.0) != 5.0
+            assert jittered(model, 5.0) != 5.0
 
     @staticmethod
     def exponential_m(C, p, r):
@@ -245,8 +335,8 @@ class TestBatchedProximity:
     @staticmethod
     def rational_jensen(model, r):
         # m(r, f) - m(r, 1/f) = log|f(0)| + N(r, 0) - N(r, oo), f(0) = 2/(-5)
-        zeros = counting_data(model.zeros_upto(r), r)[2]
-        poles = counting_data(model.poles_upto(r), r)[2]
+        zeros = counting_data(model.zeros_upto(r), [r])[0][2]
+        poles = counting_data(model.poles_upto(r), [r])[0][2]
         return math.log(0.4) + zeros - poles
 
     @pytest.mark.parametrize("case", ["exponential", "rational"])
@@ -261,7 +351,7 @@ class TestBatchedProximity:
                 assert p.m == pytest.approx(self.exponential_m(model.C, model.p, r), rel=1e-12)
                 continue
             # the circle m is measured on, and 1/f on the same circle
-            used = nevanlinna._jittered_radius(model, r)
+            used = jittered(model, r)
             inverse = proximity(ReciprocalFake(model), [used])[0]
             assert p.m - inverse.m == pytest.approx(self.rational_jensen(model, used), abs=1e-12)
         if case == "rational":
@@ -346,7 +436,7 @@ class TestSettled:
         nearest = min(abs(p) for p, _ in elliptic_model.poles_upto(3.0) if p != 0)
         table = characteristic_table(elliptic_model, [nearest, 3.0])
         assert [row.settled for row in table.rows] == [True, True]
-        used = nevanlinna._jittered_radius(elliptic_model, nearest)
+        used = jittered(elliptic_model, nearest)
         assert used != nearest
         spikes = [cmath.phase(p) for p, _ in elliptic_model.poles_upto(3.0)
                   if abs(abs(p) - used) <= 1e-3 * used]
@@ -553,8 +643,7 @@ class TestJensenFormula:
         constant = math.log(abs(params.alpha / params.omega**2))
         checked = 0
         for r, row, inv in zip(grid, elliptic_table.rows, inverse.rows):
-            if r != nevanlinna._jittered_radius(elliptic_model, r) or (
-                    r != nevanlinna._jittered_radius(reciprocal, r)):
+            if r != jittered(elliptic_model, r) or r != jittered(reciprocal, r):
                 continue
             checked += 1
             assert row.m - inv.m == pytest.approx(constant + row.N_zero - row.N, abs=1e-10)
