@@ -216,8 +216,13 @@ class TestOneInventory:
         assert table.export()["rows"] == elliptic_table.export()["rows"]
 
     def test_counts_at_every_radius_match_one_radius_at_a_time(self, elliptic_model):
-        grid = log_grid(1.0, 16.0, 24)
-        for points in (elliptic_model.poles_upto(16.0), elliptic_model.zeros_upto(16.0)):
+        demo = log_grid(1.0, 16.0, 24)
+        for points, grid in (
+            (elliptic_model.poles_upto(16.0), demo),
+            (elliptic_model.zeros_upto(16.0), demo),
+            # a point just inside the circle, where n log r - sum log|p| would cancel
+            ([(1e6 + 0j, 3), (3e6j, 1)], [1e6 * (1.0 + 2.0**-40), 4e6]),
+        ):
             for r, found in zip(grid, counting_data(points, grid)):
                 want = counts_alone(points, r)
                 assert found[:2] == want[:2]
