@@ -305,12 +305,18 @@ def verify_exponential(
     cancels identically and the log-derivative term reproduces b.  Sampling
     keeps |Im z| small enough that |w| stays within a few orders of C, so
     the reported residual measures the identity rather than float overflow.
+    A number a is evaluated once; a z-dependent a at every candidate, which
+    is rejected at a pole of a.  Each candidate draws the same two uniforms
+    either way, so the sample set does not depend on the form of a.
     """
     model = ExponentialModel(C, p)
     im_cap = 1.5 / abs(p)
+    a_number = a.eval_complex({}) if a.is_number() else None
 
     def clear_of_coefficient_poles(rng: Random) -> Optional[Tuple[complex, complex]]:
         z = complex(rng.uniform(-6.0, 6.0), rng.uniform(-im_cap, im_cap))
+        if a_number is not None:
+            return z, a_number
         try:
             return z, a.eval_complex({"z": z})
         except ZeroDivisionError:

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 from .cascade import second_difference
 from .fieldelem import FieldElem
-from .gaussian import GaussianRational
+from .gaussian import ZERO, GaussianRational
 from .model import (
     DelayDiffEq,
     EqKind,
@@ -26,7 +26,6 @@ from .model import (
     shares_root,
 )
 
-_ZERO = FieldElem.const(0)
 _Z = FieldElem.var("z")
 
 
@@ -145,16 +144,35 @@ _PI_FLAG_REL_TOL = 1e-12
 _PI_FLAG_MAX_P = 64
 
 
+def _number_ratio(f: FieldElem, g: FieldElem) -> Optional[GaussianRational]:
+    """The number c with f = c*g for nonzero g, or None when there is none.
+
+    No quotient is formed.  With F = f.num*g.den and G = g.num*f.den, f/g = F/G
+    is a number exactly when F = c*G.  Then F and G share their graded-lex
+    leading monomial, so c is the ratio of their leading coefficients, and one
+    exact comparison of F with c*G decides.  The parser's only variable is z,
+    so no other symbol reaches ``classify``, and a number is the same as a
+    constant in z.
+    """
+    big_f = f.num if g.den.is_constant() else f.num * g.den
+    big_g = g.num if f.den.is_constant() else g.num * f.den
+    if big_f.is_zero:
+        return ZERO
+    c = big_f.leading_coefficient() / big_g.leading_coefficient()
+    return c if big_f == big_g.scale(c) else None
+
+
 def _exponential_family_flag(a: FieldElem, b: FieldElem) -> Optional[str]:
     """Courtesy note when b/a sits numerically at a nonzero integer times pi*i.
 
-    Numeric by necessity (pi is not rational); tolerance 1e-12 relative, with
-    integer multiples searched up to 64.  Never feeds the verdict.
+    The ratio is read by ``_number_ratio``.  Numeric by necessity (pi is not
+    rational); tolerance 1e-12 relative, with integer multiples searched up to
+    64.  Never feeds the verdict.
     """
-    ratio = b / a
-    if not ratio.is_constant():
+    ratio = _number_ratio(b, a)
+    if ratio is None:
         return None
-    val = complex(ratio.constant_value())
+    val = complex(ratio)
     if val == 0:
         return None
     q = val / complex(0.0, cmath.pi)
@@ -216,7 +234,8 @@ def classify_inverse_square(eq: DelayDiffEq) -> Verdict:
 
     Passes exactly when c vanishes, a is affine, and the forcing term is
     nu*a - mu for a single constant nu; the triple is returned and rebuilding
-    from it reproduces the equation.
+    from it reproduces the equation.  nu is read by ``_number_ratio`` as the
+    number with b + mu = nu*a, without forming the quotient (b + mu)/a.
     """
     if eq.kind != EqKind.INVERSE_SQUARE:
         raise ValueError("classifier expects the inverse-square class")
@@ -236,8 +255,8 @@ def classify_inverse_square(eq: DelayDiffEq) -> Verdict:
             ),
         )
     lam, mu = parts
-    nu_fn = (eq.b + FieldElem.const(mu)) / eq.a
-    if not nu_fn.is_constant():
+    nu = _number_ratio(eq.b + FieldElem.const(mu), eq.a)
+    if nu is None:
         return Verdict(
             eq.kind, Outcome.VIOLATES_NECESSARY_CONDITION,
             (
@@ -245,7 +264,6 @@ def classify_inverse_square(eq: DelayDiffEq) -> Verdict:
                 "constant",
             ),
         )
-    nu = nu_fn.constant_value()
     params = NormalFormParams(lam, mu, nu)
     return Verdict(
         eq.kind, Outcome.CONSISTENT_BRANCH_A,

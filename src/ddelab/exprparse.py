@@ -21,11 +21,14 @@ of x) <= 64 and |n| * (bit length of x's largest numerator or denominator)
 <= 8192; and the result of every ``+``, ``-``, ``*`` and ``/`` has total
 degree <= 64 and bit length <= 8192 in the same sense.
 
-Numbers are folded while parsing: a value stays a ``GaussianRational`` until
-it meets a variable, where it is lifted with ``FieldElem.const`` and the
-``FieldElem`` operator runs.  Every ``FieldElem`` operation is therefore one
-that unfolded parsing would make too, and the result is the same down to the
-variable tables and term maps of numerator and denominator.
+Numbers are folded while parsing, and polynomials stay in the ring: a value
+stays a ``GaussianRational`` until it meets a variable, then an ``MPoly`` until
+it is divided by a non-number, raised to a negative power or meets a
+``FieldElem``; there it is lifted and the ``FieldElem`` operator runs.  An
+``MPoly`` step is the one that the ``FieldElem`` polynomial fast path takes (a
+zero result drops its variable table), and a quotient by a number scales the
+way ``FieldElem``'s normal form does.  The result is therefore the same as
+unfolded parsing, down to every variable table and term map of the result.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ import re
 from typing import List, Tuple, Union
 
 from .fieldelem import FieldElem
-from .gaussian import I, GaussianRational
+from .gaussian import I, ONE, GaussianRational
+from .mpoly import MPoly
 
-Value = Union[GaussianRational, FieldElem]
+Value = Union[GaussianRational, MPoly, FieldElem]
 Token = Tuple[str, str, int]  # kind (INT, NAME, OP, END), text, offset
 
 # leading whitespace is skipped; BAD catches any other character
@@ -76,19 +80,22 @@ def _tokenize(text: str) -> List[Token]:
 
 
 def _lift(x: Value) -> FieldElem:
-    return FieldElem.const(x) if type(x) is GaussianRational else x
+    if type(x) is GaussianRational:
+        return FieldElem.const(x)
+    return FieldElem(x) if type(x) is MPoly else x
 
 
 def _size(value: Value) -> Tuple[int, int]:
     """Total degree, and bit length of the largest numerator or denominator."""
     if type(value) is GaussianRational:
-        degree, coeffs = 0, (value,)
-    else:
-        polys = (value.num, value.den)
-        degree = max(sum(e) for p in polys for e in p.terms)
-        coeffs = [c for p in polys for c in p.terms.values()]
-    bits = max(q.bit_length() for c in coeffs for part in (c.re, c.im)
-               for q in (part.numerator, part.denominator))
+        re, im = value.re, value.im
+        return 0, max(re.numerator.bit_length(), re.denominator.bit_length(),
+                      im.numerator.bit_length(), im.denominator.bit_length())
+    polys = (value,) if type(value) is MPoly else (value.num, value.den)
+    degree = max((sum(e) for p in polys for e in p.terms), default=0)
+    bits = max((q.bit_length() for p in polys for c in p.terms.values()
+                for part in (c.re, c.im) for q in (part.numerator, part.denominator)),
+               default=0)
     return degree, bits
 
 
@@ -131,10 +138,22 @@ class _Parser:
             value = self.apply(tok, value, rhs)
 
     def apply(self, tok: Token, lhs: Value, rhs: Value) -> Value:
-        """``lhs op rhs`` for the operator token, in Q(i) while both are numbers."""
-        if type(lhs) is not type(rhs):
-            lhs, rhs = _lift(lhs), _lift(rhs)
-        value = _BINARY[tok[1]](lhs, rhs)
+        """``lhs op rhs`` for the operator token: in Q(i) while both are numbers,
+        in the ring while neither is a ``FieldElem`` and no divisor has a
+        variable, and in ``FieldElem`` otherwise (module docstring)."""
+        op, kinds = tok[1], {type(lhs), type(rhs)}
+        if FieldElem in kinds or op == "/" and type(rhs) is MPoly and not rhs.is_constant():
+            value = _BINARY[op](_lift(lhs), _lift(rhs))
+        elif MPoly in kinds:
+            lhs = MPoly.const(lhs) if type(lhs) is GaussianRational else lhs
+            if op == "/":
+                c = rhs.constant_value() if type(rhs) is MPoly else rhs
+                value = lhs if c == ONE else lhs.scale(c.inverse())
+            else:
+                value = _BINARY[op](lhs, rhs)
+                value = MPoly() if value.is_zero else value
+        else:
+            value = _BINARY[op](lhs, rhs)
         degree, bits = _size(value)
         if degree > _MAX_DEGREE or bits > _MAX_BITS:
             raise self.error(f"result beyond degree {_MAX_DEGREE} or {_MAX_BITS} bits", tok)
@@ -165,6 +184,8 @@ class _Parser:
             degree, bits = _size(value)
             if abs(n) * degree > _MAX_DEGREE or abs(n) * bits > _MAX_BITS:
                 raise self.error(f"power beyond degree {_MAX_DEGREE} or {_MAX_BITS} bits", tok)
+            if n < 0 and type(value) is MPoly:
+                value = _lift(value)
             value = value ** n
         return value
 
@@ -188,7 +209,7 @@ class _Parser:
             if text == "i":
                 return I
             if text == "z":
-                return FieldElem.var(text)
+                return MPoly.var(text)
             raise self.error(f"unknown symbol {text!r}", tok)
         if text == "(":
             value = self.expr()

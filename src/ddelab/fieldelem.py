@@ -35,7 +35,8 @@ from ``num +- num`` or ``num * num`` alone.  The result is exactly the one the
 general path gives, down to the variable table and the term map: that path
 would only multiply by the constant 1 and then reduce over it.  (Multiplying
 by 1 re-sorts a variable table that is out of ``mpoly``'s canonical order;
-no table the package builds is.)
+no table the package builds is.)  ``==`` of two polynomials compares the
+numerators, which is cross-multiplication less its two products by 1.
 
 Rational functions of the distinguished variable ``z`` are FieldElems whose
 function-field variable is ``z``; other symbols act as constants.
@@ -181,20 +182,11 @@ class FieldElem:
     def compose_var(self, var: str, replacement: MPoly) -> "FieldElem":
         return FieldElem(self.num.compose(var, replacement), self.den.compose(var, replacement))
 
-    def subs_values(self, values: Mapping[str, Coeffish]) -> "FieldElem":
-        den = self.den.subs_values(values)
-        if den.is_zero:
-            raise ZeroDivisionError("substitution lands on a pole")
-        return FieldElem(self.num.subs_values(values), den)
-
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         d = self.den.eval_complex(values)
         if d == 0:
             raise ZeroDivisionError("evaluation lands on a pole")
         return self.num.eval_complex(values) / d
-
-    def degree_pair(self, var: str = "z") -> Tuple[int, int]:
-        return self.num.degree(var), self.den.degree(var)
 
     def used_vars(self) -> Tuple[str, ...]:
         return tuple(sorted(set(self.num.used_vars()) | set(self.den.used_vars())))
@@ -206,6 +198,8 @@ class FieldElem:
             o = FieldElem.coerce(other)
         except TypeError:
             return NotImplemented
+        if self.den is _ONE_MP and o.den is _ONE_MP:
+            return self.num == o.num
         return (self.num * o.den - o.num * self.den).is_zero
 
     def __hash__(self):

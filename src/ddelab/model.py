@@ -68,10 +68,6 @@ class WPoly:
     def const(c) -> "WPoly":
         return WPoly([FieldElem.coerce(c)])
 
-    @staticmethod
-    def w() -> "WPoly":
-        return WPoly([_ZERO, _ONE])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -172,12 +168,17 @@ class FactoredDenominator:
                 raise EquationError("factor multiplicity must be positive")
 
     def expand(self) -> WPoly:
+        """The product, one linear factor at a time: multiplying
+        c_0 + ... + c_n w^n by (w - r) gives c_k <- c_(k-1) - r*c_k, with
+        c_(-1) = c_(n+1) = 0."""
         if self._product is None:
-            acc = WPoly.const(1)
+            coeffs = [_ONE]
             for root, mult in self.factors:
-                lin = WPoly([_ZERO - root, _ONE])
                 for _ in range(mult):
-                    acc = acc * lin
+                    coeffs = [-root * coeffs[0]] + [
+                        lo - root * hi for lo, hi in zip(coeffs, coeffs[1:])
+                    ] + [coeffs[-1]]
+            acc = WPoly(coeffs)
             if self.residual is not None:
                 acc = acc * self.residual
             object.__setattr__(self, "_product", acc)

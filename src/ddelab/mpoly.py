@@ -349,13 +349,6 @@ class MPoly:
                 out = out + pe
         return out
 
-    def subs_values(self, values: Mapping[str, Coeffish]) -> "MPoly":
-        """Substitute exact numeric values for some variables."""
-        out = self
-        for name, val in values.items():
-            out = out.compose(name, MPoly.const(val))
-        return out
-
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
         missing = [v for v in self.used_vars() if v not in values]
         if missing:

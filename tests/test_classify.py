@@ -1,7 +1,10 @@
 """Necessary-condition verdicts and parameter extraction."""
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from ddelab.cascade import (
 )
 from ddelab.classify import (
     NormalFormParams,
+    _number_ratio,
     Outcome,
     build_normal_form,
     classify,
@@ -23,8 +27,8 @@ from ddelab.classify import (
     classify_log_deriv,
     classify_pure_log_deriv,
 )
-from ddelab import model
-from ddelab.corpus import load_demo_corpus
+from ddelab import fieldelem, model
+from ddelab.corpus import load_corpus, load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import gauss
 from ddelab.model import (
@@ -332,3 +336,74 @@ class TestDispatch:
         assert out["eq_kind"] == "pure-log-deriv"
         assert out["outcome"] == "violates-necessary-condition"
         assert isinstance(out["details"], list)
+
+
+# ---------------------------------------------------------------------------
+# the ratio helper behind nu and the exponential-family flag
+
+
+_GAUSS = st.builds(
+    lambda re, im, den: gauss(Fraction(re, den), Fraction(im, den)),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+)
+_POLY = st.lists(_GAUSS, max_size=3).map(
+    lambda cs: sum((FieldElem.const(c) * Z ** k for k, c in enumerate(cs)), W0))
+_NONZERO_POLY = _POLY.filter(lambda f: not f.is_zero)
+_RATIONAL = st.one_of(st.builds(lambda n, d: n / d, _POLY, _NONZERO_POLY), _POLY)
+_NONZERO = _RATIONAL.filter(lambda f: not f.is_zero)
+
+
+@st.composite
+def _ratio_pairs(draw):
+    """(f, g): unrelated, zero f, a shared factor, or f = c*g."""
+    g = draw(_NONZERO)
+    kind = draw(st.sampled_from(["any", "zero", "shared", "multiple"]))
+    if kind == "any":
+        f = draw(_RATIONAL)
+    elif kind == "zero":
+        f = W0
+    elif kind == "shared":
+        h = draw(_NONZERO)
+        f, g = h * draw(_RATIONAL), h * g
+    else:
+        f = FieldElem.const(draw(_GAUSS)) * g
+    return f, g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ratio_pairs())
+def test_number_ratio_is_the_constant_quotient(pair):
+    f, g = pair
+    quotient = f / g
+    c = _number_ratio(f, g)
+    if quotient.is_number():
+        assert c is not None and c == quotient.constant_value()
+    else:
+        assert c is None
+
+
+def test_number_ratio_of_the_pinned_flag_case():
+    # a = z, b = 2*pi*i*z to seven digits: the ratio is the number itself
+    two_pi_i = gauss(0, Fraction(10838702, 1725033))
+    assert _number_ratio(FieldElem.const(two_pi_i) * Z, Z) == two_pi_i
+    assert _number_ratio(FieldElem.const(two_pi_i) * Z, Z + ONE) is None
+    assert _number_ratio(W0, Z) == gauss(0)
+
+
+def _batch_light_corpus(seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    return load_corpus(json.dumps(WORKLOADS["batch-light"].generate(seed)[0]))
+
+
+@pytest.mark.parametrize("corpus", ["demo", "batch-light"])
+def test_classify_reaches_no_univariate_gcd(corpus, monkeypatch):
+    # the parent made 1 call on the demo and 71 on batch-light at seed 7
+    entries = load_demo_corpus() if corpus == "demo" else _batch_light_corpus(7)
+    calls = []
+    gcd = fieldelem._gcd_with_content
+    monkeypatch.setattr(fieldelem, "_gcd_with_content",
+                        lambda *args: calls.append(args) or gcd(*args))
+    verdicts = [classify(entry.eq) for entry in entries]
+    assert len(verdicts) == len(entries) and calls == []

@@ -5,13 +5,14 @@ import math
 import re
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddelab import exprparse
+from ddelab import exprparse, fieldelem
 from ddelab.corpus import demo_corpus_text
 from ddelab.exprparse import ParseError, parse_expression
 from ddelab.fieldelem import FieldElem
@@ -381,6 +382,30 @@ def test_agrees_with_the_reference_on_any_text(text):
 def test_agrees_with_the_reference_on_expressions(text):
     assume(_tame(text))
     _assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(z-z)", "z-z+1", "-(z-z)", "(z-z)*z", "z/2", "(z-z)/2", "(z-z)^0", "(z-z)^3",
+    "(z+2-z)", "z/(z+2-z)", "i/(z-z+i)", "(2*z)/(2+i)", "z^-1", "(z+1)^-2",
+    "(z+1)/(z+1)", "(z-z+1)^-1", "3*(1/z)", "(1/z)*z-1",
+])
+def test_agrees_with_the_reference_on_ring_edge_cases(text):
+    # zero results, quotients by numbers that carry a variable table, and
+    # negative powers of polynomials
+    _assert_same_as_reference(text)
+
+
+def test_polynomials_are_parsed_without_the_normal_form(monkeypatch):
+    calls = []
+    reduce = fieldelem._reduce
+    monkeypatch.setattr(fieldelem, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+    assert parse_expression("(1/2+i)*z^2 - z/3 + (z+1)^2/(2-i)") == (
+        FieldElem.const(gauss(Fraction(1, 2) + Fraction(2, 5), 1 + Fraction(1, 5))) * Z * Z
+        + FieldElem.const(gauss(Fraction(4, 5) - Fraction(1, 3), Fraction(2, 5))) * Z
+        + FieldElem.const(gauss(Fraction(2, 5), Fraction(1, 5))))
+    assert calls == []
+    parse_expression("1/(z+1)")
+    assert len(calls) == 1
 
 
 def _texts(entry):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ddelab.corpus import CorpusError, parse_equation
 from ddelab.fieldelem import FieldElem
+from ddelab.gaussian import gauss
 from ddelab.laurent import LaurentSeries
 from ddelab.model import (
     DelayDiffEq,
@@ -24,6 +25,7 @@ from ddelab.model import (
     resultant_in_w,
     shares_root,
 )
+from ddelab.mpoly import MPoly
 
 Z = FieldElem.var("z")
 ONE = FieldElem.const(1)
@@ -57,7 +59,7 @@ def test_wpoly_trailing_zero_strip():
 
 
 def test_wpoly_arithmetic():
-    w = WPoly.w()
+    w = WPoly([ZERO, ONE])
     p = (w * w) + WPoly.const(1)
     q = p * p
     assert q.degree == 4
@@ -82,6 +84,23 @@ def test_factored_multiplicity_and_duplicates():
         FactoredDenominator(((Z, 1), (Z, 1)))
     with pytest.raises(EquationError):
         FactoredDenominator(((Z, 0),))
+
+
+@pytest.mark.parametrize("factors, residual", [
+    ((), None),
+    ((), WPoly([Z, ONE, FieldElem.const(3)])),
+    (((Z, 2), (FieldElem.const(2) * Z, 1)), None),
+    (((FieldElem.const(-1), 3), (FieldElem.const(gauss(1, 2)), 1)), None),
+    (((ONE / (Z + ONE), 2), (Z * Z, 1)), WPoly([Z, ONE, FieldElem.const(3)])),
+])
+def test_factored_expand_equals_the_wpoly_product(factors, residual):
+    product = WPoly.const(1)
+    for root, mult in factors:
+        for _ in range(mult):
+            product = product * WPoly([ZERO - root, ONE])
+    if residual is not None:
+        product = product * residual
+    assert FactoredDenominator(factors, residual).expand() == product
 
 
 # -- equation construction ---------------------------------------------------
@@ -183,7 +202,7 @@ def test_rational_degree_scaling_invariance():
 
 
 def test_resultant_frozen_values():
-    w = WPoly.w()
+    w = WPoly([ZERO, ONE])
     # Res(w, w - 1) = -1
     assert resultant_in_w(w, w - WPoly.const(1)) == FieldElem.const(-1)
     # shared root w = z
@@ -232,9 +251,10 @@ def test_resultant_numeric_sylvester_oracle():
 
     for _ in range(5):
         z0 = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-        val = res.subs_values({"z": z0})
-        pc = [Fraction(c.subs_values({"z": z0}).constant_value().re) for c in p.coeffs]
-        qc = [Fraction(c.subs_values({"z": z0}).constant_value().re) for c in q.coeffs]
+        at_z0 = MPoly.const(z0)
+        val = res.compose_var("z", at_z0)
+        pc = [Fraction(c.compose_var("z", at_z0).constant_value().re) for c in p.coeffs]
+        qc = [Fraction(c.compose_var("z", at_z0).constant_value().re) for c in q.coeffs]
         assert val.constant_value().re == num_sylvester(pc, qc)
 
 
