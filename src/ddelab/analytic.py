@@ -103,7 +103,6 @@ class EllipticParams:
     omega: complex
     lam: complex
     alpha: complex
-    alpha_square: complex
     sign_flipped: bool
     engine: WeierstrassP = field(repr=False, compare=False)
     p_omega: complex = field(repr=False, compare=False)  # p(W), evaluated once
@@ -144,11 +143,10 @@ def elliptic_params(
             "alpha is undefined there"
         )
     sign = 1.0 if flip_alpha_square else -1.0
-    alpha_square = sign * complex(lam) * complex(omega) / dp_om
-    alpha = cmath.sqrt(alpha_square)
+    alpha = cmath.sqrt(sign * complex(lam) * complex(omega) / dp_om)
     return EllipticParams(
         complex(g2), complex(g3), complex(omega), complex(lam),
-        alpha, alpha_square, flip_alpha_square, engine, p_om,
+        alpha, flip_alpha_square, engine, p_om,
     )
 
 
@@ -366,32 +364,24 @@ class DiffPoly:
             raise ValueError(
                 f"order {k} exceeds the certified truncation {self.order_cap}"
             )
-        if "eps" not in self.poly.vars:
-            return self.poly if k == 0 else MPoly()
-        i = self.poly.vars.index("eps")
-        rest = tuple(v for j, v in enumerate(self.poly.vars) if j != i)
-        terms = {}
-        for exps, c in self.poly.terms.items():
-            if exps[i] != k:
-                continue
-            key = tuple(e for j, e in enumerate(exps) if j != i)
-            terms[key] = c
-        return MPoly(rest, terms)
+        parts = self.poly.coefficients("eps")
+        return parts[k] if 0 <= k < len(parts) else MPoly()
 
     def leading_eps_order(self) -> Optional[int]:
         """Smallest eps power with a nonzero coefficient, None if all vanish."""
-        if self.poly.is_zero:
-            return None
-        if "eps" not in self.poly.vars:
-            return 0
-        i = self.poly.vars.index("eps")
-        return min(e[i] for e in self.poly.terms)
+        parts = self.poly.coefficients("eps")
+        return next((k for k, c in enumerate(parts) if not c.is_zero), None)
 
     def __str__(self) -> str:
         return str(self.poly)
 
 
-def continuum_limit(truncation: int = 7, lam_shift_symbol: Optional[str] = None) -> DiffPoly:
+# the eps order the continuum limit keeps: the eps^5 balance and the vanishing
+# eps^6 need derivative symbols up to y5, and order 8 would need y6
+_LIMIT_TRUNCATION = 7
+
+
+def continuum_limit(lam_shift_symbol: Optional[str] = None) -> DiffPoly:
     """Exact eps-expansion of the confined equation under the scaling limit.
 
     Substitutes w = 1 - eps^2*y(t) with t = eps*z, so shifted values become
@@ -399,19 +389,14 @@ def continuum_limit(truncation: int = 7, lam_shift_symbol: Optional[str] = None)
     term becomes -eps^3*y1, the slope mu is zero, the leading coefficient
     is 2, and the product of the two family constants is -eps^5/3.  Returns
     (shift difference)*w^2 - (coefficient terms), multiplied through by w^2
-    so the output is polynomial.  Orders above `truncation` would need
-    derivative symbols beyond y(truncation-2) and are dropped as
-    uncertified.
+    so the output is polynomial.  Orders above 7 would need derivative
+    symbols beyond y5 and are dropped as uncertified.
 
     The leading coefficient is allowed one higher-order correction: passing
     a symbol name adds symbol*eps to it, exposing how such freedom only
     moves orders above the leading balance.
     """
-    if truncation < 7:
-        raise ValueError(
-            "truncation below 7 cannot certify the eps^5 coefficient"
-        )
-    jmax = truncation - 2
+    jmax = _LIMIT_TRUNCATION - 2
     eps = MPoly.var("eps")
     one = MPoly.const(1)
     ys = [MPoly.var(f"y{j}") for j in range(jmax + 1)]
@@ -439,9 +424,9 @@ def continuum_limit(truncation: int = 7, lam_shift_symbol: Optional[str] = None)
     expanded = (wplus - wminus) * w0 * w0 - lam * wprime - lam_nu * w0
     i = expanded.vars.index("eps")
     kept = {
-        exps: c for exps, c in expanded.terms.items() if exps[i] <= truncation
+        exps: c for exps, c in expanded.terms.items() if exps[i] <= _LIMIT_TRUNCATION
     }
-    return DiffPoly(MPoly(expanded.vars, kept), truncation)
+    return DiffPoly(MPoly(expanded.vars, kept), _LIMIT_TRUNCATION)
 
 
 # ---------------------------------------------------------------------------

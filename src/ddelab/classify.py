@@ -210,23 +210,12 @@ def _affine_parts(a: FieldElem) -> Optional[Tuple[GaussianRational, GaussianRati
     """(constant, slope) when a = constant + slope*z, else None."""
     if not a.den.is_constant():
         return None
-    num = a.num
-    dc = a.den.constant_value()
-    if num.degree("z") > 1:
+    parts = a.num.coefficients("z")
+    if len(parts) > 2 or not all(p.is_constant() for p in parts):
         return None
-    if any(v != "z" for v in num.used_vars()):
-        return None
-    lam = GaussianRational.coerce(0)
-    mu = GaussianRational.coerce(0)
-    zi = num.vars.index("z") if "z" in num.vars else None
-    for exps, c in num.terms.items():
-        e = exps[zi] if zi is not None else 0
-        if e == 0:
-            lam = c
-        elif e == 1:
-            mu = c
-    inv = dc.inverse()
-    return lam * inv, mu * inv
+    inv = a.den.constant_value().inverse()
+    lam, mu = [p.constant_value() * inv for p in parts] + [ZERO] * (2 - len(parts))
+    return lam, mu
 
 
 def classify_inverse_square(eq: DelayDiffEq) -> Verdict:

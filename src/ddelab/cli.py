@@ -136,7 +136,7 @@ def _run_nev(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     if request["kind"] == "elliptic":
         model = EllipticSolutionModel(_elliptic_request(entry, request))
         table = characteristic_table(model, grid)
-        ratios = ratio_checks(table, entry.eq)
+        ratios = ratio_checks(table)
         return {
             "table": table.export(),
             "growth": growth_estimates(table).export(),

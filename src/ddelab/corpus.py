@@ -16,17 +16,19 @@ loads, before any analysis starts.  The requests, by ``kind``:
     nev elliptic (inverse-square)  r_min, r_max, radii, g2, g3, omega
     nev exponential (pure-log-deriv)  r_min, r_max, radii, p, C
 
-Fields, with defaults in brackets: ``steps`` an integer from 1 to 4 [3];
-``order`` an integer from 1 to 3 [1]; ``seed`` "zero-of-w" or "pole-of-w"
-["zero-of-w"]; ``samples`` an integer from 1 to 10000 [100]; ``p`` a nonzero
-integer [1]; ``C``, ``g2``, ``g3`` and ``omega`` a finite number or an
-[re, im] pair of finite numbers, ``C`` also nonzero [C: 1; the others
-required]; ``r_min`` < ``r_max`` positive finite numbers [1, 16]; ``radii``
-an integer from 2 to 500 [24].  The caps on ``steps``, ``order``, ``samples``
-and ``radii`` bound the work of one request; ``_REQUESTS`` gives the reason for
-each.  The multiplicities of ``q_factors`` sum to at most 64, which bounds the
-expansion of the denominator at load.  An error names its entry by ``id``, or
-by position when the ``id`` itself is wrong.
+Fields, with defaults in brackets: ``steps`` an integer from 1 to 4, and
+from 3 on an inverse-square entry, whose confinement verdict reads the cascade
+at offsets 1 to 3 [3]; ``order`` an integer from 1 to 3 [1]; ``seed``
+"zero-of-w" or "pole-of-w" ["zero-of-w"]; ``samples`` an integer from 1 to
+10000 [100]; ``p`` a nonzero integer [1]; ``C``, ``g2``, ``g3`` and ``omega``
+a finite number or an [re, im] pair of finite numbers, ``C`` also nonzero
+[C: 1; the others required]; ``r_min`` < ``r_max`` positive finite numbers
+[1, 16]; ``radii`` an integer from 2 to 500 [24].  The caps on ``steps``,
+``order``, ``samples`` and ``radii`` bound the work of one request;
+``_REQUESTS`` gives the reason for each.  The multiplicities of ``q_factors``
+sum to at most 64, which bounds the expansion of the denominator at load.  An
+error names its entry by ``id``, or by position when the ``id`` itself is
+wrong.
 """
 
 from __future__ import annotations
@@ -300,6 +302,11 @@ def _request(entry_id: str, eq_kind: EqKind, name: str, raw: Any) -> Dict[str, A
     if "r_min" in out and out["r_min"] >= out["r_max"]:
         raise CorpusError(f"{entry}: field '{name}.r_min': must be below r_max = "
                           f"{out['r_max']!r}, got {out['r_min']!r}")
+    # the one range that depends on the class: the confinement verdict of an
+    # inverse-square cascade reads the entries at offsets 1 to 3
+    if name == "cascade" and eq_kind == EqKind.INVERSE_SQUARE and out["steps"] < 3:
+        raise CorpusError(f"{entry}: field 'cascade.steps': must be at least 3 on an "
+                          f"inverse-square entry, got {out['steps']!r}")
     return out
 
 

@@ -188,9 +188,6 @@ class FieldElem:
             raise ZeroDivisionError("evaluation lands on a pole")
         return self.num.eval_complex(values) / d
 
-    def used_vars(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.num.used_vars()) | set(self.den.used_vars())))
-
     # -- comparison and display ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -327,11 +324,8 @@ def _gcd_with_content(g: ULi, p: MPoly, v: str) -> ULi:
 
 
 def _as_univariate(p: MPoly, v: str) -> ULi:
-    i = p.vars.index(v)
-    out: ULi = [ZERO] * (p.degree(v) + 1)
-    for exps, c in p.terms.items():
-        out[exps[i]] = out[exps[i]] + c
-    return _ulist_trim(out)
+    """The coefficients of p in v, for a p that involves no other variable."""
+    return [c.constant_value() for c in p.coefficients(v)]
 
 
 def _from_univariate(lst: ULi, v: str) -> MPoly:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, inf
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 from .fieldelem import FieldElem, _reduce, _tighten
 from .gaussian import ONE, GaussianRational
@@ -71,7 +71,7 @@ _ONE_MP = MPoly.const(1)
 
 
 class LaurentSeries:
-    __slots__ = ("lo", "den", "nums", "exact", "_fe")
+    __slots__ = ("lo", "den", "nums", "exact")
 
     def __init__(self, lo: int, coeffs: Sequence[Coeffish], exact: bool = False):
         cs = [FieldElem.coerce(c) for c in coeffs]
@@ -105,7 +105,6 @@ class LaurentSeries:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "exact", bool(exact))
-        object.__setattr__(self, "_fe", None)
 
     # -- constructors -------------------------------------------------------
 
@@ -118,19 +117,7 @@ class LaurentSeries:
         fe = FieldElem.coerce(c)
         return LaurentSeries._raw(exponent, fe.den, [fe.num], True)
 
-    @staticmethod
-    def one() -> "LaurentSeries":
-        return LaurentSeries.monomial(1, 0)
-
     # -- window bookkeeping ---------------------------------------------------
-
-    @property
-    def coeffs(self) -> Tuple[FieldElem, ...]:
-        cached = self._fe
-        if cached is None:
-            cached = tuple(FieldElem(n, self.den) for n in self.nums)
-            object.__setattr__(self, "_fe", cached)
-        return cached
 
     @property
     def hi(self) -> "int | float":
@@ -240,18 +227,10 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def scale(self, c: Coeffish) -> "LaurentSeries":
-        fe = FieldElem.coerce(c)
-        if fe.is_zero:
-            return LaurentSeries.zero(0, exact=True)
-        return LaurentSeries._raw(
-            self.lo, self.den * fe.den, [n * fe.num for n in self.nums], self.exact
-        )
-
     def __pow__(self, n: int) -> "LaurentSeries":
         if not isinstance(n, int) or n < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        out = LaurentSeries.one()
+        out = LaurentSeries.monomial(1)
         base = self
         while n:
             if n & 1:
@@ -352,12 +331,14 @@ class LaurentSeries:
         raise TypeError("LaurentSeries is not hashable")
 
     def __str__(self) -> str:
+        """The nonzero coefficients, each reduced on its own for display, and
+        an ``O(t^hi)`` tail unless the series is exact."""
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
+        for i, n in enumerate(self.nums):
+            if n.is_zero:
                 continue
             e = self.lo + i
-            cs = str(c)
+            cs = str(FieldElem(n, self.den))
             if any(ch in cs[1:] for ch in "+-") or "/" in cs:
                 cs = f"({cs})"
             if e == 0:

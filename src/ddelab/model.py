@@ -13,6 +13,10 @@ Every equation also carries the derived normal form
 
 which is what the cascade engine consumes.  Both views are exact.
 
+A log-deriv equation with a factored denominator expands the factors once,
+when it is built: the expansion is Q when no Q is given, and must equal a
+given Q.
+
 The module also provides degree reports for the right-hand side as a
 rational map of w, resultants in w, and the common-root test for P and Q.
 That test reads the supplied factorization Q = prod (w - r_i)^m_i * R:
@@ -24,9 +28,9 @@ on Q itself when no factorization was supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .fieldelem import FieldElem
 from .laurent import LaurentSeries, compose_rational, series_of_ratfunc
@@ -90,8 +94,11 @@ class WPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
 
     def evaluate(self, x: FieldElem) -> FieldElem:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
+        """Horner's rule from the top coefficient: d products at degree d."""
+        if self.is_zero:
+            return _ZERO
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
 
@@ -150,12 +157,10 @@ class FactoredDenominator:
 
     An optional residual factor covers a part the supplier asserts has no
     roots rational in z; expansion must reproduce the stored denominator.
-    The expansion is computed on first use and kept.
     """
 
     factors: Tuple[Tuple[FieldElem, int], ...]
     residual: Optional[WPoly] = None
-    _product: Optional[WPoly] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = [r for r, _ in self.factors]
@@ -168,21 +173,18 @@ class FactoredDenominator:
                 raise EquationError("factor multiplicity must be positive")
 
     def expand(self) -> WPoly:
-        """The product, one linear factor at a time: multiplying
-        c_0 + ... + c_n w^n by (w - r) gives c_k <- c_(k-1) - r*c_k, with
-        c_(-1) = c_(n+1) = 0."""
-        if self._product is None:
-            coeffs = [_ONE]
-            for root, mult in self.factors:
-                for _ in range(mult):
-                    coeffs = [-root * coeffs[0]] + [
-                        lo - root * hi for lo, hi in zip(coeffs, coeffs[1:])
-                    ] + [coeffs[-1]]
-            acc = WPoly(coeffs)
-            if self.residual is not None:
-                acc = acc * self.residual
-            object.__setattr__(self, "_product", acc)
-        return self._product
+        """The product, one linear factor at a time.  The coefficients below
+        the leading 1 are c_0 .. c_(n-1); multiplying by (w - r) gives
+        c_k <- c_(k-1) - r*c_k, with c_(-1) = 0 and the new c_n = c_(n-1) - r.
+        The leading 1 takes no product, so m factors cost m(m-1)/2."""
+        low: List[FieldElem] = []
+        for root, mult in self.factors:
+            for _ in range(mult):
+                low = ([-root * c for c in low[:1]]
+                       + [lo - root * hi for lo, hi in zip(low, low[1:])]
+                       + [low[-1] - root if low else -root])
+        product = WPoly(low + [_ONE])
+        return product if self.residual is None else product * self.residual
 
     def roots(self) -> Tuple[FieldElem, ...]:
         return tuple(r for r, _ in self.factors)
@@ -220,19 +222,20 @@ class DelayDiffEq:
                     f"a(z) identically zero is outside the {self.kind.value} class"
                 )
         if self.kind == EqKind.LOG_DERIV:
+            if self.q_factors is not None:
+                q = self.q_factors.expand()
+                if self.q_poly is None:
+                    object.__setattr__(self, "q_poly", q)
+                elif q != self.q_poly:
+                    raise EquationError(
+                        "factored denominator does not expand to Q"
+                    )
             if self.p_poly is None or self.q_poly is None:
                 raise EquationError("log-deriv equations need both P and Q")
             if self.q_poly.is_zero:
                 raise EquationError("denominator Q is identically zero")
             if self.q_poly.coefficient(0).is_zero:
                 raise EquationError("Q(z, 0) must not vanish identically")
-            # make_log_deriv passes the kept expansion itself: nothing to compare
-            fd = self.q_factors
-            if fd is not None and self.q_poly is not fd._product:
-                if fd.expand() != self.q_poly:
-                    raise EquationError(
-                        "factored denominator does not expand to Q"
-                    )
 
 
 def make_log_deriv(
@@ -243,22 +246,19 @@ def make_log_deriv(
 ) -> DelayDiffEq:
     """Build a log-deriv equation, normalizing the denominator to monic.
 
-    The factors are expanded once; the equation keeps that expansion as Q.
+    The linear factors are monic, so only a residual makes Q non-monic;
+    dividing the residual and P by its leading coefficient normalizes it.
     """
-    q = q_factors.expand()
     notes: Tuple[str, ...] = ()
-    if not q.is_monic:
-        # the linear factors are monic, so only a residual makes q non-monic,
-        # and dividing the residual by lc(q) divides the product: q is the
-        # new factorization's expansion
-        inv = q.leading.inverse()
-        q = q.scale(inv)
+    res = q_factors.residual
+    # a zero residual is left to the equation's zero-Q check
+    if res is not None and not res.is_zero and not res.is_monic:
+        inv = res.leading.inverse()
         p_poly = p_poly.scale(inv)
-        q_factors = FactoredDenominator(q_factors.factors, q_factors.residual.scale(inv))
-        object.__setattr__(q_factors, "_product", q)
+        q_factors = FactoredDenominator(q_factors.factors, res.scale(inv))
         notes = ("denominator normalized to monic",)
     return DelayDiffEq(
-        EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_poly=q, q_factors=q_factors,
+        EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_factors=q_factors,
         name=name, notes=notes,
     )
 

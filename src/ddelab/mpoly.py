@@ -78,10 +78,6 @@ class MPoly:
             return MPoly.const(1)
         return MPoly((name,), {(exp,): ONE})
 
-    @staticmethod
-    def zero() -> "MPoly":
-        return MPoly()
-
     @classmethod
     def _make(cls, vars: Tuple[str, ...], terms: Terms) -> "MPoly":
         # trusted constructor: terms must already be zero-free with aligned keys

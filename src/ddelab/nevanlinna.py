@@ -34,7 +34,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import DelayDiffEq, EqKind, rational_degree
 
 _JITTER = 1e-6
 _POLE_PROXIMITY = 1e-3
@@ -400,13 +399,12 @@ def growth_estimates(table: NevTable) -> GrowthEstimate:
 class RatioRow:
     r: float
     zero_ratio: Optional[float]
-    degree_gap_lhs: Optional[float]
-    zero_count_rhs: Optional[float]
     note: str = ""
 
     def export(self) -> dict:
-        # power_ratio is no longer measured; kept as null so report layouts stay the same
-        return {**vars(self), "power_ratio": None}
+        # columns no longer measured stay null so report layouts stay the same
+        return {**vars(self), "degree_gap_lhs": None, "zero_count_rhs": None,
+                "power_ratio": None}
 
 
 @dataclass(frozen=True)
@@ -418,27 +416,17 @@ class RatioReport:
         return {"threshold": self.threshold, "rows": [r.export() for r in self.rows]}
 
 
-def ratio_checks(table: NevTable, eq: Optional[DelayDiffEq]) -> RatioReport:
-    """Per-radius ratios against the zero-density threshold of 3/4.
+def ratio_checks(table: NevTable) -> RatioReport:
+    """Per-radius distinct-zero share of the characteristic, against the
+    zero-density threshold of 3/4.
 
-    Reads an already built characteristic table.  Reports the
-    distinct-zero share of the characteristic and the two sides of the
-    degree-gap bound for the rational-in-w class.
+    Reads an already built characteristic table.  A row whose T is too small
+    for a ratio is kept with a null ratio and a note.
     """
-    deg_gap = None
-    if eq is not None and eq.kind == EqKind.LOG_DERIV:
-        deg_gap = rational_degree(eq).deg_map - 3
     rows = []
     for row in table.rows:
-        note = ""
         if row.T < 1e-9:
-            zero_ratio = None
-            note = "T too small; row skipped"
+            rows.append(RatioRow(row.r, None, "T too small; row skipped"))
         else:
-            zero_ratio = row.Nbar_zero / row.T
-        lhs = rhs = None
-        if deg_gap is not None and zero_ratio is not None:
-            lhs = deg_gap * row.T
-            rhs = row.Nbar_zero
-        rows.append(RatioRow(row.r, zero_ratio, lhs, rhs, note))
+            rows.append(RatioRow(row.r, row.Nbar_zero / row.T))
     return RatioReport(tuple(rows))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ddelab import cli
 from ddelab.cascade import SeedKind
 from ddelab.corpus import (
     CorpusError,
@@ -116,3 +117,32 @@ def test_a_repeated_malformed_expression_names_its_first_carrier():
     ]
     with pytest.raises(CorpusError, match=r"^entry 'first': field 'b': unexpected '\*'"):
         load_corpus(_corpus_text(entries))
+
+
+def _cascade_steps_run(tmp_path, entry_id, steps):
+    doc = json.loads(demo_corpus_text())
+    entry = next(e for e in doc["entries"] if e["id"] == entry_id)
+    entry["cascade"]["steps"] = steps
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    return cli.run(["cascade", "--corpus", str(path), "--format", "json",
+                    "--out", str(tmp_path / "out.json")])
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_an_inverse_square_cascade_needs_three_steps_at_load(tmp_path, capsys, steps):
+    # the confinement verdict reads offsets 1 to 3; with fewer steps the row
+    # once failed in the analysis with a traceback and exit 1
+    assert _cascade_steps_run(tmp_path, "confined-basic", steps) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: entry 'confined-basic': field 'cascade.steps': must be at least 3 on an "
+        f"inverse-square entry, got {steps}\n"
+    )
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_a_log_deriv_cascade_runs_below_three_steps(tmp_path, steps):
+    assert _cascade_steps_run(tmp_path, "polynomial-blowup-quartic", steps) == cli.EXIT_OK
+    rows = json.loads((tmp_path / "out.json").read_text())["entries"]
+    row = next(r for r in rows if r["id"] == "polynomial-blowup-quartic")
+    assert row["pole_orders"] == [4, 16, 64][:steps]

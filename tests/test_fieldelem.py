@@ -18,7 +18,7 @@ ONE = FieldElem.const(1)
 
 def rand_rf(rng, maxdeg=2):
     def rand_poly():
-        p = MPoly.zero()
+        p = MPoly()
         for d in range(maxdeg + 1):
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             p = p + MPoly.const(c) * MPoly.var("z") ** d
@@ -35,7 +35,7 @@ def test_construction_and_zero():
     assert FieldElem.const(0).is_zero
     assert not Z.is_zero
     with pytest.raises(ZeroDivisionError):
-        FieldElem(MPoly.const(1), MPoly.zero())
+        FieldElem(MPoly.const(1), MPoly())
 
 
 def test_cross_multiplication_equality():

@@ -114,7 +114,7 @@ def test_exact_series_has_no_implicit_inverse_width():
     with pytest.raises(ValueError):
         s.inverse()
     with pytest.raises(ValueError):
-        LaurentSeries.one().div(s)
+        LaurentSeries.monomial(1).div(s)
     with pytest.raises(ValueError):
         s.derivative().div(s)
 
@@ -210,4 +210,4 @@ def test_series_of_ratfunc_polynomial_exact():
 
 def test_scale():
     s = LaurentSeries(0, [fe(1), fe(2)], exact=True)
-    assert s.scale(fe(3)).coefficient(1) == fe(6)
+    assert (s * LaurentSeries.monomial(3)).coefficient(1) == fe(6)

@@ -103,6 +103,45 @@ def test_factored_expand_equals_the_wpoly_product(factors, residual):
     assert FactoredDenominator(factors, residual).expand() == product
 
 
+def _count_field_products(monkeypatch):
+    calls = []
+    mul = FieldElem.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElem, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("factors", [
+    ((Z, 1),),
+    ((Z, 2), (FieldElem.const(2) * Z, 1)),
+    ((FieldElem.const(-1), 3), (FieldElem.const(gauss(1, 2)), 1), (ONE / (Z + ONE), 2)),
+])
+def test_expand_takes_no_product_by_the_leading_one(monkeypatch, factors):
+    want = FactoredDenominator(factors).expand()
+    m = sum(mult for _, mult in factors)
+    calls = _count_field_products(monkeypatch)
+    assert FactoredDenominator(factors).expand() == want
+    assert len(calls) == m * (m - 1) // 2
+
+
+@pytest.mark.parametrize("coeffs", [
+    [Z],
+    [ONE, Z],
+    [Z + ONE, ZERO, ONE / Z, FieldElem.const(gauss(2, -1))],
+])
+def test_evaluate_starts_horner_at_the_top_coefficient(monkeypatch, coeffs):
+    p = WPoly(coeffs)
+    x = Z * Z - FieldElem.const(3)
+    want = sum((c * x ** k for k, c in enumerate(coeffs)), ZERO)
+    calls = _count_field_products(monkeypatch)
+    assert p.evaluate(x) == want
+    assert len(calls) == p.degree
+
+
 # -- equation construction ---------------------------------------------------
 
 
@@ -122,6 +161,13 @@ def test_q_at_zero_must_not_vanish():
     # Q = w has Q(z, 0) = 0
     with pytest.raises(EquationError):
         make_log_deriv(ONE, WPoly([ONE]), FactoredDenominator(((ZERO, 1),)))
+
+
+def test_a_zero_residual_is_an_equation_error():
+    # the monic normalization once read the leading coefficient of Q = 0, and
+    # its ValueError escaped the corpus load with a traceback
+    with pytest.raises(EquationError, match="identically zero"):
+        make_log_deriv(ONE, WPoly([ONE]), FactoredDenominator(((Z, 1),), WPoly([])))
 
 
 def test_monic_normalization():

@@ -8,7 +8,7 @@ from ddelab.mpoly import MPoly
 
 
 def rand_poly(rng, vars_=("z", "alpha"), nterms=4, maxdeg=3):
-    p = MPoly.zero()
+    p = MPoly()
     for _ in range(nterms):
         c = gauss(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
         m = MPoly.const(c)
@@ -20,11 +20,11 @@ def rand_poly(rng, vars_=("z", "alpha"), nterms=4, maxdeg=3):
 
 def test_constructors():
     z = MPoly.var("z")
-    assert MPoly.zero().is_zero
+    assert MPoly().is_zero
     assert MPoly.const(3).constant_value() == gauss(3)
     assert z.degree("z") == 1
     assert z.degree("alpha") == 0
-    assert MPoly.zero().degree("z") == -1
+    assert MPoly().degree("z") == -1
 
 
 def test_arithmetic_basics():
@@ -32,7 +32,7 @@ def test_arithmetic_basics():
     p = (z + 1) * (z - 1)
     assert p == z * z - 1
     assert (z + 1) ** 2 == z * z + 2 * z + 1
-    assert p - p == MPoly.zero()
+    assert p - p == MPoly()
 
 
 def test_ring_axioms_randomized():
