@@ -344,53 +344,23 @@ def verify_exponential(
 # small-amplitude continuum limit, exact in eps
 
 
-class DiffPoly:
-    """Polynomial in eps and derivative symbols y0..yJ, exact coefficients.
-
-    yj stands for the j-th derivative of the limit profile at the running
-    point.  The eps-grading is the whole content: coefficients of each
-    power are polynomials in the yj.
-    """
-
-    __slots__ = ("poly", "order_cap")
-
-    def __init__(self, poly: MPoly, order_cap: int):
-        self.poly = poly
-        self.order_cap = order_cap
-
-    def eps_coefficient(self, k: int) -> MPoly:
-        """Coefficient of eps^k as a polynomial in the yj symbols."""
-        if k > self.order_cap:
-            raise ValueError(
-                f"order {k} exceeds the certified truncation {self.order_cap}"
-            )
-        parts = self.poly.coefficients("eps")
-        return parts[k] if 0 <= k < len(parts) else MPoly()
-
-    def leading_eps_order(self) -> Optional[int]:
-        """Smallest eps power with a nonzero coefficient, None if all vanish."""
-        parts = self.poly.coefficients("eps")
-        return next((k for k, c in enumerate(parts) if not c.is_zero), None)
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
-
 # the eps order the continuum limit keeps: the eps^5 balance and the vanishing
 # eps^6 need derivative symbols up to y5, and order 8 would need y6
 _LIMIT_TRUNCATION = 7
 
 
-def continuum_limit(lam_shift_symbol: Optional[str] = None) -> DiffPoly:
+def continuum_limit(lam_shift_symbol: Optional[str] = None) -> List[MPoly]:
     """Exact eps-expansion of the confined equation under the scaling limit.
 
     Substitutes w = 1 - eps^2*y(t) with t = eps*z, so shifted values become
     Taylor polynomials in eps with derivative symbols yj, the derivative
     term becomes -eps^3*y1, the slope mu is zero, the leading coefficient
-    is 2, and the product of the two family constants is -eps^5/3.  Returns
-    (shift difference)*w^2 - (coefficient terms), multiplied through by w^2
-    so the output is polynomial.  Orders above 7 would need derivative
-    symbols beyond y5 and are dropped as uncertified.
+    is 2, and the product of the two family constants is -eps^5/3.  The
+    expansion is (shift difference)*w^2 - (coefficient terms), multiplied
+    through by w^2 so that it is polynomial.  Returns its coefficients of
+    eps^0 .. eps^7, each a polynomial in the symbols yj, the j-th derivative
+    of the limit profile at the running point; orders above 7 would need
+    derivative symbols beyond y5 and are dropped as uncertified.
 
     The leading coefficient is allowed one higher-order correction: passing
     a symbol name adds symbol*eps to it, exposing how such freedom only
@@ -422,11 +392,7 @@ def continuum_limit(lam_shift_symbol: Optional[str] = None) -> DiffPoly:
     lam_nu = MPoly.var("eps", 5).scale(Fraction(-1, 3))
 
     expanded = (wplus - wminus) * w0 * w0 - lam * wprime - lam_nu * w0
-    i = expanded.vars.index("eps")
-    kept = {
-        exps: c for exps, c in expanded.terms.items() if exps[i] <= _LIMIT_TRUNCATION
-    }
-    return DiffPoly(MPoly(expanded.vars, kept), _LIMIT_TRUNCATION)
+    return expanded.coefficients("eps")[:_LIMIT_TRUNCATION + 1]
 
 
 # ---------------------------------------------------------------------------

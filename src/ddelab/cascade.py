@@ -357,9 +357,9 @@ def polynomial_blowup(
     if eq.kind != EqKind.LOG_DERIV:
         raise ValueError("polynomial blowup applies to the log-deriv class")
     rep = rational_degree(eq)
-    if rep.deg_den != 0:
+    if rep["den"] != 0:
         raise ValueError("polynomial blowup needs a polynomial right side")
-    d = rep.deg_num
+    d = rep["num"]
     seed = seed_local_data(SeedKind.POLE_OF_W, q)
     pattern = run_cascade(eq, seed, steps)
     orders = []

@@ -118,7 +118,7 @@ def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
         return Verdict(eq.kind, Outcome.HYPOTHESIS_VIOLATION, tuple(failed))
 
     rep = rational_degree(eq)
-    dp, dq, dr = rep.deg_num, rep.deg_den, rep.deg_map
+    dp, dq, dr = rep["num"], rep["den"], rep["map"]
     branch_a = dp == dq + 1 and dp <= 3
     branch_b = dr in (0, 1)
     if branch_a:

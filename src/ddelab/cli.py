@@ -85,10 +85,7 @@ def _run_classify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     verdict = classify(entry.eq)
     result: Dict[str, Any] = {"verdict": verdict.export()}
     if entry.eq.kind == EqKind.LOG_DERIV:
-        deg = rational_degree(entry.eq)
-        result["degrees"] = {
-            "num": deg.deg_num, "den": deg.deg_den, "map": deg.deg_map,
-        }
+        result["degrees"] = rational_degree(entry.eq)
     return result, False
 
 
@@ -99,7 +96,7 @@ def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
         pattern = run_cascade(entry.eq, seed_local_data(request["seed"], order), steps)
         verdict = confinement_report(pattern, entry.eq)
         return {"pattern": pattern.export(), "confinement": verdict.export()}, False
-    if entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq).deg_den == 0:
+    if entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq)["den"] == 0:
         orders = polynomial_blowup(entry.eq, steps, q=order)
         return {"pole_orders": list(orders)}, False
     return {
@@ -136,14 +133,13 @@ def _run_nev(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     if request["kind"] == "elliptic":
         model = EllipticSolutionModel(_elliptic_request(entry, request))
         table = characteristic_table(model, grid)
-        ratios = ratio_checks(table)
         return {
-            "table": table.export(),
-            "growth": growth_estimates(table).export(),
-            "ratios": ratios.export(),
+            "table": table,
+            "growth": growth_estimates(table),
+            "ratios": ratio_checks(table),
         }, False
     table = characteristic_table(ExponentialModel(C=request["C"], p=request["p"]), grid)
-    return {"table": table.export(), "growth": growth_estimates(table).export()}, False
+    return {"table": table, "growth": growth_estimates(table)}, False
 
 
 _RUNNERS = {
@@ -181,15 +177,15 @@ def _run_entries(entries, runner, args) -> Tuple[List[Dict[str, Any]], bool, Lis
 
 def _run_limit(args) -> Tuple[List[Dict[str, Any]], bool, List[float]]:
     start = time.perf_counter()
-    dp = continuum_limit()
-    vanishing = [k for k in range(7) if dp.eps_coefficient(k).is_zero]
-    leading = dp.leading_eps_order()
+    coeffs = continuum_limit()
+    vanishing = [k for k in range(7) if coeffs[k].is_zero]
+    leading = next((k for k, c in enumerate(coeffs) if not c.is_zero), None)
     row = {
         "id": "slow-modulation-limit",
-        "truncation": dp.order_cap,
+        "truncation": len(coeffs) - 1,
         "vanishing_orders": vanishing,
         "leading_order": leading,
-        "leading_coefficient": str(dp.eps_coefficient(5)),
+        "leading_coefficient": str(coeffs[5]),
         "statement": (
             "the surviving balance is y3 = 12*y0*y1 + 1; integrating once in "
             "the slow variable gives y'' = 6*y^2 + t, the first Painleve "
@@ -322,20 +318,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
 
     subcommand = args.subcommand
+    if args.out and not Path(args.out).parent.is_dir():
+        print(f"error: cannot write report: no directory {str(Path(args.out).parent)!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if subcommand == "limit":
         corpus_text = ""
-        try:
-            rows, any_failed, timings = _run_limit(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        rows, any_failed, timings = _run_limit(args)
     else:
         try:
             corpus_text = (
-                demo_corpus_text() if args.corpus is None else Path(args.corpus).read_text()
+                demo_corpus_text() if args.corpus is None
+                else Path(args.corpus).read_text(encoding="utf-8")
             )
             entries = load_corpus(corpus_text)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read corpus: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except CorpusError as exc:

@@ -20,11 +20,13 @@ Fields, with defaults in brackets: ``steps`` an integer from 1 to 4, and
 from 3 on an inverse-square entry, whose confinement verdict reads the cascade
 at offsets 1 to 3 [3]; ``order`` an integer from 1 to 3 [1]; ``seed``
 "zero-of-w" or "pole-of-w" ["zero-of-w"]; ``samples`` an integer from 1 to
-10000 [100]; ``p`` a nonzero integer [1]; ``C``, ``g2``, ``g3`` and ``omega``
-a finite number or an [re, im] pair of finite numbers, ``C`` also nonzero
-[C: 1; the others required]; ``r_min`` < ``r_max`` positive finite numbers
-[1, 16]; ``radii`` an integer from 2 to 500 [24].  The caps on ``steps``,
-``order``, ``samples`` and ``radii`` bound the work of one request;
+10000 [100]; ``p`` a nonzero integer at most 64 in absolute value [1];
+``C``, ``g2``, ``g3`` and ``omega`` a finite number or an [re, im] pair of
+finite numbers, ``C`` also nonzero [C: 1; the others required]; ``r_min`` <
+``r_max`` positive finite numbers [1, 16]; ``radii`` an integer from 2 to 500
+[24].  The caps on ``steps``, ``order``, ``samples`` and ``radii`` bound the
+work of one request, and the cap on ``p`` the error of the exponential
+verifier, which grows with |p|; 64 is the range ``classify`` searches for p.
 ``_REQUESTS`` gives the reason for each.  The multiplicities of ``q_factors``
 sum to at most 64, which bounds the expansion of the denominator at load.  An
 error names its entry by ``id``, or by position when the ``id`` itself is
@@ -140,7 +142,11 @@ _POSITIVE = ("at least 1", lambda n: n >= 1)
 # verify takes 0.2 s at 10000 samples
 _SAMPLES = {"samples": (_as_int(_POSITIVE, ("at most 10000", lambda n: n <= 10_000)), 100)}
 _LATTICE = {"g2": (_as_complex, None), "g3": (_as_complex, None), "omega": (_as_complex, None)}
-_FAMILY = {"p": (_as_int(("nonzero", lambda n: n != 0)), 1), "C": (_as_nonzero_complex, 1.0)}
+# the exponential verifier's residual grows about as 2e-13 |p| at C = 1: it passes at p = 100
+# and fails its 1e-10 tolerance at 1000, and 10^400 overflowed a float; 64 is classify's range
+_P = _as_int(("nonzero", lambda n: n != 0),
+             ("at most 64 in absolute value", lambda n: abs(n) <= 64))
+_FAMILY = {"p": (_P, 1), "C": (_as_nonzero_complex, 1.0)}
 _GRID = {
     "r_min": (_as_radius, 1.0),
     "r_max": (_as_radius, 16.0),
@@ -335,7 +341,7 @@ def load_corpus(text: str) -> Tuple[CorpusEntry, ...]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, nesting, or an integer too long
         raise CorpusError(f"corpus is not valid JSON: {exc}") from exc
     if not isinstance(doc, Mapping):
         raise CorpusError("corpus document must be a JSON object")

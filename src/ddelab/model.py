@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fieldelem import FieldElem
 from .laurent import LaurentSeries, compose_rational, series_of_ratfunc
@@ -190,15 +190,6 @@ class FactoredDenominator:
         return tuple(r for r, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    """Degrees in w of the rational right-hand side P/Q."""
-
-    deg_num: int
-    deg_den: int
-    deg_map: int  # max of the two: the degree of P/Q as a map of w
-
-
 # ---------------------------------------------------------------------------
 # the equation object
 
@@ -277,13 +268,15 @@ def make_inverse_square(
 # degree data and resultants
 
 
-def rational_degree(eq: DelayDiffEq) -> DegreeReport:
-    """Degrees in w of the right-hand side, driving pole-order growth."""
+def rational_degree(eq: DelayDiffEq) -> Dict[str, int]:
+    """Degrees in w of the right-hand side P/Q, driving pole-order growth:
+    ``{"num": deg P, "den": deg Q, "map": the larger}``, where "map" is the
+    degree of P/Q as a map of w."""
     if eq.kind != EqKind.LOG_DERIV:
         raise ValueError("degree report applies to the log-deriv class")
     dp = eq.p_poly.degree
     dq = eq.q_poly.degree
-    return DegreeReport(dp, dq, max(dp, dq))
+    return {"num": dp, "den": dq, "map": max(dp, dq)}
 
 
 def resultant_in_w(p: WPoly, q: WPoly) -> FieldElem:

@@ -23,14 +23,17 @@ most 2048 points, which bounds the memory of one Weierstrass evaluation.
 
 Order and hyper-order estimates are least-squares slopes over the sampled
 grid, reported with confidence widths and never as asymptotic claims.
+
+Each result is built as the JSON the ``nev`` report prints: the table, the
+growth estimates and the ratio checks are plain dicts, and ``proximity``
+gives (m, settled) pairs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,13 +101,6 @@ _GAUSS_W = (
 _NODES = np.array([-x for x in _KRONROD_X] + list(_KRONROD_X[-2::-1]))
 _K15 = np.array(_KRONROD_W + _KRONROD_W[-2::-1])
 _G7 = np.array(_GAUSS_W + _GAUSS_W[-2::-1])
-
-
-class Proximity(NamedTuple):
-    """m(r, f), and whether every arc's quadrature settled below the cap."""
-
-    m: float
-    settled: bool
 
 
 def _sample_circle(model, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -184,8 +180,9 @@ def _romberg(
     return np.bincount(owner, weights=value, minlength=k), settled
 
 
-def proximity(model, radii: Sequence[float]) -> List[Proximity]:
-    """m(r, f), the mean of log+|f| over the circle |z| = r, for every r in radii.
+def proximity(model, radii: Sequence[float]) -> List[Tuple[float, bool]]:
+    """(m, settled) for every r in radii: m(r, f), the mean of log+|f| over
+    the circle |z| = r, and whether every arc's quadrature settled below the cap.
 
     Each circle is scanned for sign changes of log|f|, each crossing is
     bracketed to 2^-43 rad, and every positive arc is integrated
@@ -240,8 +237,8 @@ def proximity(model, radii: Sequence[float]) -> List[Proximity]:
         lambda x: _sample_circle(model, x.imag, x.real),
         a + 1j * r_arc, b + 1j * r_arc, _QUAD_TOL * np.maximum(b - a, 1e-3),
     )
-    return [Proximity(sum(totals[owner == k].tolist(), 0.0) / turn,
-                      bool(settled[owner == k].all())) for k in range(len(circles))]
+    return [(sum(totals[owner == k].tolist(), 0.0) / turn, bool(settled[owner == k].all()))
+            for k in range(len(circles))]
 
 
 def _jittered_radius(moduli: Sequence[float], r: float) -> float:
@@ -264,34 +261,6 @@ def _jittered_radius(moduli: Sequence[float], r: float) -> float:
 # the characteristic table
 
 
-@dataclass(frozen=True)
-class NevRow:
-    r: float
-    n: int
-    n_bar: int
-    N: float
-    N_bar: float
-    m: float
-    T: float
-    n_zero: int
-    nbar_zero: int
-    N_zero: float
-    Nbar_zero: float
-    settled: bool
-
-    def export(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass(frozen=True)
-class NevTable:
-    model: dict
-    rows: Tuple[NevRow, ...]
-
-    def export(self) -> dict:
-        return {"model": self.model, "rows": [row.export() for row in self.rows]}
-
-
 def log_grid(r_min: float, r_max: float, count: int = 24) -> List[float]:
     """Logarithmically spaced radii, endpoints included."""
     if not (0 < r_min < r_max) or count < 2:
@@ -300,38 +269,29 @@ def log_grid(r_min: float, r_max: float, count: int = 24) -> List[float]:
     return [r_min * ratio**i for i in range(count)]
 
 
-def characteristic_table(model, r_grid: Sequence[float]) -> NevTable:
-    """Counting and proximity data for each radius of an increasing grid."""
+def characteristic_table(model, r_grid: Sequence[float]) -> Dict[str, Any]:
+    """Counting and proximity data for each radius of an increasing grid.
+
+    Returns ``{"model": model.describe(), "rows": [...]}``; a row holds r, the
+    pole counts n, n_bar, N and N_bar, m, T = m + N, the zero counts n_zero,
+    nbar_zero, N_zero and Nbar_zero, and whether m settled.
+    """
     grid = list(r_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("radius grid must be strictly increasing")
     poles = counting_data(model.poles_upto(grid[-1]), grid)
     zeros = counting_data(model.zeros_upto(grid[-1]), grid)
     rows = [
-        NevRow(r, n, n_bar, N, N_bar, m, m + N, nz, nbz, Nz, Nbz, settled)
+        {"r": r, "n": n, "n_bar": n_bar, "N": N, "N_bar": N_bar, "m": m, "T": m + N,
+         "n_zero": nz, "nbar_zero": nbz, "N_zero": Nz, "Nbar_zero": Nbz, "settled": settled}
         for r, (m, settled), (n, n_bar, N, N_bar), (nz, nbz, Nz, Nbz)
         in zip(grid, proximity(model, grid), poles, zeros)
     ]
-    return NevTable(model=model.describe(), rows=tuple(rows))
+    return {"model": model.describe(), "rows": rows}
 
 
 # ---------------------------------------------------------------------------
 # growth estimates
-
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    order: float
-    order_width: float
-    hyper_order: Optional[float]
-    hyper_order_width: Optional[float]
-    pole_hyper: Optional[float]
-    pole_hyper_width: Optional[float]
-    low_confidence: bool
-    note: str
-
-    def export(self) -> dict:
-        return dict(vars(self))
 
 
 def _slope_with_width(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
@@ -346,7 +306,7 @@ def _slope_with_width(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, 
     return slope, 2.0 * math.sqrt(float(np.dot(resid, resid)) / (len(x) - 2) / denom)
 
 
-def growth_estimates(table: NevTable) -> GrowthEstimate:
+def growth_estimates(table: Dict[str, Any]) -> Dict[str, Any]:
     """Order, hyper-order, and pole hyper-exponent slopes from a table.
 
     The order is the slope of log T against log r, the hyper-order the
@@ -355,13 +315,13 @@ def growth_estimates(table: NevTable) -> GrowthEstimate:
     are dropped from that fit; shortage of usable rows is flagged rather
     than hidden.
     """
-    usable = [row for row in table.rows if row.T > math.e]
+    usable = [row for row in table["rows"] if row["T"] > math.e]
     if len(usable) < 8:
         raise ValueError(
             f"need at least 8 rows with T > e for a fit; have {len(usable)}"
         )
-    logr = [math.log(row.r) for row in usable]
-    logT = [math.log(row.T) for row in usable]
+    logr = [math.log(row["r"]) for row in usable]
+    logT = [math.log(row["T"]) for row in usable]
     order, order_w = _slope_with_width(logr, logT)
     hyper = hyper_w = None
     notes = []
@@ -372,9 +332,9 @@ def growth_estimates(table: NevTable) -> GrowthEstimate:
         notes.append("too few rows with log T > 0 for a hyper-order fit")
     pole = pole_w = None
     pn = [
-        (math.log(row.r), math.log(math.log(row.n)))
+        (math.log(row["r"]), math.log(math.log(row["n"])))
         for row in usable
-        if row.n >= 3
+        if row["n"] >= 3
     ]
     if len(pn) >= 8:
         pole, pole_w = _slope_with_width([p[0] for p in pn], [p[1] for p in pn])
@@ -383,40 +343,19 @@ def growth_estimates(table: NevTable) -> GrowthEstimate:
     low = order_w > 0.25 or (hyper is not None and hyper_w > 0.25)
     if low:
         notes.append("fit widths exceed 0.25; treat estimates as indicative")
-    return GrowthEstimate(
-        order=order, order_width=order_w,
-        hyper_order=hyper, hyper_order_width=hyper_w,
-        pole_hyper=pole, pole_hyper_width=pole_w,
-        low_confidence=low, note="; ".join(notes),
-    )
+    return {
+        "order": order, "order_width": order_w,
+        "hyper_order": hyper, "hyper_order_width": hyper_w,
+        "pole_hyper": pole, "pole_hyper_width": pole_w,
+        "low_confidence": low, "note": "; ".join(notes),
+    }
 
 
 # ---------------------------------------------------------------------------
 # ratio reports
 
 
-@dataclass(frozen=True)
-class RatioRow:
-    r: float
-    zero_ratio: Optional[float]
-    note: str = ""
-
-    def export(self) -> dict:
-        # columns no longer measured stay null so report layouts stay the same
-        return {**vars(self), "degree_gap_lhs": None, "zero_count_rhs": None,
-                "power_ratio": None}
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    rows: Tuple[RatioRow, ...]
-    threshold: float = 0.75
-
-    def export(self) -> dict:
-        return {"threshold": self.threshold, "rows": [r.export() for r in self.rows]}
-
-
-def ratio_checks(table: NevTable) -> RatioReport:
+def ratio_checks(table: Dict[str, Any]) -> Dict[str, Any]:
     """Per-radius distinct-zero share of the characteristic, against the
     zero-density threshold of 3/4.
 
@@ -424,9 +363,13 @@ def ratio_checks(table: NevTable) -> RatioReport:
     for a ratio is kept with a null ratio and a note.
     """
     rows = []
-    for row in table.rows:
-        if row.T < 1e-9:
-            rows.append(RatioRow(row.r, None, "T too small; row skipped"))
-        else:
-            rows.append(RatioRow(row.r, row.Nbar_zero / row.T))
-    return RatioReport(tuple(rows))
+    for row in table["rows"]:
+        small = row["T"] < 1e-9
+        rows.append({
+            "r": row["r"],
+            "zero_ratio": None if small else row["Nbar_zero"] / row["T"],
+            "note": "T too small; row skipped" if small else "",
+            # columns no longer measured stay null so report layouts stay the same
+            "degree_gap_lhs": None, "zero_count_rhs": None, "power_ratio": None,
+        })
+    return {"threshold": 0.75, "rows": rows}

@@ -180,6 +180,11 @@ def test_unknown_request_field_is_rejected(tmp_path, capsys, sub, entry_id, fiel
     ("nev", "confined-basic", "radii", 501, "at most 500"),
     # order 8 of the demo cascade did not finish in 55 s
     ("cascade", "confined-affine", "order", 4, "at most 3"),
+    # p = 10**400 loaded and then overflowed a float in the analysis
+    ("verify", "exponential-near-forcing", "p", 65, "at most 64 in absolute value"),
+    ("verify", "exponential-near-forcing", "p", -65, "at most 64 in absolute value"),
+    ("nev", "exponential-near-forcing", "p", 65, "at most 64 in absolute value"),
+    ("nev", "exponential-near-forcing", "p", -65, "at most 64 in absolute value"),
 ])
 def test_request_number_out_of_range_is_rejected(tmp_path, capsys, sub, entry_id, field,
                                                  value, rule):
@@ -249,11 +254,26 @@ def test_request_must_be_an_object(tmp_path, capsys):
     assert err == "error: entry 'confined-basic': 'verify' request must be an object\n"
 
 
-def test_missing_corpus_file_is_a_usage_error(tmp_path, capsys):
-    missing = tmp_path / "absent.json"
-    assert cli.run(["classify", "--corpus", str(missing)]) == cli.EXIT_USAGE
+@pytest.mark.parametrize("content", [None, b'{"entries": "\xff"}'], ids=["missing", "not-utf8"])
+def test_missing_corpus_file_is_a_usage_error(tmp_path, capsys, content):
+    corpus = tmp_path / "absent.json"
+    if content is not None:
+        corpus.write_bytes(content)
+    assert cli.run(["classify", "--corpus", str(corpus)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read corpus: ") and str(missing) in err
+    assert err.startswith("error: cannot read corpus: ")
+    assert (str(corpus) if content is None else "can't decode byte 0xff") in err
+
+
+def test_missing_out_directory_is_a_usage_error_before_any_analysis(
+    monkeypatch, tmp_path, capsys
+):
+    # the report used to fail to write only after every entry had run
+    monkeypatch.setitem(cli._RUNNERS, "classify", lambda entry, args: 1 / 0)
+    out = tmp_path / "absent" / "report.json"
+    assert cli.run(["classify", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report: no directory {str(out.parent)!r}\n"
 
 
 def _corpus(*entries, version=1):
@@ -269,7 +289,15 @@ def _corpus(*entries, version=1):
      "error: duplicate entry id 'branch-first'"),
     (_corpus(_demo_entry("branch-first"), version=2),
      "error: corpus schema_version must be 1, got 2"),
-], ids=["invalid-json", "unknown-entry-field", "duplicate-id", "schema-version"])
+    # json.loads raised these past the load, with a traceback and exit 1
+    ("[" * 100_000, "error: corpus is not valid JSON: maximum recursion depth exceeded "
+                    "while decoding a JSON array from a unicode string"),
+    ('{"schema_version": ' + "1" * 4301 + "}",
+     "error: corpus is not valid JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 4301 digits; use sys.set_int_max_str_digits() to increase the "
+     "limit"),
+], ids=["invalid-json", "unknown-entry-field", "duplicate-id", "schema-version", "deep-nesting",
+        "long-integer"])
 def test_malformed_corpus_is_a_usage_error(tmp_path, capsys, text, message):
     assert _load_error(tmp_path, capsys, "classify", text) == message + "\n"
 

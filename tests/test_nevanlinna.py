@@ -211,7 +211,7 @@ class TestOneInventory:
         model = InventoryFake(elliptic_model)
         table = characteristic_table(model, log_grid(1.0, 16.0, 24))
         assert model.calls["poles_upto"] <= 2 and model.calls["zeros_upto"] == 1
-        assert table.export()["rows"] == elliptic_table.export()["rows"]
+        assert table["rows"] == elliptic_table["rows"]
 
     def test_counts_at_every_radius_match_one_radius_at_a_time(self, elliptic_model):
         demo = log_grid(1.0, 16.0, 24)
@@ -258,7 +258,8 @@ class TestProximity:
         for p in (1, 2):
             model = ExponentialModel(C=1.0, p=p)
             for r in (3.0, 50.0, 1e6):
-                assert proximity(model, [r])[0].m == pytest.approx(p * r, rel=1e-8)
+                m, _ = proximity(model, [r])[0]
+                assert m == pytest.approx(p * r, rel=1e-8)
 
     def test_modulus_below_one_gives_zero(self):
         model = RationalFake([], [2.0])  # 1/(z - 2)
@@ -266,7 +267,7 @@ class TestProximity:
 
     def test_pole_on_the_circle_is_jittered_not_fatal(self):
         model = RationalFake([], [2.0])
-        value = proximity(model, [2.0])[0].m
+        value, _ = proximity(model, [2.0])[0]
         assert math.isfinite(value)
         # hand value of the arc integral for 1/(z-2) on |z| = 2
         assert value == pytest.approx(0.1597, abs=2e-3)
@@ -274,16 +275,16 @@ class TestProximity:
     def test_half_circle_of_an_even_model_matches_the_whole(self, elliptic_model, elliptic_table):
         # the elliptic model is even, so its table integrates log+|w| over [0, pi)
         whole = characteristic_table(WholeCircleFake(elliptic_model), log_grid(1.0, 16.0, 24))
-        for half_row, whole_row in zip(elliptic_table.rows, whole.rows):
-            assert half_row.settled and whole_row.settled
-            assert half_row.m == pytest.approx(whole_row.m, rel=1e-12)
+        for half_row, whole_row in zip(elliptic_table["rows"], whole["rows"]):
+            assert half_row["settled"] and whole_row["settled"]
+            assert half_row["m"] == pytest.approx(whole_row["m"], rel=1e-12)
 
     def test_refinement_stability(self, elliptic_model, monkeypatch):
         r = 5.5
         monkeypatch.setattr(nevanlinna, "_QUAD_TOL", 1e-9)
-        coarse = proximity(elliptic_model, [r])[0].m
+        coarse, _ = proximity(elliptic_model, [r])[0]
         monkeypatch.setattr(nevanlinna, "_QUAD_TOL", 1e-12)
-        fine = proximity(elliptic_model, [r])[0].m
+        fine, _ = proximity(elliptic_model, [r])[0]
         assert abs(coarse - fine) <= 1e-8 * (1.0 + abs(fine))
 
 
@@ -319,9 +320,10 @@ class TestBatchedProximity:
         model, grid = self.instance(case, elliptic_model)
         batch = proximity(model, grid)
         alone = [proximity(model, [r])[0] for r in grid]
-        assert [(p.m.hex(), p.settled) for p in batch] == [(p.m.hex(), p.settled) for p in alone]
+        assert [(m.hex(), settled) for m, settled in batch] == [
+            (m.hex(), settled) for m, settled in alone]
         if case != "elliptic":
-            assert alone[0] == (0.0, True) and all(p.m > 0.0 for p in alone[1:])
+            assert alone[0] == (0.0, True) and all(m > 0.0 for m, _ in alone[1:])
         if case == "rational":
             assert jittered(model, 5.0) != 5.0
 
@@ -348,18 +350,19 @@ class TestBatchedProximity:
         # quadrature's own arithmetic; the values meet exact references
         model, grid = self.instance(case, None)
         found = proximity(model, grid)
-        assert [(p.m.hex(), p.settled) for p in found] == self.RECORDED[case]
-        for r, p in zip(grid, found):
+        assert [(m.hex(), settled) for m, settled in found] == self.RECORDED[case]
+        for r, (m, _) in zip(grid, found):
             if case == "exponential":
-                assert p.m == pytest.approx(self.exponential_m(model.C, model.p, r), rel=1e-12)
+                assert m == pytest.approx(self.exponential_m(model.C, model.p, r), rel=1e-12)
                 continue
             # the circle m is measured on, and 1/f on the same circle
             used = jittered(model, r)
-            inverse = proximity(ReciprocalFake(model), [used])[0]
-            assert p.m - inverse.m == pytest.approx(self.rational_jensen(model, used), abs=1e-12)
+            inverse, _ = proximity(ReciprocalFake(model), [used])[0]
+            assert m - inverse == pytest.approx(self.rational_jensen(model, used), abs=1e-12)
         if case == "rational":
             # |f| > 1 all round from r = 5 on, so there m is Jensen's value itself
-            assert found[2].m == pytest.approx(3.2188778248672003, abs=1e-14)
+            m, _ = found[2]
+            assert m == pytest.approx(3.2188778248672003, abs=1e-14)
 
     def test_a_table_samples_in_few_batches(self, elliptic_model, elliptic_table):
         # one scan of all 24 half circles (the model is even), 12 ITP steps
@@ -369,7 +372,7 @@ class TestBatchedProximity:
         counting = CountingFake(elliptic_model)
         table = characteristic_table(counting, log_grid(1.0, 16.0, 24))
         assert counting.calls <= 30
-        assert table.export()["rows"] == elliptic_table.export()["rows"]
+        assert table["rows"] == elliptic_table["rows"]
 
 
 class RoughFake:
@@ -438,20 +441,20 @@ class TestSettled:
         # that modulus 2e-6 off the circle, log spikes the adaptive rule follows
         nearest = min(abs(p) for p, _ in elliptic_model.poles_upto(3.0) if p != 0)
         table = characteristic_table(elliptic_model, [nearest, 3.0])
-        assert [row.settled for row in table.rows] == [True, True]
+        assert [row["settled"] for row in table["rows"]] == [True, True]
         used = jittered(elliptic_model, nearest)
         assert used != nearest
         spikes = [cmath.phase(p) for p, _ in elliptic_model.poles_upto(3.0)
                   if abs(abs(p) - used) <= 1e-3 * used]
         reference = dense_reference_m(elliptic_model, used, np.array(spikes))
-        assert table.rows[0].m == pytest.approx(reference, abs=1e-9)
+        assert table["rows"][0]["m"] == pytest.approx(reference, abs=1e-9)
 
     def test_a_model_rough_at_every_scale_stays_unsettled(self):
         model = RoughFake()
         table = characteristic_table(model, [2.0])
-        (row,) = table.rows
-        assert row.settled is False and table.export()["rows"][0]["settled"] is False
-        assert 1.0 <= row.m < 2.0
+        (row,) = table["rows"]
+        assert row["settled"] is False
+        assert 1.0 <= row["m"] < 2.0
         # one arc all round: after the 1024-node scan and its one-point sign
         # test, every point is a quadrature node; an arc never starts a round
         # that would take it past the cap
@@ -460,13 +463,13 @@ class TestSettled:
         assert nevanlinna._POINT_CAP // 2 < quadrature <= nevanlinna._POINT_CAP
 
     def test_demo_grid_settles_everywhere(self, elliptic_table):
-        assert all(row.settled for row in elliptic_table.rows)
+        assert all(row["settled"] for row in elliptic_table["rows"])
 
     def test_exponential_rows_settle(self):
         for p in (1, 3):
             model = ExponentialModel(C=0.7 - 0.2j, p=p)
             table = characteristic_table(model, log_grid(10.0, 1e12, 24))
-            assert all(row.settled for row in table.rows)
+            assert all(row["settled"] for row in table["rows"])
 
 
 class StepFake:
@@ -496,7 +499,8 @@ class TestCrossingRefinement:
         model = RationalFake([2.0, 100.0, 100j], [])
         with np.errstate(divide="ignore"):
             reference = dense_reference_m(model, 2.0, np.array([]))
-        assert proximity(model, [2.0])[0].m == pytest.approx(reference, rel=1e-12)
+        m, _ = proximity(model, [2.0])[0]
+        assert m == pytest.approx(reference, rel=1e-12)
 
     def test_a_step_in_log_modulus(self):
         # regula falsi gains nothing on a step, so ITP must fall back on its
@@ -522,34 +526,34 @@ class TestCharacteristicTable:
 
     def test_batched_quadrature_matches_scalar_record(self, elliptic_table):
         for index, m in self.SCALAR_M.items():
-            assert elliptic_table.rows[index].m == pytest.approx(m, rel=1e-9)
-        assert round(growth_estimates(elliptic_table).order, 3) == 2.047
+            assert elliptic_table["rows"][index]["m"] == pytest.approx(m, rel=1e-9)
+        assert round(growth_estimates(elliptic_table)["order"], 3) == 2.047
 
     def test_rational_characteristic_is_degree_log_r(self):
         # (z^3 + 2)/(z - 5): degree 3, so T(r) = 3 log r + O(1)
         cube_roots = [2 ** (1 / 3) * cmath.exp(1j * math.pi * k / 3) for k in (1, 3, 5)]
         model = RationalFake(cube_roots, [5.0])
         table = characteristic_table(model, log_grid(10.0, 1e6, 12))
-        for row in table.rows:
-            assert abs(row.T - 3 * math.log(row.r)) <= 3.0
+        for row in table["rows"]:
+            assert abs(row["T"] - 3 * math.log(row["r"])) <= 3.0
 
     def test_exponential_table(self):
         model = ExponentialModel(C=1.0, p=1)
         table = characteristic_table(model, log_grid(10.0, 1e12, 16))
-        for row in table.rows:
-            assert row.n == 0 and row.N == 0.0
-            assert row.T == pytest.approx(row.r, rel=1e-6)
+        for row in table["rows"]:
+            assert row["n"] == 0 and row["N"] == 0.0
+            assert row["T"] == pytest.approx(row["r"], rel=1e-6)
 
     def test_elliptic_counts_track_cell_density(self, elliptic_model, elliptic_table):
         engine, omega = elliptic_model.params.engine, elliptic_model.params.omega
         a, b = engine.omega1 / omega, engine.omega2 / omega
         area = abs((a.conjugate() * b).imag)
-        for row in elliptic_table.rows[-8:]:
-            expected = 2.0 * math.pi * row.r**2 / area
-            assert abs(row.n - expected) <= 0.15 * expected
+        for row in elliptic_table["rows"][-8:]:
+            expected = 2.0 * math.pi * row["r"]**2 / area
+            assert abs(row["n"] - expected) <= 0.15 * expected
 
     def test_characteristic_is_monotone(self, elliptic_table):
-        ts = [row.T for row in elliptic_table.rows]
+        ts = [row["T"] for row in elliptic_table["rows"]]
         assert all(b >= a - 1e-9 for a, b in zip(ts, ts[1:]))
 
     def test_grid_must_increase(self, elliptic_model):
@@ -558,8 +562,8 @@ class TestCharacteristicTable:
 
     def test_serialization_is_deterministic(self, elliptic_model, elliptic_table):
         again = characteristic_table(elliptic_model, log_grid(1.0, 16.0, 24))
-        a = json.dumps(elliptic_table.export(), sort_keys=True)
-        b = json.dumps(again.export(), sort_keys=True)
+        a = json.dumps(elliptic_table, sort_keys=True)
+        b = json.dumps(again, sort_keys=True)
         assert a == b
 
 
@@ -568,15 +572,15 @@ class TestGrowthEstimates:
         model = ExponentialModel(C=1.0, p=1)
         table = characteristic_table(model, log_grid(10.0, 1e12, 24))
         est = growth_estimates(table)
-        assert abs(est.order - 1.0) <= 0.1
-        assert est.hyper_order is not None
-        assert abs(est.hyper_order) <= 0.15
-        assert not est.low_confidence
+        assert abs(est["order"] - 1.0) <= 0.1
+        assert est["hyper_order"] is not None
+        assert abs(est["hyper_order"]) <= 0.15
+        assert not est["low_confidence"]
 
     def test_elliptic_second_order_growth(self, elliptic_table):
         est = growth_estimates(elliptic_table)
-        assert abs(est.order - 2.0) <= 0.15
-        assert est.order_width <= 0.1
+        assert abs(est["order"] - 2.0) <= 0.15
+        assert est["order_width"] <= 0.1
 
     def test_too_few_usable_rows_rejected(self):
         model = ExponentialModel(C=1.0, p=1)
@@ -596,16 +600,15 @@ class TestRatioChecks:
             )
         report = ratio_checks(elliptic_table)
         assert calls == []
-        assert [row.r for row in report.rows] == [row.r for row in elliptic_table.rows]
+        assert [row["r"] for row in report["rows"]] == [row["r"] for row in elliptic_table["rows"]]
 
     def test_zero_share_near_one_for_the_confined_solution(self, elliptic_table):
         report = ratio_checks(elliptic_table)
-        top = report.rows[len(report.rows) // 2 :]
-        assert report.threshold == 0.75
+        top = report["rows"][len(report["rows"]) // 2 :]
+        assert report["threshold"] == 0.75
         for row in top:
-            assert 0.8 <= row.zero_ratio <= 1.1
-            exported = row.export()
-            assert exported["degree_gap_lhs"] is None and exported["zero_count_rhs"] is None
+            assert 0.8 <= row["zero_ratio"] <= 1.1
+            assert row["degree_gap_lhs"] is None and row["zero_count_rhs"] is None
 
 
 class TestFirstMainTheoremSanity:
@@ -615,10 +618,10 @@ class TestFirstMainTheoremSanity:
     def test_shifted_reciprocal_tracks_the_characteristic(
         self, a, elliptic_model, elliptic_table
     ):
-        grid = [row.r for row in elliptic_table.rows[-8:]]
+        grid = [row["r"] for row in elliptic_table["rows"][-8:]]
         stab = characteristic_table(ReciprocalFake(elliptic_model), grid)
-        for srow, brow in zip(stab.rows, elliptic_table.rows[-8:]):
-            assert abs(srow.T - brow.T) <= 2.0 + 0.05 * brow.T
+        for srow, brow in zip(stab["rows"], elliptic_table["rows"][-8:]):
+            assert abs(srow["T"] - brow["T"]) <= 2.0 + 0.05 * brow["T"]
 
 
 class TestJensenFormula:
@@ -633,9 +636,10 @@ class TestJensenFormula:
         params = elliptic_model.params
         constant = math.log(abs(params.alpha / params.omega**2))
         checked = 0
-        for r, row, inv in zip(grid, elliptic_table.rows, inverse.rows):
+        for r, row, inv in zip(grid, elliptic_table["rows"], inverse["rows"]):
             if r != jittered(elliptic_model, r) or r != jittered(reciprocal, r):
                 continue
             checked += 1
-            assert row.m - inv.m == pytest.approx(constant + row.N_zero - row.N, abs=1e-10)
+            assert row["m"] - inv["m"] == pytest.approx(
+                constant + row["N_zero"] - row["N"], abs=1e-10)
         assert checked == 21

@@ -504,7 +504,7 @@ class TestLatticeGeometry:
         model = EllipticSolutionModel(params)
         assert model.poles_upto(4.0)[0] == (0j, 2)
         table = characteristic_table(model, log_grid(1.0, 16.0, 24))
-        assert abs(growth_estimates(table).order - 2.0) <= 0.25
+        assert abs(growth_estimates(table)["order"] - 2.0) <= 0.25
 
     def test_offset_enumeration_shifts_the_grid(self):
         w = WeierstrassP(4.0, 1.0)
