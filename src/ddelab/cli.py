@@ -322,6 +322,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot write report: no directory {str(Path(args.out).parent)!r}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.out and Path(args.out).is_dir():
+        print(f"error: cannot write report: {args.out!r} is a directory", file=sys.stderr)
+        return EXIT_USAGE
     if subcommand == "limit":
         corpus_text = ""
         rows, any_failed, timings = _run_limit(args)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import comb, inf
 from typing import List, Sequence, Union
 
-from .fieldelem import FieldElem, _reduce, _tighten
+from .fieldelem import _ONE_MP, FieldElem, _reduce, _tighten
 from .gaussian import ONE, GaussianRational
 from .mpoly import MPoly
 
@@ -67,7 +67,6 @@ class CompositionIndeterminateError(Exception):
 
 _ZERO_FE = FieldElem.const(0)
 _ZERO_MP = MPoly()
-_ONE_MP = MPoly.const(1)
 
 
 class LaurentSeries:
@@ -166,10 +165,14 @@ class LaurentSeries:
         return LaurentSeries.monomial(FieldElem.coerce(x), 0)
 
     def __add__(self, other) -> "LaurentSeries":
+        """A sum with the exact zero series is the other operand as it stands:
+        the general path would only multiply by 1 and tighten it again."""
         o = LaurentSeries._coerce(other)
+        if self.exact and not self.nums:
+            return o
+        if o.exact and not o.nums:
+            return self
         if self.exact and o.exact:
-            if not self.nums and not o.nums:
-                return LaurentSeries.zero(0, exact=True)
             lo = min(self._min_order_bound(), o._min_order_bound())
             hi = max(self.stored_hi, o.stored_hi)
             exact = True
@@ -398,10 +401,15 @@ def series_of_ratfunc(r: FieldElem, offset: Coeffish, width: int) -> LaurentSeri
     exact field elements in zhat and any parameter symbols.  When ``r`` is a
     polynomial of degree below ``width`` in z, the expansion terminates and
     the series is exact.
+
+    A number or a polynomial in z has the shared ``_ONE_MP`` as its
+    denominator, and its series is the numerator's expansion as it stands:
+    the general path would only divide that by the exact series 1.
     """
     num = _taylor_poly(r.num, offset, width)
-    den = _taylor_poly(r.den, offset, width)
-    return num.div(den, width=width)
+    if r.den is _ONE_MP:
+        return num
+    return num.div(_taylor_poly(r.den, offset, width), width=width)
 
 
 def _taylor_poly(p: MPoly, offset: Coeffish, width: int) -> LaurentSeries:
@@ -411,10 +419,12 @@ def _taylor_poly(p: MPoly, offset: Coeffish, width: int) -> LaurentSeries:
     sum_{e >= m} C(e, m) * P_e * c^(e - m): integer binomial weights on
     powers of c computed once, with no factorial to divide by.  The first
     ``width`` coefficients are kept, and the series is exact iff
-    deg_z(p) < width.
+    deg_z(p) < width.  A p constant in z builds no power of c.
     """
     ps = p.coefficients("z")
-    pows = [_ONE_MP, MPoly.var("zhat") + MPoly.const(offset)][:len(ps)]
+    pows = [_ONE_MP]
+    if len(ps) > 1:
+        pows.append(MPoly.var("zhat") + MPoly.const(offset))
     while len(pows) < len(ps):
         pows.append(pows[-1] * pows[1])
     nums = []

@@ -276,6 +276,19 @@ def test_missing_out_directory_is_a_usage_error_before_any_analysis(
     assert err == f"error: cannot write report: no directory {str(out.parent)!r}\n"
 
 
+@pytest.mark.parametrize("subcommand", ["classify", "cascade", "verify", "nev", "limit"])
+def test_out_naming_a_directory_is_a_usage_error_before_any_analysis(
+    subcommand, monkeypatch, tmp_path, capsys
+):
+    # the report used to fail with IsADirectoryError after every entry had run
+    for name in list(cli._RUNNERS):
+        monkeypatch.setitem(cli._RUNNERS, name, lambda entry, args: 1 / 0)
+    monkeypatch.setattr(cli, "_run_limit", lambda args: 1 / 0)
+    assert cli.run([subcommand, "--out", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report: {str(tmp_path)!r} is a directory\n"
+
+
 def _corpus(*entries, version=1):
     return json.dumps({"schema_version": version, "entries": list(entries)})
 

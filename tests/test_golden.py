@@ -6,6 +6,11 @@ built-in demo corpus, rendered with the report's own JSON layout.
 compared without its ``truncation`` field: that field records the expansion
 depth used, not a result.
 
+The ``cascade`` report on the seed-7 cascade-exact corpus, written once
+by ``perfbench/workloads.py`` and kept here as
+``cascade-exact-7-corpus.json``, must match byte for byte as well: it runs
+the exact series algebra on every family of that benchmark workload.
+
 ``verify`` and ``nev`` carry floating-point measurements, so they are
 compared field by field.  Strings, integers, booleans, nulls and the set of
 keys must match exactly; that covers ids, verdicts, parameters, sample
@@ -34,9 +39,10 @@ GROWTH_FIELDS = {
 }
 
 
-def _report_entries(subcommand, tmp_path):
+def _report_entries(subcommand, tmp_path, *corpus):
     out = tmp_path / "report.json"
-    assert cli.run([subcommand, "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    argv = [subcommand, *corpus, "--format", "json", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
     return json.loads(out.read_text())["entries"]
 
 
@@ -78,6 +84,13 @@ def test_demo_entries_match_golden(subcommand, tmp_path):
     ]
     got = json.dumps(entries, sort_keys=True, indent=2) + "\n"
     assert got == (GOLDEN / f"demo-{subcommand}.json").read_text()
+
+
+def test_cascade_exact_workload_entries_match_golden(tmp_path):
+    corpus = GOLDEN / "cascade-exact-7-corpus.json"
+    entries = _report_entries("cascade", tmp_path, "--corpus", str(corpus))
+    got = json.dumps(entries, sort_keys=True, indent=2) + "\n"
+    assert got == (GOLDEN / "cascade-exact-7-cascade.json").read_text()
 
 
 @pytest.mark.parametrize("subcommand", ["nev", "verify"])

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from ddelab.fieldelem import FieldElem
+from ddelab.gaussian import gauss
 from ddelab.laurent import (
     CompositionIndeterminateError,
     LaurentSeries,
     UncertifiedOrderError,
+    _taylor_poly,
     compose_rational,
     series_of_ratfunc,
 )
@@ -211,3 +213,65 @@ def test_series_of_ratfunc_polynomial_exact():
 def test_scale():
     s = LaurentSeries(0, [fe(1), fe(2)], exact=True)
     assert (s * LaurentSeries.monomial(3)).coefficient(1) == fe(6)
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts for numbers, polynomials and the exact zero against the
+# general path they stand for
+
+
+def _polynomial(degree):
+    """sum_k c_k z^k with Gaussian and symbolic coefficients, all nonzero."""
+    z, lam = FieldElem.var("z"), FieldElem.var("lam")
+    coeffs = [fe(gauss(k + 1, (-1) ** k)) + (lam if k % 2 else fe(0)) for k in range(degree + 1)]
+    return sum((c * z ** k for k, c in enumerate(coeffs)), fe(0))
+
+
+def _same_window(got, want):
+    assert (got.lo, got.exact, len(got.nums)) == (want.lo, want.exact, len(want.nums))
+    assert all(got.coefficient(e) == want.coefficient(e) for e in range(want.lo, want.stored_hi))
+    assert str(got) == str(want)
+
+
+_WIDTHS = [1, 2, 4, 8]
+_OFFSETS = [0, 1, -1, 2]
+
+
+@pytest.mark.parametrize("offset", _OFFSETS)
+@pytest.mark.parametrize("width", _WIDTHS)
+@pytest.mark.parametrize("case", [
+    "zero", "real", "gaussian", "degree-below", "degree-equal", "degree-above", "rational",
+])
+def test_series_of_ratfunc_matches_the_general_path(case, width, offset):
+    z = FieldElem.var("z")
+    degree = {"degree-below": width - 1, "degree-equal": width, "degree-above": width + 1}
+    fixed = {
+        "zero": fe(0),
+        "real": fe(Fraction(-7, 3)),
+        "gaussian": fe(gauss(Fraction(1, 2), -3)),
+        "rational": (z * z + fe(gauss(0, 1))) / (z - fe(3)),
+    }
+    r = fixed[case] if case in fixed else _polynomial(degree[case])
+    got = series_of_ratfunc(r, offset, width)
+    _same_window(got, _taylor_poly(r.num, offset, width).div(_taylor_poly(r.den, offset, width), width))
+    if case != "rational":
+        # a polynomial keeps min(width, deg + 1) coefficients, and is exact
+        # only when its degree is below the width
+        deg = -1 if case == "zero" else degree.get(case, 0)
+        assert got.exact == (deg < width)
+        assert got.stored_hi - got.lo <= min(width, deg + 1)
+        assert got.exact or got.stored_hi == width
+
+
+@pytest.mark.parametrize("s", [
+    LaurentSeries(-2, [fe(1), fe(0), fe(gauss(2, -1))], exact=True),
+    LaurentSeries(3, [fe(gauss(0, 1)), FieldElem.var("K")], exact=True),
+    LaurentSeries(-1, [fe(1) / FieldElem.var("zhat"), fe(5)], exact=False),
+    LaurentSeries.zero(4, exact=False),
+    LaurentSeries.zero(0, exact=True),
+], ids=["exact-pole", "exact-zero-order-3", "inexact", "inexact-zero", "exact-zero"])
+def test_adding_the_exact_zero_changes_nothing(s):
+    zero = LaurentSeries.zero(0, exact=True)
+    for total in (s + zero, zero + s, s + 0, 0 + s):
+        _same_window(total, s)
+        assert total.den == s.den and total.nums == s.nums
