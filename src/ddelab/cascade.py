@@ -18,15 +18,20 @@ double-pole coefficient to the residue; ``simple_pole_residue`` performs
 that conversion (strict c_{-1} minus the zhat-derivative of strict c_{-2}).
 
 Window width has one policy, and it lives here: ``run_cascade`` decides it.
-Every seed starts with a one-coefficient window, the least that shows the
-seed's order.  The cascade doubles the width, up to ``MAX_TRUNCATION`` (128),
-and replays from the seed only when something the caller reads is not yet
-certified: an order (the window shows only zeros, or a denominator series
-vanishes to the end of its window), or the strict c_{-1} and c_{-2} at
-offset 3 that ``confinement_report`` and ``simple_pole_residue`` read when
-the pole orders do not grow geometrically.  Certified orders and
-coefficients are exact, so no result depends on the width at which it was
-read.  At the cap, the last attempt's pattern is returned as it stands.
+A zero seed of order p starts with p + 2 coefficients: it gives a pole of
+order p + 1 at offset 1, and a chain that closes has order >= 0 at offset 3,
+so the window there must reach p + 2 coefficients from that pole before the
+verdict can read it.  A pole seed starts with one, which shows the orders
+``polynomial_blowup`` reads.  The cascade doubles the width, up to
+``MAX_TRUNCATION`` (128), and replays from the seed only when something the
+caller reads is not yet certified: an order (the window shows only zeros, or
+a denominator series vanishes to the end of its window), or the strict c_{-1}
+and c_{-2} at offset 3 that ``confinement_report`` and ``simple_pole_residue``
+read when the pole orders do not grow geometrically.  Certified orders and
+coefficients are exact, and ``fieldelem``'s normal form prints them uniquely
+while each denominator less its monomial has one variable, so no result
+depends on the width at which it was read.  At the cap, the last attempt's
+pattern is returned as it stands.
 """
 
 from __future__ import annotations
@@ -88,8 +93,9 @@ class LocalData:
 
 
 def seed_local_data(kind: SeedKind, p: int) -> LocalData:
-    """Seed data with a one-coefficient window; ``run_cascade`` widens it."""
-    return SeedSpec(kind, p).build(1)
+    """Seed data in its first window (module docstring); ``run_cascade``
+    widens it."""
+    return SeedSpec(kind, p).build(p + 2 if kind == SeedKind.ZERO_OF_W else 1)
 
 
 def cascade_step(eq: DelayDiffEq, state: LocalData, j: int) -> LaurentSeries:
@@ -145,13 +151,14 @@ def run_cascade(
 ) -> SingularityPattern:
     """Iterate the normal form for the given number of steps.
 
-    Starts at the seed's width, 1 from ``seed_local_data``.  The seed is
-    rebuilt at double the width, up to ``MAX_TRUNCATION`` (128), and the
-    cascade replays when an order is not certified (a window of zeros, or a
-    denominator series that vanishes to the end of its window), or when,
-    without geometric growth of the pole orders, the window at offset 3
-    ends before the c_-1 and c_-2 that the confinement verdict reads.  At
-    the cap the pattern ends with a flagged, uncertified entry instead.
+    Starts at the seed's width: from ``seed_local_data``, p + 2 for a zero of
+    order p, the least in which a closing chain is read, and 1 for a pole.
+    The seed is rebuilt at double the width, up to ``MAX_TRUNCATION`` (128),
+    and the cascade replays when an order is not certified (a window of
+    zeros, or a denominator series that vanishes to the end of its window),
+    or when, without geometric growth of the pole orders, the window at
+    offset 3 ends before the c_-1 and c_-2 that the confinement verdict
+    reads.  At the cap the pattern ends with a flagged, uncertified entry.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

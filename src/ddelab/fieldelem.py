@@ -17,9 +17,15 @@ sizes workable in four steps:
 * when the denominator, less its own monomial factor, involves a single
   variable, its gcd with the numerators' content in that variable is
   cancelled (plain Euclid in one variable over Q(i)),
-* the rational content of the denominator is moved into the numerators and
-  its leading coefficient is rotated into the closed first quadrant by a
-  unit of Q(i), giving a deterministic sign convention.
+* the content of the denominator is moved into the numerators: its rational
+  content, then the gcd in Z[i] of the Gaussian integers that leaves (a unit
+  when they are all real), and a unit that rotates its leading coefficient
+  into the closed first quadrant.
+
+So the form is unique, whatever arithmetic made it, when the denominator less
+its monomial factor involves at most one variable: that core shares no factor
+with every numerator, is primitive over Z[i] and has a fixed leading
+coefficient.  A multivariate core can still depend on the arithmetic.
 
 A factor is cancelled only when every numerator shares it: finer
 cancellation would regrow when the window is put back over one denominator.
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .gaussian import I, ONE, ZERO, GaussianRational
 from .mpoly import MPoly
@@ -221,7 +227,8 @@ class FieldElem:
 
 def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
     """Normal form of the fractions ``nums[k]/den``: the module docstring's
-    four steps, in order.
+    four steps, in order, unique for a univariate core.  The last step scales
+    once, by 1/content over the Gaussian content times the unit.
 
     A constant denominator always comes back as the shared ``_ONE_MP``, the
     invariant behind the polynomial fast paths of ``FieldElem``.
@@ -252,15 +259,13 @@ def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
             if den.is_constant():
                 return _tighten(den, nums)
 
-    c = den.content()
-    if c != 1:
-        inv = GaussianRational(Fraction(1) / c)
+    inv = GaussianRational(Fraction(1) / den.content())
+    if any(c.im for c in den.terms.values()):
+        inv = inv / _gaussian_gcd(c * inv for c in den.terms.values())
+    inv = inv * _first_quadrant_unit(den.leading_coefficient() * inv)
+    if inv != ONE:
         den = den.scale(inv)
         nums = [n.scale(inv) for n in nums]
-    unit = _first_quadrant_unit(den.leading_coefficient())
-    if unit != ONE:
-        den = den.scale(unit)
-        nums = [n.scale(unit) for n in nums]
     return den, nums
 
 
@@ -307,6 +312,19 @@ def _first_quadrant_unit(lead: GaussianRational) -> GaussianRational:
         cand = cand * I
         unit = unit * I
     return ONE  # lead == 0 cannot happen for a nonzero denominator
+
+
+def _gaussian_gcd(coeffs: Iterable[GaussianRational]) -> GaussianRational:
+    """A gcd in Z[i] of Gaussian integers, by Euclid with rounded quotients."""
+    g = (0, 0)
+    for c in coeffs:
+        b = (c.re, c.im)
+        while b != (0, 0) and g[0] * g[0] + g[1] * g[1] != 1:
+            n = b[0] * b[0] + b[1] * b[1]
+            qr = (2 * (g[0] * b[0] + g[1] * b[1]) + n) // (2 * n)
+            qi = (2 * (g[1] * b[0] - g[0] * b[1]) + n) // (2 * n)
+            g, b = b, (g[0] - qr * b[0] + qi * b[1], g[1] - qr * b[1] - qi * b[0])
+    return GaussianRational(*g)
 
 
 def _gcd_with_content(g: ULi, p: MPoly, v: str) -> ULi:

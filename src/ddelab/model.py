@@ -351,13 +351,17 @@ def normal_form_series(
     w: LaurentSeries,
     width: int,
 ) -> LaurentSeries:
-    """Evaluate N at z = zhat + offset + t with w given as a series in t."""
+    """Evaluate N at z = zhat + offset + t with w given as a series in t.
+
+    The inverse-square N is grouped as (a w' / w + b) / w + c, one series
+    product fewer than a w' / w^2 + b / w + c.
+    """
     wp = w.derivative()
     a_s = series_of_ratfunc(eq.a, offset, width)
     if eq.kind == EqKind.INVERSE_SQUARE:
         b_s, c_s = (series_of_ratfunc(f, offset, width) for f in (eq.b, eq.c))
         winv = w.inverse(width)
-        return a_s * wp * winv * winv + b_s * winv + c_s
+        return (a_s * wp * winv + b_s) * winv + c_s
     # both log-derivative classes: a right side minus a(z) w'/w
     if eq.kind == EqKind.PURE_LOG_DERIV:
         rhs = series_of_ratfunc(eq.b, offset, width)

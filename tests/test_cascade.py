@@ -1,5 +1,8 @@
 """Seeded local expansions stepped through the delay normal forms."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from ddelab.cascade import (
@@ -14,9 +17,10 @@ from ddelab.cascade import (
     seed_local_data,
     simple_pole_residue,
 )
-from ddelab.corpus import load_demo_corpus
+from ddelab.corpus import SCHEMA_VERSION, load_corpus, load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.model import (
+    EqKind,
     FactoredDenominator,
     WPoly,
     make_inverse_square,
@@ -28,6 +32,22 @@ Z = FieldElem.var("z")
 ZHAT = FieldElem.var("zhat")
 ALPHA = FieldElem.var("alpha")
 ONE = FieldElem.const(1)
+
+
+# an affine-confined entry with complex coefficients: before the Gaussian
+# content was divided out, its leadings printed differently at start widths
+# 1 and 3
+AFFINE_CONFINED_012 = {
+    "id": "affine-confined-012", "class": "inverse-square",
+    "a": "(-2-3*i) + (1/3+4/3*i)*z", "b": "(2/3+20/3*i) + (2/3-3*i)*z", "c": "0",
+}
+
+
+def _path_cases():
+    golden = Path(__file__).parent / "golden" / "cascade-exact-7-corpus.json"
+    extra = json.dumps({"schema_version": SCHEMA_VERSION, "entries": [AFFINE_CONFINED_012]})
+    demo = [e for e in load_demo_corpus() if e.eq.kind == EqKind.INVERSE_SQUARE]
+    return demo + list(load_corpus(golden.read_text())) + list(load_corpus(extra))
 
 
 def zero_seed(p):
@@ -210,6 +230,19 @@ class TestReproducibility:
                 assert pat.entry_at(j).order == pats[0].entry_at(j).order
                 assert pat.entry_at(j).leading == pats[0].entry_at(j).leading
 
+    @pytest.mark.parametrize("entry", _path_cases(), ids=lambda e: e.id)
+    def test_printed_reports_do_not_depend_on_the_start_width(self, entry):
+        # the window width and the grouping of N decide only speed: every
+        # leading prints in one normal form, whatever arithmetic made it
+        request = entry.requests["cascade"]
+        seed = SeedSpec(request["seed"], request["order"])
+        texts = set()
+        for width in (1, 3, 8):
+            pat = run_cascade(entry.eq, seed.build(width), request["steps"])
+            verdict = confinement_report(pat, entry.eq)
+            texts.add(json.dumps([pat.export(), verdict.export()]))
+        assert len(texts) == 1
+
     def test_verdict_coefficient_regrows_a_narrow_window(self):
         # orders -3, 2, -3: a one-coefficient window at offset 3 holds only
         # c_-3, and the bounded-pole-chain witness is c_-2
@@ -247,7 +280,8 @@ class TestTruncationCap:
 
         monkeypatch.setattr(cascade, "MAX_TRUNCATION", 2)
         monkeypatch.setattr(cascade, "cascade_step", recording_step)
-        pat = run_cascade(eq, zero_seed(1), 3)
+        # a one-coefficient seed: zero_seed starts at the width offset 3 reads
+        pat = run_cascade(eq, SeedSpec(SeedKind.ZERO_OF_W, 1).build(1), 3)
         assert [e.order for e in pat.entries] == [-2, 1, None]
         last = pat.entry_at(3)
         assert not last.certified

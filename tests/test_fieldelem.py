@@ -1,14 +1,17 @@
 """Rational functions as exact fractions of sparse polynomials."""
 
+import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddelab.fieldelem import FieldElem
-from ddelab.gaussian import gauss
+from ddelab.gaussian import GaussianRational, gauss
 from ddelab.mpoly import MPoly
 
 
@@ -170,3 +173,72 @@ def test_str_roundtrip_sanity():
     f = (Z + 1) / (Z - 1)
     s = str(f)
     assert "z" in s and "/" in s
+
+
+# -- the Gaussian content --------------------------------------------------------
+
+
+def test_gaussian_content_of_the_denominator_is_divided_out():
+    g = FieldElem.const(gauss(2, 1))
+    x, y, z = (FieldElem.var(v) for v in "xyz")
+    assert str((g * x * y + g * z) / (g * x)) == "(x*y+z)/x"
+
+
+_GAUSS = st.builds(gauss, st.integers(-6, 6), st.integers(-6, 6))
+_SCALE = st.builds(lambda c, d: c / gauss(d), _GAUSS.filter(bool), st.integers(1, 4))
+_VAR_POLY = st.dictionaries(st.integers(0, 3), _GAUSS, min_size=1, max_size=4)
+
+
+@st.composite
+def _univariate_core_fractions(draw):
+    """n/d with n in z, alpha, K, and d a monomial times a polynomial in one
+    variable: the denominators whose printed form is unique."""
+    n = MPoly(("z", "alpha", "K"), draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), _GAUSS, min_size=1, max_size=5)))
+    v = draw(st.sampled_from(("z", "alpha")))
+    core = MPoly((v,), {(e,): c for e, c in draw(_VAR_POLY).items()})
+    mono = MPoly(("z", "alpha"), {draw(st.tuples(*[st.integers(0, 2)] * 2)): gauss(1)})
+    d = core * mono
+    if d.is_zero:
+        d = mono
+    return n, d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_SCALE, _univariate_core_fractions())
+def test_a_gaussian_factor_of_both_parts_leaves_the_form(gamma, fraction):
+    n, d = fraction
+    plain = FieldElem(n, d)
+    scaled = FieldElem(n.scale(gamma), d.scale(gamma))
+    assert str(scaled) == str(plain)
+    assert scaled == plain
+
+
+def _leadings_and_witnesses(report):
+    if isinstance(report, dict):
+        for key, value in report.items():
+            if key in ("leading", "witness") and isinstance(value, str):
+                yield value
+            elif key == "witnesses":
+                yield from value.values()
+            else:
+                yield from _leadings_and_witnesses(value)
+    elif isinstance(report, list):
+        for value in report:
+            yield from _leadings_and_witnesses(value)
+
+
+def _evaluate(text):
+    """A printed form, rebuilt by FieldElem arithmetic on its literals."""
+    names = {name: FieldElem.var(name) for name in re.findall(r"[A-Za-z_]\w*", text)}
+    names.update(F=FieldElem.const, i=FieldElem.const(GaussianRational(0, 1)))
+    python = re.sub(r"(\^)?(\d+)", lambda m: "**" + m[2] if m[1] else f"F({m[2]})", text)
+    return eval(python, names)
+
+
+@pytest.mark.parametrize("golden", ["demo-cascade.json", "cascade-exact-7-cascade.json"])
+def test_real_golden_forms_print_as_before(golden):
+    report = json.loads((Path(__file__).parent / "golden" / golden).read_text())
+    texts = sorted(set(_leadings_and_witnesses(report)))
+    assert texts and not any("i" in re.sub(r"[A-Za-z_]\w+", "", t) for t in texts)
+    assert [str(_evaluate(t)) for t in texts] == texts
