@@ -11,6 +11,16 @@ by ``perfbench/workloads.py`` and kept here as
 ``cascade-exact-7-corpus.json``, must match byte for byte as well: it runs
 the exact series algebra on every family of that benchmark workload.
 
+``verdict-shapes-corpus.json`` holds 12 entries of the seed-7 batch-light
+corpus, in the form ``perfbench/workloads.py`` writes it.  Between them they
+reach every ``classify`` verdict shape (``also_branch_b``, the hypothesis
+violation, c != 0, a non-affine and a non-constant coefficient, the confined
+triple) and every ``cascade`` row kind the report can print, including
+``bounded-pole-chain``.  Their ``classify`` and ``cascade`` JSON entries must
+match byte for byte.  The ``--format text`` reports of ``classify`` and
+``cascade``, on the demo and on this corpus, must match their goldens once
+the ``[N ms]`` timings are stripped.
+
 ``verify`` and ``nev`` carry floating-point measurements, so they are
 compared field by field.  Strings, integers, booleans, nulls and the set of
 keys must match exactly; that covers ids, verdicts, parameters, sample
@@ -23,6 +33,7 @@ columns) within 1e-9 relative.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -44,6 +55,12 @@ def _report_entries(subcommand, tmp_path, *corpus):
     argv = [subcommand, *corpus, "--format", "json", "--out", str(out)]
     assert cli.run(argv) == cli.EXIT_OK
     return json.loads(out.read_text())["entries"]
+
+
+def _text_report(subcommand, tmp_path, *corpus):
+    out = tmp_path / "report.txt"
+    assert cli.run([subcommand, *corpus, "--format", "text", "--out", str(out)]) == cli.EXIT_OK
+    return re.sub(r" \[\d+ ms\]", "", out.read_text())
 
 
 def _float_close(key, got, want):
@@ -91,6 +108,22 @@ def test_cascade_exact_workload_entries_match_golden(tmp_path):
     entries = _report_entries("cascade", tmp_path, "--corpus", str(corpus))
     got = json.dumps(entries, sort_keys=True, indent=2) + "\n"
     assert got == (GOLDEN / "cascade-exact-7-cascade.json").read_text()
+
+
+@pytest.mark.parametrize("subcommand", ["classify", "cascade"])
+def test_verdict_shapes_entries_match_golden(subcommand, tmp_path):
+    corpus = GOLDEN / "verdict-shapes-corpus.json"
+    entries = _report_entries(subcommand, tmp_path, "--corpus", str(corpus))
+    got = json.dumps(entries, sort_keys=True, indent=2) + "\n"
+    assert got == (GOLDEN / f"verdict-shapes-{subcommand}.json").read_text()
+
+
+@pytest.mark.parametrize("corpus", ["demo", "verdict-shapes"])
+@pytest.mark.parametrize("subcommand", ["classify", "cascade"])
+def test_text_reports_match_golden(subcommand, corpus, tmp_path):
+    args = [] if corpus == "demo" else ["--corpus", str(GOLDEN / f"{corpus}-corpus.json")]
+    got = _text_report(subcommand, tmp_path, *args)
+    assert got == (GOLDEN / f"{corpus}-{subcommand}.txt").read_text()
 
 
 @pytest.mark.parametrize("subcommand", ["nev", "verify"])
