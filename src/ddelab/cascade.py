@@ -36,9 +36,9 @@ pattern is returned as it stands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .fieldelem import FieldElem
 from .laurent import (
@@ -260,30 +260,6 @@ def second_difference(a: FieldElem) -> FieldElem:
     return a.shift(2) - _TWO * a.shift(1) + a
 
 
-@dataclass(frozen=True)
-class ConfinementVerdict:
-    kind: str  # "confined" | "simple-pole-tail" | "bounded-pole-chain" | "exponential-order-growth"
-    offset: Optional[int] = None  # for "confined": where the chain closes
-    ratio: Optional[int] = None  # for "exponential-order-growth"
-    witness: Optional[FieldElem] = None
-    witnesses: Mapping[str, FieldElem] = field(default_factory=dict)
-    note: str = ""
-
-    def export(self) -> dict:
-        out = {"kind": self.kind}
-        if self.offset is not None:
-            out["offset"] = self.offset
-        if self.ratio is not None:
-            out["ratio"] = self.ratio
-        if self.witness is not None:
-            out["witness"] = str(self.witness)
-        if self.witnesses:
-            out["witnesses"] = {k: str(v) for k, v in self.witnesses.items()}
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
 def _geometric_ratio(entries) -> Optional[int]:
     """Certified integer ratio >= 2 across consecutive pole orders, if any."""
     orders = [e.order for e in entries if e.certified and e.order is not None]
@@ -302,10 +278,16 @@ def _geometric_ratio(entries) -> Optional[int]:
     return None
 
 
-def confinement_report(
-    pattern: SingularityPattern, eq: DelayDiffEq
-) -> ConfinementVerdict:
-    """Classify how the singularity chain behaves after three steps."""
+def confinement_report(pattern: SingularityPattern, eq: DelayDiffEq) -> Dict[str, Any]:
+    """Classify how the singularity chain behaves after three steps.
+
+    The verdict is the dict that the report prints: ``kind`` ("confined",
+    "simple-pole-tail", "bounded-pole-chain" or "exponential-order-growth")
+    and ``note``, plus ``offset`` where a confined chain closes, ``ratio``
+    for geometric growth, ``witness``, and on an inverse-square entry the
+    ``witnesses`` second_difference and residue_obstruction.  Witnesses stay
+    exact ``FieldElem`` values; ``cli`` prints them.
+    """
     cert = pattern.certified_entries
     try:
         first_three = [pattern.entry_at(j) for j in (1, 2, 3)]
@@ -316,40 +298,29 @@ def confinement_report(
 
     d = _geometric_ratio(pattern.entries)
     if d is not None:
-        last = cert[-1]
-        return ConfinementVerdict(
-            kind="exponential-order-growth", ratio=d, witness=last.leading,
-            note=f"pole orders grow geometrically with ratio {d}",
-        )
+        return {"kind": "exponential-order-growth", "ratio": d, "witness": cert[-1].leading,
+                "note": f"pole orders grow geometrically with ratio {d}"}
 
     e3 = pattern.entry_at(3)
-    witnesses: Dict[str, FieldElem] = {}
+    verdict: Dict[str, Any] = {}
     if eq.kind == EqKind.INVERSE_SQUARE:
-        witnesses["second_difference"] = at_base_point(second_difference(eq.a))
-        witnesses["residue_obstruction"] = at_base_point(gamma_of(eq.a, eq.b))
+        verdict["witnesses"] = {
+            "second_difference": at_base_point(second_difference(eq.a)),
+            "residue_obstruction": at_base_point(gamma_of(eq.a, eq.b)),
+        }
 
     if e3.order >= 0:
-        residue = simple_pole_residue(e3)
-        return ConfinementVerdict(
-            kind="confined", offset=3, witness=residue, witnesses=witnesses,
-            note="chain closes with a finite value at offset 3",
-        )
+        return {**verdict, "kind": "confined", "offset": 3, "witness": simple_pole_residue(e3),
+                "note": "chain closes with a finite value at offset 3"}
     if e3.order == -1:
         residue = simple_pole_residue(e3)
         if eq.kind == EqKind.INVERSE_SQUARE:
-            witness = residue * _ALPHA  # strips the seed symbol: gamma(zhat)
-        else:
-            witness = residue
-        return ConfinementVerdict(
-            kind="simple-pole-tail", witness=witness, witnesses=witnesses,
-            note="offset 3 keeps a simple pole; chain does not close",
-        )
+            residue = residue * _ALPHA  # strips the seed symbol: gamma(zhat)
+        return {**verdict, "kind": "simple-pole-tail", "witness": residue,
+                "note": "offset 3 keeps a simple pole; chain does not close"}
     # double pole (or worse) without geometric growth
-    c2 = e3.series.coefficient(-2)
-    return ConfinementVerdict(
-        kind="bounded-pole-chain", witness=c2, witnesses=witnesses,
-        note="offset 3 has a higher-order pole; orders stay bounded",
-    )
+    return {**verdict, "kind": "bounded-pole-chain", "witness": e3.series.coefficient(-2),
+            "note": "offset 3 has a higher-order pole; orders stay bounded"}
 
 
 def polynomial_blowup(

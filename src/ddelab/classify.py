@@ -5,15 +5,20 @@ conditions that any non-rational meromorphic solution of slow growth forces
 on the equation.  The verdicts are contrapositive by nature: a pass never
 asserts that solutions exist, and a violation means every such solution is
 ruled out.  When the inverse-square class passes, the witnessing parameter
-triple is extracted and reconstructs the equation exactly.
+triple is extracted and reconstructs the equation exactly
+(``build_normal_form``).
+
+A verdict is the dict that the report prints: ``eq_kind``, ``outcome`` and
+``details``, plus ``params`` ({lam, mu, nu}) on the confined branch and
+``also_branch_b`` when both log-deriv branches hold.  The triple keeps its
+exact ``GaussianRational`` values; ``cli`` prints them.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .cascade import second_difference
 from .fieldelem import FieldElem
@@ -36,64 +41,29 @@ class Outcome(str, Enum):
     HYPOTHESIS_VIOLATION = "hypothesis-violation"
 
 
-@dataclass(frozen=True)
-class NormalFormParams:
-    """Parameter triple of the confined inverse-square family.
-
-    The family has a = lam + mu*z and b = nu*a - mu with c = 0; the triple
-    rebuilds the equation exactly, so extraction is a round trip.
-    """
-
-    lam: GaussianRational
-    mu: GaussianRational
-    nu: GaussianRational
-
-    def build(self) -> DelayDiffEq:
-        a = FieldElem.const(self.lam) + FieldElem.const(self.mu) * _Z
-        b = FieldElem.const(self.nu) * a - FieldElem.const(self.mu)
-        return make_inverse_square(a=a, b=b, name="confined-family")
-
-    def export(self) -> dict:
-        return {"lam": str(self.lam), "mu": str(self.mu), "nu": str(self.nu)}
-
-
 def build_normal_form(lam, mu, nu) -> DelayDiffEq:
-    """Equation of the confined family from its parameter triple."""
-    return NormalFormParams(
-        GaussianRational.coerce(lam),
-        GaussianRational.coerce(mu),
-        GaussianRational.coerce(nu),
-    ).build()
+    """Equation of the confined family from its parameter triple.
+
+    The family has a = lam + mu*z and b = nu*a - mu with c = 0, so the
+    triple that ``classify`` extracts rebuilds the equation exactly.
+    """
+    lam, mu, nu = (FieldElem.const(GaussianRational.coerce(x)) for x in (lam, mu, nu))
+    a = lam + mu * _Z
+    return make_inverse_square(a=a, b=nu * a - mu)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    eq_kind: EqKind
-    outcome: Outcome
-    details: Tuple[str, ...] = ()
-    params: Optional[NormalFormParams] = None
-    also_branch_b: bool = False
-
-    def export(self) -> dict:
-        out = {
-            "eq_kind": self.eq_kind.value,
-            "outcome": self.outcome.value,
-            "details": list(self.details),
-        }
-        if self.params is not None:
-            out["params"] = self.params.export()
-        if self.also_branch_b:
-            out["also_branch_b"] = True
-        return out
+def _verdict(eq: DelayDiffEq, outcome: Outcome, *details: str, **extra: Any) -> Dict[str, Any]:
+    return {"eq_kind": eq.kind.value, "outcome": outcome.value, "details": list(details),
+            **extra}
 
 
-def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
+def classify_log_deriv(eq: DelayDiffEq) -> Dict[str, Any]:
     """Degree test for the rational-in-w class.
 
     Branch A needs the numerator degree to exceed the denominator degree by
     exactly one and stay at most three; branch B needs total degree zero or
-    one.  Both can hold at once; the verdict then reports branch A and keeps
-    a flag for branch B.  Checkability requires a monic denominator, a
+    one.  Both can hold at once; the verdict then reports branch A and sets
+    ``also_branch_b``.  Checkability requires a monic denominator, a
     supplied factorization, and no common roots; ``DelayDiffEq`` already
     rejects a denominator that is zero or vanishes at w = 0.
 
@@ -115,7 +85,7 @@ def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
     if eq.p_poly.is_zero:
         failed.append("numerator is identically zero")
     if failed:
-        return Verdict(eq.kind, Outcome.HYPOTHESIS_VIOLATION, tuple(failed))
+        return _verdict(eq, Outcome.HYPOTHESIS_VIOLATION, *failed)
 
     rep = rational_degree(eq)
     dp, dq, dr = rep["num"], rep["den"], rep["map"]
@@ -125,18 +95,14 @@ def classify_log_deriv(eq: DelayDiffEq) -> Verdict:
         details = [f"numerator degree {dp} = denominator degree {dq} + 1 <= 3"]
         if branch_b:
             details.append(f"total degree {dr} also fits the linear branch")
-        return Verdict(eq.kind, Outcome.CONSISTENT_BRANCH_A, tuple(details), also_branch_b=branch_b)
+            return _verdict(eq, Outcome.CONSISTENT_BRANCH_A, *details, also_branch_b=True)
+        return _verdict(eq, Outcome.CONSISTENT_BRANCH_A, *details)
     if branch_b:
-        return Verdict(
-            eq.kind, Outcome.CONSISTENT_BRANCH_B,
-            (f"total degree {dr} is at most one",),
-        )
-    return Verdict(
-        eq.kind, Outcome.VIOLATES_NECESSARY_CONDITION,
-        (
-            f"degrees (num {dp}, den {dq}, total {dr}) fit neither branch; "
-            "any non-rational meromorphic solution must have hyper-order at least one",
-        ),
+        return _verdict(eq, Outcome.CONSISTENT_BRANCH_B, f"total degree {dr} is at most one")
+    return _verdict(
+        eq, Outcome.VIOLATES_NECESSARY_CONDITION,
+        f"degrees (num {dp}, den {dq}, total {dr}) fit neither branch; "
+        "any non-rational meromorphic solution must have hyper-order at least one",
     )
 
 
@@ -187,7 +153,7 @@ def _exponential_family_flag(a: FieldElem, b: FieldElem) -> Optional[str]:
     )
 
 
-def classify_pure_log_deriv(eq: DelayDiffEq) -> Verdict:
+def classify_pure_log_deriv(eq: DelayDiffEq) -> Dict[str, Any]:
     """Constancy test for the pure logarithmic-derivative class."""
     if eq.kind != EqKind.PURE_LOG_DERIV:
         raise ValueError("classifier expects the pure log-derivative class")
@@ -196,14 +162,14 @@ def classify_pure_log_deriv(eq: DelayDiffEq) -> Verdict:
     if flag:
         details.append(flag)
     if eq.a.is_constant() and eq.b.is_constant():
-        return Verdict(eq.kind, Outcome.CONSISTENT_BRANCH_A, tuple(details))
+        return _verdict(eq, Outcome.CONSISTENT_BRANCH_A, *details)
     which = "a" if not eq.a.is_constant() else "b"
     details.insert(
         0,
         f"coefficient {which} is not constant; no non-rational solution of "
         "hyper-order below one can keep zeros dense enough",
     )
-    return Verdict(eq.kind, Outcome.VIOLATES_NECESSARY_CONDITION, tuple(details))
+    return _verdict(eq, Outcome.VIOLATES_NECESSARY_CONDITION, *details)
 
 
 def _affine_parts(a: FieldElem) -> Optional[Tuple[GaussianRational, GaussianRational]]:
@@ -218,7 +184,7 @@ def _affine_parts(a: FieldElem) -> Optional[Tuple[GaussianRational, GaussianRati
     return lam, mu
 
 
-def classify_inverse_square(eq: DelayDiffEq) -> Verdict:
+def classify_inverse_square(eq: DelayDiffEq) -> Dict[str, Any]:
     """Parameter extraction for the inverse-square class.
 
     Passes exactly when c vanishes, a is affine, and the forcing term is
@@ -229,39 +195,28 @@ def classify_inverse_square(eq: DelayDiffEq) -> Verdict:
     if eq.kind != EqKind.INVERSE_SQUARE:
         raise ValueError("classifier expects the inverse-square class")
     if not eq.c.is_zero:
-        return Verdict(
-            eq.kind, Outcome.VIOLATES_NECESSARY_CONDITION,
-            ("additive coefficient c is not identically zero",),
-        )
+        return _verdict(eq, Outcome.VIOLATES_NECESSARY_CONDITION,
+                        "additive coefficient c is not identically zero")
     parts = _affine_parts(eq.a)
     if parts is None:
         witness = second_difference(eq.a)
-        return Verdict(
-            eq.kind, Outcome.VIOLATES_NECESSARY_CONDITION,
-            (
-                "coefficient a is not affine in z; its second difference is "
-                f"{witness} rather than zero",
-            ),
+        return _verdict(
+            eq, Outcome.VIOLATES_NECESSARY_CONDITION,
+            f"coefficient a is not affine in z; its second difference is {witness} rather "
+            "than zero",
         )
     lam, mu = parts
     nu = _number_ratio(eq.b + FieldElem.const(mu), eq.a)
     if nu is None:
-        return Verdict(
-            eq.kind, Outcome.VIOLATES_NECESSARY_CONDITION,
-            (
-                "no constant matches the forcing term: (b + slope)/a is not "
-                "constant",
-            ),
-        )
-    params = NormalFormParams(lam, mu, nu)
-    return Verdict(
-        eq.kind, Outcome.CONSISTENT_BRANCH_A,
-        (f"a = {lam} + {mu}*z and b = {nu}*a - {mu}",),
-        params=params,
+        return _verdict(eq, Outcome.VIOLATES_NECESSARY_CONDITION,
+                        "no constant matches the forcing term: (b + slope)/a is not constant")
+    return _verdict(
+        eq, Outcome.CONSISTENT_BRANCH_A, f"a = {lam} + {mu}*z and b = {nu}*a - {mu}",
+        params={"lam": lam, "mu": mu, "nu": nu},
     )
 
 
-def classify(eq: DelayDiffEq) -> Verdict:
+def classify(eq: DelayDiffEq) -> Dict[str, Any]:
     """Dispatch on the equation class."""
     if eq.kind == EqKind.LOG_DERIV:
         return classify_log_deriv(eq)

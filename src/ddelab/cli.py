@@ -7,6 +7,12 @@ covers exactly those inputs: the corpus text (empty for ``limit``), the
 ``--entry`` filter, the ``--seed``, the subcommand and the tool version.
 Series window widths are not an input: the cascade sizes its own window.
 
+The ``classify`` and ``cascade`` verdicts reach the rows as their analyses
+return them, with exact ``FieldElem`` and ``GaussianRational`` values (the
+witnesses and the triple lam, mu, nu).  They are printed in one place: the
+JSON writer turns those two types into their ``str``, and the text writer
+formats them the same way.
+
 Output files are written to a sibling temp file and moved into place, so
 readers never observe a partial report.
 """
@@ -43,6 +49,8 @@ from .cascade import (
 )
 from .classify import classify
 from .corpus import CorpusEntry, CorpusError, demo_corpus_text, load_corpus
+from .fieldelem import FieldElem
+from .gaussian import GaussianRational
 from .model import EqKind, rational_degree
 from .nevanlinna import characteristic_table, growth_estimates, log_grid, ratio_checks
 
@@ -56,14 +64,13 @@ class RequestError(ValueError):
 
 def _confined_triple(entry: CorpusEntry) -> Tuple[complex, complex, complex]:
     """Extracted (lam, mu, nu) of an inverse-square entry, as complex."""
-    verdict = classify(entry.eq)
-    if verdict.params is None:
+    params = classify(entry.eq).get("params")
+    if params is None:
         raise RequestError(
             "this request needs the confined parameter triple, but the entry "
             "does not reduce to it"
         )
-    p = verdict.params
-    return complex(p.lam), complex(p.mu), complex(p.nu)
+    return complex(params["lam"]), complex(params["mu"]), complex(params["nu"])
 
 
 def _elliptic_request(entry: CorpusEntry, request: Mapping[str, Any]) -> EllipticParams:
@@ -82,8 +89,7 @@ def _elliptic_request(entry: CorpusEntry, request: Mapping[str, Any]) -> Ellipti
 
 
 def _run_classify(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
-    verdict = classify(entry.eq)
-    result: Dict[str, Any] = {"verdict": verdict.export()}
+    result: Dict[str, Any] = {"verdict": classify(entry.eq)}
     if entry.eq.kind == EqKind.LOG_DERIV:
         result["degrees"] = rational_degree(entry.eq)
     return result, False
@@ -95,7 +101,7 @@ def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     if entry.eq.kind == EqKind.INVERSE_SQUARE:
         pattern = run_cascade(entry.eq, seed_local_data(request["seed"], order), steps)
         verdict = confinement_report(pattern, entry.eq)
-        return {"pattern": pattern.export(), "confinement": verdict.export()}, False
+        return {"pattern": pattern.export(), "confinement": verdict}, False
     if entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq)["den"] == 0:
         orders = polynomial_blowup(entry.eq, steps, q=order)
         return {"pole_orders": list(orders)}, False
@@ -214,8 +220,14 @@ def _config_hash(corpus_text: str, args, subcommand: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _exact_str(value: Any) -> str:
+    if isinstance(value, (FieldElem, GaussianRational)):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render_json(report: Dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, default=_exact_str) + "\n"
 
 
 def _render_text(report: Dict[str, Any], timings: List[float]) -> str:

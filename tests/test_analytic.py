@@ -96,7 +96,7 @@ class TestEllipticFamily:
         eq = build_normal_form(1, 0, 0)
         pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, p=1), 3)
         assert [pattern.entry_at(j).order for j in (1, 2, 3)] == [-2, 1, 0]
-        assert confinement_report(pattern, eq).kind == "confined"
+        assert confinement_report(pattern, eq)["kind"] == "confined"
 
         model = EllipticSolutionModel(self.params())
         poles = model.poles_upto(5.0)

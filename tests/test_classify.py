@@ -18,7 +18,6 @@ from ddelab.cascade import (
     seed_local_data,
 )
 from ddelab.classify import (
-    NormalFormParams,
     _number_ratio,
     Outcome,
     build_normal_form,
@@ -61,23 +60,23 @@ class TestLogDerivBranches:
         # num degree 3 = den degree 2 + 1
         eq = _log_deriv([ONE, W0, W0, ONE], [Z, FieldElem.const(2) * Z])
         v = classify_log_deriv(eq)
-        assert v.outcome == Outcome.CONSISTENT_BRANCH_A
+        assert v["outcome"] == Outcome.CONSISTENT_BRANCH_A
 
     def test_quartic_over_quadratic_violates(self):
         eq = _log_deriv([W0, W0, W0, W0, ONE], [Z, FieldElem.const(2) * Z])
         v = classify_log_deriv(eq)
-        assert v.outcome == Outcome.VIOLATES_NECESSARY_CONDITION
+        assert v["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
 
     def test_plain_forcing_is_branch_b(self):
         eq = _log_deriv([Z + ONE], [])
         v = classify_log_deriv(eq)
-        assert v.outcome == Outcome.CONSISTENT_BRANCH_B
+        assert v["outcome"] == Outcome.CONSISTENT_BRANCH_B
 
     def test_linear_over_constant_reports_both_branches(self):
         eq = _log_deriv([ONE, ONE], [])
         v = classify_log_deriv(eq)
-        assert v.outcome == Outcome.CONSISTENT_BRANCH_A
-        assert v.also_branch_b
+        assert v["outcome"] == Outcome.CONSISTENT_BRANCH_A
+        assert v["also_branch_b"]
 
     def test_shared_root_is_a_hypothesis_violation(self):
         # num and den both vanish at w = z
@@ -87,8 +86,8 @@ class TestLogDerivBranches:
             q_factors=FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)), None),
         )
         v = classify_log_deriv(eq)
-        assert v.outcome == Outcome.HYPOTHESIS_VIOLATION
-        assert any("share a root" in d for d in v.details)
+        assert v["outcome"] == Outcome.HYPOTHESIS_VIOLATION
+        assert any("share a root" in d for d in v["details"])
 
     def test_unnormalized_input_is_flagged_not_classified(self):
         eq = DelayDiffEq(
@@ -96,9 +95,9 @@ class TestLogDerivBranches:
             q_poly=_wpoly(ONE, FieldElem.const(2)),
         )
         v = classify_log_deriv(eq)
-        assert v.outcome == Outcome.HYPOTHESIS_VIOLATION
-        assert any("monic" in d for d in v.details)
-        assert any("factorization" in d for d in v.details)
+        assert v["outcome"] == Outcome.HYPOTHESIS_VIOLATION
+        assert any("monic" in d for d in v["details"])
+        assert any("factorization" in d for d in v["details"])
 
     def test_verdict_survives_common_rescaling(self):
         p = _wpoly(ONE, W0, W0, ONE)
@@ -109,11 +108,11 @@ class TestLogDerivBranches:
             a=W0, p_poly=p.scale(c),
             q_factors=FactoredDenominator(q.factors, WPoly([c])),
         )
-        assert classify_log_deriv(scaled).outcome == classify_log_deriv(eq).outcome
+        assert classify_log_deriv(scaled)["outcome"] == classify_log_deriv(eq)["outcome"]
 
     def test_repeated_calls_agree(self):
         eq = _log_deriv([ONE, W0, W0, ONE], [Z, FieldElem.const(2) * Z])
-        assert classify_log_deriv(eq).export() == classify_log_deriv(eq).export()
+        assert classify_log_deriv(eq) == classify_log_deriv(eq)
 
     def test_factored_entries_skip_the_sylvester_determinant(self, monkeypatch):
         # the supplied roots decide; the determinant is for residuals of
@@ -131,7 +130,7 @@ class TestLogDerivBranches:
             ),
         ]
         monkeypatch.setattr(model, "resultant_in_w", refuse)
-        outcomes = [classify_log_deriv(eq).outcome for eq in eqs]
+        outcomes = [classify_log_deriv(eq)["outcome"] for eq in eqs]
         assert outcomes[-2] == Outcome.HYPOTHESIS_VIOLATION
         unfactored = DelayDiffEq(EqKind.LOG_DERIV, a=W0, p_poly=_wpoly(ONE), q_poly=_wpoly(ONE, ONE))
         with pytest.raises(AssertionError, match="resultant_in_w called"):
@@ -141,12 +140,12 @@ class TestLogDerivBranches:
 class TestPureLogDerivVerdicts:
     def test_constant_pair_is_consistent(self):
         eq = make_pure_log_deriv(a=FieldElem.const(2), b=FieldElem.const(5))
-        assert classify_pure_log_deriv(eq).outcome == Outcome.CONSISTENT_BRANCH_A
+        assert classify_pure_log_deriv(eq)["outcome"] == Outcome.CONSISTENT_BRANCH_A
 
     def test_nonconstant_coefficient_violates(self):
         eq = make_pure_log_deriv(a=Z, b=W0)
         v = classify_pure_log_deriv(eq)
-        assert v.outcome == Outcome.VIOLATES_NECESSARY_CONDITION
+        assert v["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
 
     def test_zero_coefficient_is_rejected_at_construction(self):
         from ddelab.model import EquationError
@@ -161,47 +160,47 @@ class TestPureLogDerivVerdicts:
         b = FieldElem.const(gauss(0, two_pi))
         eq = make_pure_log_deriv(a=ONE, b=b)
         v = classify_pure_log_deriv(eq)
-        assert v.outcome == Outcome.CONSISTENT_BRANCH_A
-        assert any("exponential" in d for d in v.details)
+        assert v["outcome"] == Outcome.CONSISTENT_BRANCH_A
+        assert any("exponential" in d for d in v["details"])
 
     def test_flag_stays_quiet_away_from_the_family(self):
         eq = make_pure_log_deriv(a=ONE, b=FieldElem.const(3))
         v = classify_pure_log_deriv(eq)
-        assert not v.details
+        assert not v["details"]
 
     def test_flag_never_drives_the_verdict(self):
         two_pi = Fraction(10838702, 1725033)
         b = FieldElem.const(gauss(0, two_pi)) * Z
         eq = make_pure_log_deriv(a=Z, b=b)
         v = classify_pure_log_deriv(eq)
-        assert v.outcome == Outcome.VIOLATES_NECESSARY_CONDITION
-        assert any("exponential" in d for d in v.details)
+        assert v["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
+        assert any("exponential" in d for d in v["details"])
 
 
 class TestInverseSquareExtraction:
     def test_reference_triple(self):
         eq = make_inverse_square(a=ONE + FieldElem.const(2) * Z, b=ONE + FieldElem.const(6) * Z)
         v = classify_inverse_square(eq)
-        assert v.outcome == Outcome.CONSISTENT_BRANCH_A
-        assert v.params == NormalFormParams(gauss(1), gauss(2), gauss(3))
+        assert v["outcome"] == Outcome.CONSISTENT_BRANCH_A
+        assert v["params"] == {"lam": gauss(1), "mu": gauss(2), "nu": gauss(3)}
 
     def test_nonzero_additive_term_violates(self):
         eq = make_inverse_square(a=ONE, b=W0, c=ONE)
         v = classify_inverse_square(eq)
-        assert v.outcome == Outcome.VIOLATES_NECESSARY_CONDITION
-        assert any("c is not identically zero" in d for d in v.details)
+        assert v["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
+        assert any("c is not identically zero" in d for d in v["details"])
 
     def test_nonaffine_coefficient_violates_with_witness(self):
         eq = make_inverse_square(a=Z * Z, b=ONE)
         v = classify_inverse_square(eq)
-        assert v.outcome == Outcome.VIOLATES_NECESSARY_CONDITION
-        assert any("second difference" in d for d in v.details)
+        assert v["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
+        assert any("second difference" in d for d in v["details"])
 
     def test_unmatched_forcing_violates(self):
         eq = make_inverse_square(a=ONE, b=Z)
         v = classify_inverse_square(eq)
-        assert v.outcome == Outcome.VIOLATES_NECESSARY_CONDITION
-        assert any("not" in d and "constant" in d for d in v.details)
+        assert v["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
+        assert any("not" in d and "constant" in d for d in v["details"])
 
     def test_round_trip_over_random_gaussian_triples(self):
         rng = random.Random(7)
@@ -216,20 +215,20 @@ class TestInverseSquareExtraction:
                 continue
             eq = build_normal_form(lam, mu, nu)
             v = classify_inverse_square(eq)
-            assert v.outcome == Outcome.CONSISTENT_BRANCH_A
-            assert v.params == NormalFormParams(lam, mu, nu)
+            assert v["outcome"] == Outcome.CONSISTENT_BRANCH_A
+            assert v["params"] == {"lam": lam, "mu": mu, "nu": nu}
 
     def test_consistent_verdict_agrees_with_confined_cascade(self):
         eq = build_normal_form(1, 2, 3)
-        assert classify_inverse_square(eq).outcome == Outcome.CONSISTENT_BRANCH_A
+        assert classify_inverse_square(eq)["outcome"] == Outcome.CONSISTENT_BRANCH_A
         pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
-        assert confinement_report(pat, eq).kind == "confined"
+        assert confinement_report(pat, eq)["kind"] == "confined"
 
     def test_obstructed_verdict_agrees_with_pole_tail_cascade(self):
         eq = make_inverse_square(a=ONE, b=Z)
-        assert classify_inverse_square(eq).outcome == Outcome.VIOLATES_NECESSARY_CONDITION
+        assert classify_inverse_square(eq)["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
         pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
-        assert confinement_report(pat, eq).kind == "simple-pole-tail"
+        assert confinement_report(pat, eq)["kind"] == "simple-pole-tail"
 
 
 small_gaussian = st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3))
@@ -271,9 +270,9 @@ class TestClassifyAgreesWithCascade:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(inverse_square_equations())
     def test_branch_a_exactly_when_a_simple_zero_confines(self, eq):
-        consistent = classify(eq).outcome == Outcome.CONSISTENT_BRANCH_A
+        consistent = classify(eq)["outcome"] == Outcome.CONSISTENT_BRANCH_A
         pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
-        assert consistent == (confinement_report(pattern, eq).kind == "confined")
+        assert consistent == (confinement_report(pattern, eq)["kind"] == "confined")
 
 
 class TestDoubleZeroDoesNotConfine:
@@ -292,7 +291,7 @@ class TestDoubleZeroDoesNotConfine:
     def check(eq):
         pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 2), 3)
         assert [pattern.entry_at(j).order for j in (1, 2, 3)] == [-3, 2, -3]
-        assert confinement_report(pattern, eq).kind == "bounded-pole-chain"
+        assert confinement_report(pattern, eq)["kind"] == "bounded-pole-chain"
 
 
 nonzero_gaussian = small_gaussian.filter(lambda g: not g.is_zero)
@@ -318,21 +317,21 @@ class TestClassifyAgreesWithPolynomialBlowup:
     @given(polynomial_log_deriv_equations())
     def test_violation_exactly_when_pole_orders_grow_by_the_degree(self, case):
         d, q, eq = case
-        violates = classify(eq).outcome == Outcome.VIOLATES_NECESSARY_CONDITION
+        violates = classify(eq)["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
         orders = polynomial_blowup(eq, 3, q=q)
         assert violates == (d >= 2 and orders == (q * d, q * d**2, q * d**3))
 
 
 class TestDispatch:
     def test_routes_by_kind(self):
-        assert classify(make_pure_log_deriv(a=ONE, b=ONE)).eq_kind == EqKind.PURE_LOG_DERIV
-        assert classify(make_inverse_square(a=ONE, b=W0)).eq_kind == EqKind.INVERSE_SQUARE
+        assert classify(make_pure_log_deriv(a=ONE, b=ONE))["eq_kind"] == EqKind.PURE_LOG_DERIV
+        assert classify(make_inverse_square(a=ONE, b=W0))["eq_kind"] == EqKind.INVERSE_SQUARE
         eq = _log_deriv([Z], [])
-        assert classify(eq).eq_kind == EqKind.LOG_DERIV
+        assert classify(eq)["eq_kind"] == EqKind.LOG_DERIV
 
     def test_export_is_json_ready(self):
         v = classify(make_pure_log_deriv(a=Z, b=W0))
-        out = v.export()
+        out = v
         assert out["eq_kind"] == "pure-log-deriv"
         assert out["outcome"] == "violates-necessary-condition"
         assert isinstance(out["details"], list)

@@ -1,11 +1,14 @@
 """Checks for the batch front-end's handling of entries that fail."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from ddelab import cli
 from ddelab.corpus import demo_corpus_text
+from ddelab.fieldelem import FieldElem
+from ddelab.gaussian import gauss
 
 
 def test_one_failing_entry_does_not_abort_the_batch(monkeypatch, tmp_path, capsys):
@@ -328,3 +331,14 @@ def test_deep_nesting_is_a_load_error(tmp_path, capsys):
              "b": "0", "c": "0"}
     err = _load_error(tmp_path, capsys, "classify", _corpus(entry))
     assert err == "error: entry 'deep': field 'a': nested deeper than 100 (line 1, column 101)\n"
+
+
+def test_json_writer_prints_exact_values_and_nothing_else_unknown():
+    # verdicts keep FieldElem and GaussianRational values; the writer prints
+    # those two types with str and still refuses any other non-JSON type
+    witness = FieldElem.var("zhat") / FieldElem.const(3)
+    nu = gauss(Fraction(-4, 3), 2)
+    body = cli._render_json({"witness": witness, "params": {"nu": nu}})
+    assert json.loads(body) == {"witness": str(witness), "params": {"nu": str(nu)}}
+    with pytest.raises(TypeError, match="complex is not JSON serializable"):
+        cli._render_json({"value": 1j})
