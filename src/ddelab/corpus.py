@@ -19,7 +19,11 @@ loads, before any analysis starts.  The requests, by ``kind``:
 Fields, with defaults in brackets: ``steps`` an integer from 1 to 4, and
 from 3 on an inverse-square entry, whose confinement verdict reads the cascade
 at offsets 1 to 3 [3]; ``order`` an integer from 1 to 3 [1]; ``seed``
-"zero-of-w" or "pole-of-w" ["zero-of-w"]; ``samples`` an integer from 1 to
+"zero-of-w" or "pole-of-w", and "zero-of-w" on an inverse-square entry
+["zero-of-w"]: a pole of w recurs every other step there (orders 0, -p, 0,
+...), so offset 3 is regular and the verdict would read a chain that closes.
+A log-deriv cascade never reads ``seed``: ``polynomial_blowup`` always seeds
+a pole.  ``samples`` an integer from 1 to
 10000 [100]; ``p`` a nonzero integer at most 64 in absolute value [1];
 ``C``, ``g2``, ``g3`` and ``omega`` a finite number or an [re, im] pair of
 finite numbers, ``C`` also nonzero [C: 1; the others required]; ``r_min`` <
@@ -224,7 +228,6 @@ def parse_equation(raw: Mapping[str, Any],
     missing = [f for f in required if f not in raw]
     if missing:
         raise CorpusError(f"entry {entry_id!r}: missing fields {missing}")
-    name = str(entry_id)
     try:
         if kind == EqKind.LOG_DERIV:
             a = expr("a", raw["a"])
@@ -261,19 +264,11 @@ def parse_equation(raw: Mapping[str, Any],
             return make_log_deriv(
                 a=a, p_poly=p_poly,
                 q_factors=FactoredDenominator(tuple(factors), residual),
-                name=name,
             )
         if kind == EqKind.PURE_LOG_DERIV:
-            return make_pure_log_deriv(
-                a=expr("a", raw["a"]),
-                b=expr("b", raw["b"]),
-                name=name,
-            )
+            return make_pure_log_deriv(a=expr("a", raw["a"]), b=expr("b", raw["b"]))
         return make_inverse_square(
-            a=expr("a", raw["a"]),
-            b=expr("b", raw["b"]),
-            c=expr("c", raw.get("c", "0")),
-            name=name,
+            a=expr("a", raw["a"]), b=expr("b", raw["b"]), c=expr("c", raw.get("c", "0"))
         )
     except EquationError as exc:
         raise CorpusError(f"entry {entry_id!r}: {exc}") from exc
@@ -308,11 +303,17 @@ def _request(entry_id: str, eq_kind: EqKind, name: str, raw: Any) -> Dict[str, A
     if "r_min" in out and out["r_min"] >= out["r_max"]:
         raise CorpusError(f"{entry}: field '{name}.r_min': must be below r_max = "
                           f"{out['r_max']!r}, got {out['r_min']!r}")
-    # the one range that depends on the class: the confinement verdict of an
-    # inverse-square cascade reads the entries at offsets 1 to 3
-    if name == "cascade" and eq_kind == EqKind.INVERSE_SQUARE and out["steps"] < 3:
-        raise CorpusError(f"{entry}: field 'cascade.steps': must be at least 3 on an "
-                          f"inverse-square entry, got {out['steps']!r}")
+    # the ranges that depend on the class: the confinement verdict of an
+    # inverse-square cascade reads the entries at offsets 1 to 3, and follows a
+    # zero of w; a pole of w recurs every other step (orders 0, -p, 0, ...), so
+    # offset 3 would be regular and read as a chain that closes
+    if name == "cascade" and eq_kind == EqKind.INVERSE_SQUARE:
+        if out["steps"] < 3:
+            raise CorpusError(f"{entry}: field 'cascade.steps': must be at least 3 on an "
+                              f"inverse-square entry, got {out['steps']!r}")
+        if out["seed"] != SeedKind.ZERO_OF_W:
+            raise CorpusError(f"{entry}: field 'cascade.seed': must be 'zero-of-w' on an "
+                              f"inverse-square entry, got {out['seed'].value!r}")
     return out
 
 

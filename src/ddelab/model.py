@@ -203,8 +203,6 @@ class DelayDiffEq:
     p_poly: Optional[WPoly] = None
     q_poly: Optional[WPoly] = None
     q_factors: Optional[FactoredDenominator] = None
-    name: str = ""
-    notes: Tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind in (EqKind.PURE_LOG_DERIV, EqKind.INVERSE_SQUARE):
@@ -233,35 +231,27 @@ def make_log_deriv(
     a: FieldElem,
     p_poly: WPoly,
     q_factors: FactoredDenominator,
-    name: str = "",
 ) -> DelayDiffEq:
     """Build a log-deriv equation, normalizing the denominator to monic.
 
     The linear factors are monic, so only a residual makes Q non-monic;
     dividing the residual and P by its leading coefficient normalizes it.
     """
-    notes: Tuple[str, ...] = ()
     res = q_factors.residual
     # a zero residual is left to the equation's zero-Q check
     if res is not None and not res.is_zero and not res.is_monic:
         inv = res.leading.inverse()
         p_poly = p_poly.scale(inv)
         q_factors = FactoredDenominator(q_factors.factors, res.scale(inv))
-        notes = ("denominator normalized to monic",)
-    return DelayDiffEq(
-        EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_factors=q_factors,
-        name=name, notes=notes,
-    )
+    return DelayDiffEq(EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_factors=q_factors)
 
 
-def make_pure_log_deriv(a: FieldElem, b: FieldElem, name: str = "") -> DelayDiffEq:
-    return DelayDiffEq(EqKind.PURE_LOG_DERIV, a=a, b=b, name=name)
+def make_pure_log_deriv(a: FieldElem, b: FieldElem) -> DelayDiffEq:
+    return DelayDiffEq(EqKind.PURE_LOG_DERIV, a=a, b=b)
 
 
-def make_inverse_square(
-    a: FieldElem, b: FieldElem, c: FieldElem = _ZERO, name: str = ""
-) -> DelayDiffEq:
-    return DelayDiffEq(EqKind.INVERSE_SQUARE, a=a, b=b, c=c, name=name)
+def make_inverse_square(a: FieldElem, b: FieldElem, c: FieldElem = _ZERO) -> DelayDiffEq:
+    return DelayDiffEq(EqKind.INVERSE_SQUARE, a=a, b=b, c=c)
 
 
 # ---------------------------------------------------------------------------

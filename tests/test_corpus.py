@@ -119,10 +119,10 @@ def test_a_repeated_malformed_expression_names_its_first_carrier():
         load_corpus(_corpus_text(entries))
 
 
-def _cascade_steps_run(tmp_path, entry_id, steps):
+def _cascade_run(tmp_path, entry_id, **request):
     doc = json.loads(demo_corpus_text())
     entry = next(e for e in doc["entries"] if e["id"] == entry_id)
-    entry["cascade"]["steps"] = steps
+    entry.setdefault("cascade", {}).update(request)
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(doc))
     return cli.run(["cascade", "--corpus", str(path), "--format", "json",
@@ -133,7 +133,7 @@ def _cascade_steps_run(tmp_path, entry_id, steps):
 def test_an_inverse_square_cascade_needs_three_steps_at_load(tmp_path, capsys, steps):
     # the confinement verdict reads offsets 1 to 3; with fewer steps the row
     # once failed in the analysis with a traceback and exit 1
-    assert _cascade_steps_run(tmp_path, "confined-basic", steps) == cli.EXIT_USAGE
+    assert _cascade_run(tmp_path, "confined-basic", steps=steps) == cli.EXIT_USAGE
     assert capsys.readouterr().err == (
         "error: entry 'confined-basic': field 'cascade.steps': must be at least 3 on an "
         f"inverse-square entry, got {steps}\n"
@@ -142,7 +142,27 @@ def test_an_inverse_square_cascade_needs_three_steps_at_load(tmp_path, capsys, s
 
 @pytest.mark.parametrize("steps", [1, 2])
 def test_a_log_deriv_cascade_runs_below_three_steps(tmp_path, steps):
-    assert _cascade_steps_run(tmp_path, "polynomial-blowup-quartic", steps) == cli.EXIT_OK
+    assert _cascade_run(tmp_path, "polynomial-blowup-quartic", steps=steps) == cli.EXIT_OK
     rows = json.loads((tmp_path / "out.json").read_text())["entries"]
     row = next(r for r in rows if r["id"] == "polynomial-blowup-quartic")
     assert row["pole_orders"] == [4, 16, 64][:steps]
+
+
+def test_an_inverse_square_cascade_needs_a_zero_seed_at_load(tmp_path, capsys):
+    # a pole of w recurs every other step (orders 0, -1, 0, -1 here), and the
+    # verdict once read the regular offset 3 as a chain that closes: "confined"
+    # with witness 0, where classify says violates-necessary-condition
+    assert _cascade_run(tmp_path, "confined-broken-tail", seed="pole-of-w") == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: entry 'confined-broken-tail': field 'cascade.seed': must be 'zero-of-w' on "
+        "an inverse-square entry, got 'pole-of-w'\n"
+    )
+
+
+@pytest.mark.parametrize("seed", ["zero-of-w", "pole-of-w"])
+def test_a_log_deriv_cascade_does_not_read_the_seed(tmp_path, seed):
+    # polynomial_blowup always seeds a pole
+    assert _cascade_run(tmp_path, "polynomial-blowup-quartic", seed=seed) == cli.EXIT_OK
+    rows = json.loads((tmp_path / "out.json").read_text())["entries"]
+    row = next(r for r in rows if r["id"] == "polynomial-blowup-quartic")
+    assert row["pole_orders"] == [4, 16, 64]

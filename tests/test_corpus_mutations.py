@@ -1,8 +1,9 @@
 """Property test: one mutated entry of the demo corpus never takes down a run.
 
 Each draw copies the demo corpus and mutates one entry: an expression nested
-deep, an expression raised to a large power, a count set out of range, a
-field given a value of the wrong JSON type, or an unknown field added.
+deep, an expression raised to a large power, a count set out of range, the
+cascade seed set to either kind, a field given a value of the wrong JSON
+type, or an unknown field added.
 ``cli.run`` must return 0, 1 or 2 and never raise, and a 2 must name the
 entry and the field.  The run is ``classify``: the load converts and checks
 every field and request, whatever the subcommand, and the caps bound what an
@@ -72,7 +73,7 @@ def mutated_corpora(draw):
     corpus = copy.deepcopy(DEMO)
     index = draw(st.integers(0, len(corpus["entries"]) - 1))
     entry = corpus["entries"][index]
-    kind = draw(st.sampled_from(["nesting", "power", "count", "type", "unknown"]))
+    kind = draw(st.sampled_from(["nesting", "power", "count", "seed", "type", "unknown"]))
     if kind == "nesting":
         label, where, key = draw(st.sampled_from(_expression_fields(entry)))
         depth = draw(st.integers(0, 250))
@@ -88,6 +89,10 @@ def mutated_corpora(draw):
         label, where, key = draw(st.sampled_from(_count_fields(entry)))
         where[key] = draw(st.one_of(
             st.integers(-3, 12), st.integers(-2**70, 2**70), st.sampled_from([10**6, 10**100])))
+    elif kind == "seed":
+        # an inverse-square cascade needs a zero seed; log-deriv ones ignore it
+        label, where, key = "cascade.seed", entry.setdefault("cascade", {}), "seed"
+        where[key] = draw(st.sampled_from(["zero-of-w", "pole-of-w"]))
     elif kind == "type":
         label, where, key = draw(st.sampled_from(_any_fields(entry)))
         where[key] = draw(_WRONG_TYPES)
