@@ -100,8 +100,8 @@ def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     steps, order = request["steps"], request["order"]
     if entry.eq.kind == EqKind.INVERSE_SQUARE:
         pattern = run_cascade(entry.eq, seed_local_data(request["seed"], order), steps)
-        verdict = confinement_report(pattern, entry.eq)
-        return {"pattern": pattern.export(), "confinement": verdict}, False
+        return {"pattern": pattern.export(),
+                "confinement": confinement_report(pattern, entry.eq)}, False
     if entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq)["den"] == 0:
         orders = polynomial_blowup(entry.eq, steps, q=order)
         return {"pole_orders": list(orders)}, False
