@@ -42,6 +42,7 @@ from .analytic import (
     verify_exponential,
 )
 from .cascade import (
+    SeedKind,
     confinement_report,
     polynomial_blowup,
     run_cascade,
@@ -99,7 +100,8 @@ def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     request = entry.requests["cascade"]
     steps, order = request["steps"], request["order"]
     if entry.eq.kind == EqKind.INVERSE_SQUARE:
-        pattern = run_cascade(entry.eq, seed_local_data(request["seed"], order), steps)
+        # the load admits only a zero seed here, and polynomial_blowup seeds a pole
+        pattern = run_cascade(entry.eq, seed_local_data(SeedKind.ZERO_OF_W, order), steps)
         return {"pattern": pattern.export(),
                 "confinement": confinement_report(pattern, entry.eq)}, False
     if entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq)["den"] == 0:

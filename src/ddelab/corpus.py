@@ -22,8 +22,9 @@ at offsets 1 to 3 [3]; ``order`` an integer from 1 to 3 [1]; ``seed``
 "zero-of-w" or "pole-of-w", and "zero-of-w" on an inverse-square entry
 ["zero-of-w"]: a pole of w recurs every other step there (orders 0, -p, 0,
 ...), so offset 3 is regular and the verdict would read a chain that closes.
-A log-deriv cascade never reads ``seed``: ``polynomial_blowup`` always seeds
-a pole.  ``samples`` an integer from 1 to
+A log-deriv cascade always seeds a pole (``polynomial_blowup``), so no run
+reads ``seed``; it is kept because workload corpora write it.  ``samples`` an
+integer from 1 to
 10000 [100]; ``p`` a nonzero integer at most 64 in absolute value [1];
 ``C``, ``g2``, ``g3`` and ``omega`` a finite number or an [re, im] pair of
 finite numbers, ``C`` also nonzero [C: 1; the others required]; ``r_min`` <

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ddelab import cli
 from ddelab.cascade import (
     SeedKind,
     SeedSpec,
@@ -240,7 +241,7 @@ class TestReproducibility:
         for width in (1, 3, 8):
             pat = run_cascade(entry.eq, seed.build(width), request["steps"])
             verdict = confinement_report(pat, entry.eq)
-            texts.add(json.dumps([pat.export(), verdict], default=str))
+            texts.add(cli._render_json({"pattern": pat.export(), "confinement": verdict}))
         assert len(texts) == 1
 
     def test_verdict_coefficient_regrows_a_narrow_window(self):
@@ -253,7 +254,7 @@ class TestReproducibility:
             pat = run_cascade(eq, seed.build(width), 3)
             assert [e.order for e in pat.entries] == [-3, 2, -3]
             verdicts.append(confinement_report(pat, eq))
-        assert verdicts[0] == verdicts[1]
+        assert cli._render_json(verdicts[0]) == cli._render_json(verdicts[1])
         assert verdicts[0]["kind"] == "bounded-pole-chain"
         assert str(verdicts[0]["witness"]) == "0"
 

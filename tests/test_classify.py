@@ -26,7 +26,7 @@ from ddelab.classify import (
     classify_log_deriv,
     classify_pure_log_deriv,
 )
-from ddelab import fieldelem, model
+from ddelab import cli, fieldelem, model
 from ddelab.corpus import load_corpus, load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import gauss
@@ -329,12 +329,16 @@ class TestDispatch:
         eq = _log_deriv([Z], [])
         assert classify(eq)["eq_kind"] == EqKind.LOG_DERIV
 
-    def test_export_is_json_ready(self):
+    def test_verdict_prints_as_json(self):
         v = classify(make_pure_log_deriv(a=Z, b=W0))
-        out = v
+        out = json.loads(cli._render_json(v))
         assert out["eq_kind"] == "pure-log-deriv"
         assert out["outcome"] == "violates-necessary-condition"
         assert isinstance(out["details"], list)
+        # the confined triple prints through the writer's exact-value hook
+        eq = make_inverse_square(a=ONE + FieldElem.const(2) * Z, b=ONE + FieldElem.const(6) * Z)
+        out = json.loads(cli._render_json(classify(eq)))
+        assert out["params"] == {"lam": "1", "mu": "2", "nu": "3"}
 
 
 # ---------------------------------------------------------------------------
