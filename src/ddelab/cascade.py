@@ -2,8 +2,11 @@
 
 A cascade starts from local Laurent data at a symbolic base point (variable
 "zhat") and iterates the normal form w(z+1) = w(z-1) + N(z, w, w') forward.
-The seed is one germ with a zero-filled tail: w(zhat + t) = alpha*t^(+-p)
-and w(zhat - 1 + t) = K, with every later window coefficient an exact 0.
+A seed is its signed order and its window width (``SeedSpec``): p for a
+zero of w, which the inverse-square class follows, and -p for a pole, which
+``polynomial_blowup`` follows.  Its germ has a zero-filled tail:
+w(zhat + t) = alpha*t^order and w(zhat - 1 + t) = K, with every later window
+coefficient an exact 0.
 That is not generic data, since the delay equation leaves the whole germ on
 two unit strips free, so a printed leading describes this germ and may miss
 the terms a generic one adds (ROADMAP.md, open item "Generic seeds").
@@ -17,11 +20,11 @@ presentation used in resonance bookkeeping attributes the drift of the
 double-pole coefficient to the residue; ``simple_pole_residue`` performs
 that conversion (strict c_{-1} minus the zhat-derivative of strict c_{-2}).
 
-Window width has one policy, and it lives here: ``run_cascade`` decides it.
-A zero seed of order p starts with p + 2 coefficients: it gives a pole of
-order p + 1 at offset 1, and a chain that closes has order >= 0 at offset 3,
-so the window there must reach p + 2 coefficients from that pole before the
-verdict can read it.  A pole seed starts with one, which shows the orders
+Window width has one policy, and it lives here: ``first_seed`` gives the
+first width and ``run_cascade`` regrows it.  A zero seed of order p starts
+with p + 2 coefficients: it gives a pole of order p + 1 at offset 1, and a
+chain that closes has order >= 0 at offset 3, so the window there must reach
+p + 2 coefficients from that pole before the verdict can read it.  A pole seed starts with one, which shows the orders
 ``polynomial_blowup`` reads.  The cascade doubles the width, up to
 ``MAX_TRUNCATION`` (128), and replays from the seed only when something the
 caller reads is not yet certified: an order (the window shows only zeros, or
@@ -37,7 +40,6 @@ pattern is returned as it stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Dict, Optional, Tuple
 
 from .fieldelem import FieldElem
@@ -61,51 +63,43 @@ class CascadeError(RuntimeError):
     """Raised when a cascade cannot produce the requested certified data."""
 
 
-class SeedKind(str, Enum):
-    ZERO_OF_W = "zero-of-w"
-    POLE_OF_W = "pole-of-w"
-
-
 @dataclass(frozen=True)
 class SeedSpec:
-    kind: SeedKind
-    p: int
+    """A seed of signed order (p for a zero of w, -p for a pole) at a window width."""
 
-    def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError("seed order p must be a positive integer")
-
-    def build(self, width: int) -> "LocalData":
-        tail = [_ZERO] * (width - 1)
-        regular = LaurentSeries(0, [_K] + tail, exact=False)
-        order = self.p if self.kind == SeedKind.ZERO_OF_W else -self.p
-        at_base = LaurentSeries(order, [_ALPHA] + tail, exact=False)
-        return LocalData(window={-1: regular, 0: at_base}, seed=self, width=width)
-
-
-@dataclass
-class LocalData:
-    """Window of Laurent series keyed by integer offset from the base point."""
-
-    window: Dict[int, LaurentSeries]
-    seed: SeedSpec
+    order: int
     width: int
 
+    def __post_init__(self):
+        if self.order == 0 or self.width < 1:
+            raise ValueError(f"a seed needs a nonzero order and a width >= 1, got {self}")
 
-def seed_local_data(kind: SeedKind, p: int) -> LocalData:
-    """Seed data in its first window (module docstring); ``run_cascade``
-    widens it."""
-    return SeedSpec(kind, p).build(p + 2 if kind == SeedKind.ZERO_OF_W else 1)
+    def build(self, width: int) -> "SeedSpec":
+        """The same seed at another width; ``run_cascade`` regrows with it."""
+        return SeedSpec(self.order, width)
+
+    def window(self) -> Dict[int, LaurentSeries]:
+        """The seed's germ at offsets -1 and 0, zero-filled to the width."""
+        tail = [_ZERO] * (self.width - 1)
+        return {-1: LaurentSeries(0, [_K] + tail, exact=False),
+                0: LaurentSeries(self.order, [_ALPHA] + tail, exact=False)}
 
 
-def cascade_step(eq: DelayDiffEq, state: LocalData, j: int) -> LaurentSeries:
+def first_seed(order: int) -> SeedSpec:
+    """The seed in its first window (module docstring): p + 2 coefficients
+    for a zero of order p, one for a pole; ``run_cascade`` widens it."""
+    return SeedSpec(order, order + 2 if order > 0 else 1)
+
+
+def cascade_step(eq: DelayDiffEq, seed: SeedSpec, window: Dict[int, LaurentSeries],
+                 j: int) -> LaurentSeries:
     """Series of w at offset j+1 from the window entries at j-1 and j."""
-    if j - 1 not in state.window or j not in state.window:
+    if j - 1 not in window or j not in window:
         raise CascadeError(f"window lacks offsets {j - 1} and {j}")
-    n = normal_form_series(eq, j, state.window[j], width=state.width)
+    n = normal_form_series(eq, j, window[j], width=seed.width)
     # keep the stored window canonical: the next step convolves against it,
     # and an unreduced shared denominator fattens every product there
-    return (state.window[j - 1] + n).canonical()
+    return (window[j - 1] + n).canonical()
 
 
 @dataclass(frozen=True)
@@ -144,14 +138,10 @@ class SingularityPattern:
         return [e.export() for e in self.entries]
 
 
-def run_cascade(
-    eq: DelayDiffEq,
-    seed: LocalData,
-    steps: int,
-) -> SingularityPattern:
+def run_cascade(eq: DelayDiffEq, seed: SeedSpec, steps: int) -> SingularityPattern:
     """Iterate the normal form for the given number of steps.
 
-    Starts at the seed's width: from ``seed_local_data``, p + 2 for a zero of
+    Starts at the seed's width: from ``first_seed``, p + 2 for a zero of
     order p, the least in which a closing chain is read, and 1 for a pole.
     The seed is rebuilt at double the width, up to ``MAX_TRUNCATION`` (128),
     and the cascade replays when an order is not certified (a window of
@@ -162,26 +152,23 @@ def run_cascade(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    state = seed
     while True:
-        pattern, readable = _attempt(eq, state, steps)
-        if readable or state.width >= MAX_TRUNCATION:
+        pattern, readable = _attempt(eq, seed, steps)
+        if readable or seed.width >= MAX_TRUNCATION:
             return pattern
-        state = state.seed.build(min(2 * state.width, MAX_TRUNCATION))
+        seed = seed.build(min(2 * seed.width, MAX_TRUNCATION))
 
 
-def _attempt(
-    eq: DelayDiffEq, seed: LocalData, steps: int
-) -> Tuple[SingularityPattern, bool]:
+def _attempt(eq: DelayDiffEq, seed: SeedSpec, steps: int) -> Tuple[SingularityPattern, bool]:
     """The pattern at the seed's width, and whether the caller can read all of it.
 
     An order the window cannot certify ends the pattern with a flagged entry.
     """
-    state = LocalData(window=dict(seed.window), seed=seed.seed, width=seed.width)
+    window = seed.window()
     entries = []
     for j in range(steps):
         try:
-            s = cascade_step(eq, state, j)
+            s = cascade_step(eq, seed, window, j)
             order = s.order
         except (UncertifiedOrderError, CompositionIndeterminateError,
                 SeriesWindowError) as exc:
@@ -198,7 +185,7 @@ def _attempt(
                 note="series vanishes to the truncation window",
             ))
             return SingularityPattern(tuple(entries)), False
-        state.window[j + 1] = s
+        window[j + 1] = s
         entries.append(PatternEntry(
             offset=j + 1, order=order, leading=s.leading, series=s,
         ))
@@ -338,8 +325,7 @@ def polynomial_blowup(
     if rep["den"] != 0:
         raise ValueError("polynomial blowup needs a polynomial right side")
     d = rep["num"]
-    seed = seed_local_data(SeedKind.POLE_OF_W, q)
-    pattern = run_cascade(eq, seed, steps)
+    pattern = run_cascade(eq, first_seed(-q), steps)
     orders = []
     for e in pattern.entries:
         if not e.certified:

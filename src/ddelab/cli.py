@@ -41,13 +41,7 @@ from .analytic import (
     verify_elliptic_family,
     verify_exponential,
 )
-from .cascade import (
-    SeedKind,
-    confinement_report,
-    polynomial_blowup,
-    run_cascade,
-    seed_local_data,
-)
+from .cascade import confinement_report, first_seed, polynomial_blowup, run_cascade
 from .classify import classify
 from .corpus import CorpusEntry, CorpusError, demo_corpus_text, load_corpus
 from .fieldelem import FieldElem
@@ -100,8 +94,9 @@ def _run_cascade(entry: CorpusEntry, args) -> Tuple[Dict[str, Any], bool]:
     request = entry.requests["cascade"]
     steps, order = request["steps"], request["order"]
     if entry.eq.kind == EqKind.INVERSE_SQUARE:
-        # the load admits only a zero seed here, and polynomial_blowup seeds a pole
-        pattern = run_cascade(entry.eq, seed_local_data(SeedKind.ZERO_OF_W, order), steps)
+        # the class fixes the seed: a zero of w of the requested order here (the
+        # load rejects "pole-of-w"), and polynomial_blowup seeds a pole below
+        pattern = run_cascade(entry.eq, first_seed(order), steps)
         return {"pattern": pattern.export(),
                 "confinement": confinement_report(pattern, entry.eq)}, False
     if entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq)["den"] == 0:

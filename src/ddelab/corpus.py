@@ -22,10 +22,11 @@ at offsets 1 to 3 [3]; ``order`` an integer from 1 to 3 [1]; ``seed``
 "zero-of-w" or "pole-of-w", and "zero-of-w" on an inverse-square entry
 ["zero-of-w"]: a pole of w recurs every other step there (orders 0, -p, 0,
 ...), so offset 3 is regular and the verdict would read a chain that closes.
-A log-deriv cascade always seeds a pole (``polynomial_blowup``), so no run
-reads ``seed``; it is kept because workload corpora write it.  ``samples`` an
-integer from 1 to
-10000 [100]; ``p`` a nonzero integer at most 64 in absolute value [1];
+No run reads ``seed``, since the class fixes it: a zero of w on an
+inverse-square entry, a pole (``polynomial_blowup``) on a log-deriv one.  It
+stays, validated as above, because the workload corpora write it and the demo
+corpus text that ``config_hash`` reads carries it.  ``samples`` an integer
+from 1 to 10000 [100]; ``p`` a nonzero integer at most 64 in absolute value [1];
 ``C``, ``g2``, ``g3`` and ``omega`` a finite number or an [re, im] pair of
 finite numbers, ``C`` also nonzero [C: 1; the others required]; ``r_min`` <
 ``r_max`` positive finite numbers [1, 16]; ``radii`` an integer from 2 to 500
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
-from .cascade import SeedKind
 from .exprparse import ParseError, parse_expression
 from .fieldelem import FieldElem
 from .model import (
@@ -135,11 +135,11 @@ def _as_radius(value: Any) -> float:
     return radius
 
 
-def _as_seed(value: Any) -> SeedKind:
-    seeds = (SeedKind.ZERO_OF_W.value, SeedKind.POLE_OF_W.value)
+def _as_seed(value: Any) -> str:
+    seeds = ["zero-of-w", "pole-of-w"]
     if value not in seeds:
-        raise ValueError(f"expected one of {list(seeds)}, got {value!r}")
-    return SeedKind(value)
+        raise ValueError(f"expected one of {seeds}, got {value!r}")
+    return value
 
 
 _POSITIVE = ("at least 1", lambda n: n >= 1)
@@ -312,9 +312,9 @@ def _request(entry_id: str, eq_kind: EqKind, name: str, raw: Any) -> Dict[str, A
         if out["steps"] < 3:
             raise CorpusError(f"{entry}: field 'cascade.steps': must be at least 3 on an "
                               f"inverse-square entry, got {out['steps']!r}")
-        if out["seed"] != SeedKind.ZERO_OF_W:
+        if out["seed"] != "zero-of-w":
             raise CorpusError(f"{entry}: field 'cascade.seed': must be 'zero-of-w' on an "
-                              f"inverse-square entry, got {out['seed'].value!r}")
+                              f"inverse-square entry, got {out['seed']!r}")
     return out
 
 

@@ -24,7 +24,7 @@ from ddelab.analytic import (
     verify_elliptic_family,
     verify_exponential,
 )
-from ddelab.cascade import SeedKind, confinement_report, run_cascade, seed_local_data
+from ddelab.cascade import confinement_report, first_seed, run_cascade
 from ddelab.classify import build_normal_form
 from ddelab.fieldelem import FieldElem
 from ddelab.mpoly import MPoly
@@ -94,7 +94,7 @@ class TestEllipticFamily:
         two units away.
         """
         eq = build_normal_form(1, 0, 0)
-        pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, p=1), 3)
+        pattern = run_cascade(eq, first_seed(1), 3)
         assert [pattern.entry_at(j).order for j in (1, 2, 3)] == [-2, 1, 0]
         assert confinement_report(pattern, eq)["kind"] == "confined"
 

@@ -1,21 +1,22 @@
 """Seeded local expansions stepped through the delay normal forms."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from ddelab import cli
+from ddelab import cascade
 from ddelab.cascade import (
-    SeedKind,
     SeedSpec,
     at_base_point,
     confinement_report,
+    first_seed,
     gamma_of,
     polynomial_blowup,
     run_cascade,
     second_difference,
-    seed_local_data,
     simple_pole_residue,
 )
 from ddelab.corpus import SCHEMA_VERSION, load_corpus, load_demo_corpus
@@ -52,7 +53,7 @@ def _path_cases():
 
 
 def zero_seed(p):
-    return seed_local_data(SeedKind.ZERO_OF_W, p)
+    return first_seed(p)
 
 
 def log_deriv_triple(a, p):
@@ -204,7 +205,7 @@ class TestPolynomialBlowup:
     def test_geometric_growth_verdict(self):
         w4 = WPoly([FieldElem.const(0)] * 4 + [ONE])
         eq = make_log_deriv(a=FieldElem.const(0), p_poly=w4, q_factors=FactoredDenominator((), None))
-        pat = run_cascade(eq, seed_local_data(SeedKind.POLE_OF_W, 1), 3)
+        pat = run_cascade(eq, first_seed(-1), 3)
         verdict = confinement_report(pat, eq)
         assert verdict["kind"] == "exponential-order-growth"
         assert verdict["ratio"] == 4
@@ -224,8 +225,7 @@ class TestReproducibility:
     def test_leadings_do_not_depend_on_window_width(self):
         a = FieldElem.const(2) * Z**3 - Z + ONE
         eq = make_pure_log_deriv(a=a, b=ONE)
-        seed = SeedSpec(SeedKind.ZERO_OF_W, 1)
-        pats = [run_cascade(eq, seed.build(w), 3) for w in (1, 2, 3, 8)]
+        pats = [run_cascade(eq, SeedSpec(1, w), 3) for w in (1, 2, 3, 8)]
         for j in (1, 2, 3):
             for pat in pats[1:]:
                 assert pat.entry_at(j).order == pats[0].entry_at(j).order
@@ -236,10 +236,9 @@ class TestReproducibility:
         # the window width and the grouping of N decide only speed: every
         # leading prints in one normal form, whatever arithmetic made it
         request = entry.requests["cascade"]
-        seed = SeedSpec(request["seed"], request["order"])
         texts = set()
         for width in (1, 3, 8):
-            pat = run_cascade(entry.eq, seed.build(width), request["steps"])
+            pat = run_cascade(entry.eq, SeedSpec(request["order"], width), request["steps"])
             verdict = confinement_report(pat, entry.eq)
             texts.add(cli._render_json({"pattern": pat.export(), "confinement": verdict}))
         assert len(texts) == 1
@@ -248,10 +247,9 @@ class TestReproducibility:
         # orders -3, 2, -3: a one-coefficient window at offset 3 holds only
         # c_-3, and the bounded-pole-chain witness is c_-2
         eq = {e.id: e for e in load_demo_corpus()}["confined-basic"].eq
-        seed = SeedSpec(SeedKind.ZERO_OF_W, 2)
         verdicts = []
         for width in (1, 8):
-            pat = run_cascade(eq, seed.build(width), 3)
+            pat = run_cascade(eq, SeedSpec(2, width), 3)
             assert [e.order for e in pat.entries] == [-3, 2, -3]
             verdicts.append(confinement_report(pat, eq))
         assert cli._render_json(verdicts[0]) == cli._render_json(verdicts[1])
@@ -265,24 +263,47 @@ class TestReproducibility:
         assert first == second
 
 
+def _cascade_exact_corpus(seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    return load_corpus(json.dumps(WORKLOADS["cascade-exact"].generate(seed)[0]))
+
+
+class TestFirstWindow:
+    # every cascade reads what its caller needs in the first window, so it
+    # runs once: a regrowth rebuilds the seed and replays every step
+    @pytest.mark.parametrize("seed", [None, 7, 11],
+                             ids=["demo", "cascade-exact-7", "cascade-exact-11"])
+    def test_no_cascade_regrows(self, seed, monkeypatch):
+        entries = load_demo_corpus() if seed is None else _cascade_exact_corpus(seed)
+        builds, steps = [], []
+        build, step = SeedSpec.build, cascade.cascade_step
+        monkeypatch.setattr(SeedSpec, "build", lambda seed, width: builds.append(width)
+                            or build(seed, width))
+        monkeypatch.setattr(cascade, "cascade_step", lambda *args: steps.append(args[3])
+                            or step(*args))
+        for entry in entries:
+            cli._run_cascade(entry, None)
+        assert steps and builds == []
+
+
 class TestTruncationCap:
     def test_cap_ends_the_pattern_after_one_last_attempt(self, monkeypatch):
         # confined-affine needs width 4 at offset 3; at a cap of 2 its
         # window there holds only zeros
-        import ddelab.cascade as cascade
-
         eq = {e.id: e for e in load_demo_corpus()}["confined-affine"].eq
         widths = []
         step = cascade.cascade_step
 
-        def recording_step(eq, state, j):
-            widths.append(state.width)
-            return step(eq, state, j)
+        def recording_step(eq, seed, window, j):
+            widths.append(seed.width)
+            return step(eq, seed, window, j)
 
         monkeypatch.setattr(cascade, "MAX_TRUNCATION", 2)
         monkeypatch.setattr(cascade, "cascade_step", recording_step)
         # a one-coefficient seed: zero_seed starts at the width offset 3 reads
-        pat = run_cascade(eq, SeedSpec(SeedKind.ZERO_OF_W, 1).build(1), 3)
+        pat = run_cascade(eq, SeedSpec(1, 1), 3)
         assert [e.order for e in pat.entries] == [-2, 1, None]
         last = pat.entry_at(3)
         assert not last.certified
@@ -292,8 +313,20 @@ class TestTruncationCap:
 
 class TestSeedValidation:
     def test_order_must_be_positive(self):
+        # a signed order: 0 is neither a zero nor a pole of w
         with pytest.raises(ValueError):
-            SeedSpec(SeedKind.ZERO_OF_W, 0)
+            SeedSpec(0, 3)
+
+    def test_width_must_be_at_least_one(self):
+        for order, width in ((1, 0), (-1, 0), (2, -1)):
+            with pytest.raises(ValueError):
+                SeedSpec(order, width)
+
+    def test_first_seed_widths(self):
+        # a zero of order p is read at offset 3 in p + 2 coefficients; a pole
+        # needs one to show the orders
+        assert [first_seed(p).width for p in (1, 2, 3)] == [3, 4, 5]
+        assert first_seed(-1) == SeedSpec(-1, 1)
 
     def test_pattern_export_shape(self):
         eq = make_pure_log_deriv(a=Z, b=ONE)

@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddelab.cascade import (
-    SeedKind,
-    confinement_report,
-    polynomial_blowup,
-    run_cascade,
-    seed_local_data,
-)
+from ddelab.cascade import confinement_report, first_seed, polynomial_blowup, run_cascade
 from ddelab.classify import (
     _number_ratio,
     Outcome,
@@ -221,13 +215,13 @@ class TestInverseSquareExtraction:
     def test_consistent_verdict_agrees_with_confined_cascade(self):
         eq = build_normal_form(1, 2, 3)
         assert classify_inverse_square(eq)["outcome"] == Outcome.CONSISTENT_BRANCH_A
-        pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
+        pat = run_cascade(eq, first_seed(1), 3)
         assert confinement_report(pat, eq)["kind"] == "confined"
 
     def test_obstructed_verdict_agrees_with_pole_tail_cascade(self):
         eq = make_inverse_square(a=ONE, b=Z)
         assert classify_inverse_square(eq)["outcome"] == Outcome.VIOLATES_NECESSARY_CONDITION
-        pat = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
+        pat = run_cascade(eq, first_seed(1), 3)
         assert confinement_report(pat, eq)["kind"] == "simple-pole-tail"
 
 
@@ -271,7 +265,7 @@ class TestClassifyAgreesWithCascade:
     @given(inverse_square_equations())
     def test_branch_a_exactly_when_a_simple_zero_confines(self, eq):
         consistent = classify(eq)["outcome"] == Outcome.CONSISTENT_BRANCH_A
-        pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 1), 3)
+        pattern = run_cascade(eq, first_seed(1), 3)
         assert consistent == (confinement_report(pattern, eq)["kind"] == "confined")
 
 
@@ -289,7 +283,7 @@ class TestDoubleZeroDoesNotConfine:
 
     @staticmethod
     def check(eq):
-        pattern = run_cascade(eq, seed_local_data(SeedKind.ZERO_OF_W, 2), 3)
+        pattern = run_cascade(eq, first_seed(2), 3)
         assert [pattern.entry_at(j).order for j in (1, 2, 3)] == [-3, 2, -3]
         assert confinement_report(pattern, eq)["kind"] == "bounded-pole-chain"
 

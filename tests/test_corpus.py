@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from ddelab import cli
-from ddelab.cascade import SeedKind
 from ddelab.corpus import (
     CorpusError,
     demo_corpus_text,
@@ -32,18 +31,18 @@ def _workloads():
 def test_requests_are_converted_with_defaults_filled_in():
     requests = {e.id: e.requests for e in load_demo_corpus()}
     assert requests["confined-basic"] == {
-        "cascade": {"steps": 3, "order": 1, "seed": SeedKind.ZERO_OF_W},
+        "cascade": {"steps": 3, "order": 1, "seed": "zero-of-w"},
         "verify": {"kind": "elliptic", "samples": 100,
                    "g2": 4 + 0j, "g3": 1 + 0j, "omega": 0.37 + 0.11j},
         "nev": {"kind": "elliptic", "r_min": 1.0, "r_max": 16.0, "radii": 24,
                 "g2": 4 + 0j, "g3": 1 + 0j, "omega": 1 + 0.3j},
     }
     assert requests["polynomial-blowup-quartic"] == {
-        "cascade": {"steps": 3, "order": 1, "seed": SeedKind.POLE_OF_W},
+        "cascade": {"steps": 3, "order": 1, "seed": "pole-of-w"},
     }
     # an entry without requests still carries the cascade defaults
     assert requests["branch-first"] == {
-        "cascade": {"steps": 3, "order": 1, "seed": SeedKind.ZERO_OF_W},
+        "cascade": {"steps": 3, "order": 1, "seed": "zero-of-w"},
     }
     assert requests["confined-drifting"]["verify"] == {"kind": "mkdv", "samples": 100}
 

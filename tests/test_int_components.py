@@ -16,7 +16,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddelab.cascade import run_cascade, seed_local_data
+from ddelab.cascade import first_seed, run_cascade
 from ddelab.corpus import load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import I, GaussianRational
@@ -177,7 +177,7 @@ def test_demo_cascade_windows_keep_the_component_rule():
         if entry.eq.kind != EqKind.INVERSE_SQUARE:
             continue
         request = entry.requests["cascade"]
-        seed = seed_local_data(request["seed"], request["order"])
+        seed = first_seed(request["order"])
         pattern = run_cascade(entry.eq, seed, request["steps"])
         for step in pattern.entries:
             for poly in (step.series.den,) + step.series.nums:

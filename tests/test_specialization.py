@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 
 from ddelab import cascade
-from ddelab.cascade import SeedKind, run_cascade, seed_local_data
+from ddelab.cascade import first_seed, run_cascade
 from ddelab.corpus import load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import gauss
@@ -143,10 +143,9 @@ def _reference_step(eq, before, w, offset, width):
     return before + p * q.inverse(width) - _taylor(eq.a, offset, width) * dw * w.inverse(width)
 
 
-def _reference_pattern(eq, kind, p, steps, alpha0, k0):
+def _reference_pattern(eq, order, steps, alpha0, k0):
     """The series at offsets 1..steps, at the least doubled width that shows
     every order."""
-    order = p if kind == SeedKind.ZERO_OF_W else -p
     width = 2
     while True:
         window = {-1: _Series(0, [FieldElem.const(k0)]), 0: _Series(order, [FieldElem.const(alpha0)])}
@@ -168,10 +167,10 @@ def _at_point(poly, alpha0, k0):
     return poly.compose("alpha", MPoly.const(alpha0)).compose("K", MPoly.const(k0))
 
 
-def _numeric_pattern(eq, kind, p, steps, alpha0, k0):
+def _numeric_pattern(eq, order, steps, alpha0, k0):
     with mock.patch.object(cascade, "_ALPHA", FieldElem.const(alpha0)), \
             mock.patch.object(cascade, "_K", FieldElem.const(k0)):
-        pattern = run_cascade(eq, seed_local_data(kind, p), steps)
+        pattern = run_cascade(eq, first_seed(order), steps)
     assert all(e.certified for e in pattern.entries), pattern.export()
     return [e.series for e in pattern.entries]
 
@@ -185,7 +184,7 @@ def _same_germ(series, reference):
         and all(series.coefficient(e) == reference.at(e) for e in range(series.order, top))
 
 
-def compare_at(eq, kind, p, steps, symbolic, alpha0, k0):
+def compare_at(eq, order, steps, symbolic, alpha0, k0):
     """Compare the specialized symbolic pattern with the numeric and the
     reference cascade at one point, up to the first vanishing leading.
 
@@ -205,9 +204,9 @@ def compare_at(eq, kind, p, steps, symbolic, alpha0, k0):
         expected.append((entry.order, FieldElem(num, den)))
     if expected:
         n = len(expected)
-        numeric = _numeric_pattern(eq, kind, p, n, alpha0, k0)
+        numeric = _numeric_pattern(eq, order, n, alpha0, k0)
         assert [(s.order, s.leading) for s in numeric] == expected
-        for offset, (s, r) in enumerate(zip(numeric, _reference_pattern(eq, kind, p, n, alpha0, k0)), 1):
+        for offset, (s, r) in enumerate(zip(numeric, _reference_pattern(eq, order, n, alpha0, k0)), 1):
             assert _same_germ(s, r), f"offset {offset}: {s} against the reference {r.lo}, {r.c}"
     return vanished
 
@@ -225,16 +224,16 @@ def _points(seed):
             yield alpha0, k0
 
 
-def check(label, eq, kind, p, steps):
+def check(label, eq, order, steps):
     """Run the oracle at fixed-seed points until one compares every offset.
 
     Each vanishing met on the way is printed, so a draw is never dropped
     without a trace; a case whose every point vanishes fails.
     """
-    symbolic = run_cascade(eq, seed_local_data(kind, p), steps)
+    symbolic = run_cascade(eq, first_seed(order), steps)
     assert all(e.certified for e in symbolic.entries), symbolic.export()
     for alpha0, k0 in itertools.islice(_points(1980), _POINTS_PER_CASE):
-        vanished = compare_at(eq, kind, p, steps, symbolic, alpha0, k0)
+        vanished = compare_at(eq, order, steps, symbolic, alpha0, k0)
         if not vanished:
             return
         for offset, part in vanished:
@@ -247,9 +246,9 @@ def _demo_cases():
     for entry in load_demo_corpus():
         request = entry.requests["cascade"]
         if entry.eq.kind == EqKind.INVERSE_SQUARE:
-            yield entry.id, entry.eq, request["seed"], request["order"], request["steps"]
+            yield entry.id, entry.eq, request["order"], request["steps"]
         elif entry.eq.kind == EqKind.LOG_DERIV and rational_degree(entry.eq)["den"] == 0:
-            yield entry.id, entry.eq, SeedKind.POLE_OF_W, request["order"], request["steps"]
+            yield entry.id, entry.eq, -request["order"], request["steps"]
 
 
 @pytest.mark.parametrize("case", list(_demo_cases()), ids=lambda case: case[0])
@@ -260,20 +259,20 @@ def test_demo_cascades_commute_with_specialization(case):
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(inverse_square_equations())
 def test_inverse_square_cascades_commute_with_specialization(eq):
-    check("inverse-square", eq, SeedKind.ZERO_OF_W, 1, 3)
+    check("inverse-square", eq, 1, 3)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(polynomial_log_deriv_equations())
 def test_polynomial_cascades_commute_with_specialization(case):
     _, q, eq = case
-    check("polynomial", eq, SeedKind.POLE_OF_W, q, 3)
+    check("polynomial", eq, -q, 3)
 
 
 def test_a_vanishing_leading_is_reported_and_the_offsets_before_it_compared():
     # confined-basic closes at offset 3 with the leading 5*K, which K = 0 kills
-    _, eq, kind, p, steps = next(c for c in _demo_cases() if c[0] == "confined-basic")
-    symbolic = run_cascade(eq, seed_local_data(kind, p), steps)
+    _, eq, order, steps = next(c for c in _demo_cases() if c[0] == "confined-basic")
+    symbolic = run_cascade(eq, first_seed(order), steps)
     assert str(symbolic.entry_at(3).leading) == "5*K"
-    assert compare_at(eq, kind, p, steps, symbolic, gauss(1), gauss(0)) == [(3, "numerator")]
-    assert compare_at(eq, kind, p, steps, symbolic, gauss(2, -1), gauss(3)) == []
+    assert compare_at(eq, order, steps, symbolic, gauss(1), gauss(0)) == [(3, "numerator")]
+    assert compare_at(eq, order, steps, symbolic, gauss(2, -1), gauss(3)) == []

@@ -2,7 +2,7 @@
 
 ``perfbench/layers.py`` wraps ddelab functions by name, and its hooks read
 arguments and results of the wrapped calls (``SeedSpec.build``'s width,
-``LocalData.width``, a pattern's series, a report's ``samples``).  A target
+``SeedSpec.width``, a pattern's series, a report's ``samples``).  A target
 that no longer exists lands in the tracer's ``absent`` list and a hook that
 raises in ``broken``; the traced benchmark then reports the metrics fed by
 them as missing.  This runs all five subcommands on the demo corpus under
@@ -41,3 +41,8 @@ def test_every_traced_target_and_hook_fits(tmp_path):
     assert [name for name, value in metrics.items()
             if isinstance(value, bool) or not math.isfinite(value)] == []
     assert len(metrics) == len(layers.PER_LAYER) - 1  # all but the overhead
+    # the hooks count a regrowth as a ``SeedSpec.build`` call inside
+    # ``run_cascade`` and read the width that a cascade ends at: on the demo
+    # every cascade runs once, and the widest starts at 3 (a simple zero)
+    assert metrics["cascade.regrowths"] == 0
+    assert metrics["cascade.final_width"] == 3
