@@ -149,6 +149,7 @@ def run_cascade(eq: DelayDiffEq, seed: SeedSpec, steps: int) -> SingularityPatte
     or when, without geometric growth of the pole orders, the window at
     offset 3 ends before the c_-1 and c_-2 that the confinement verdict
     reads.  At the cap the pattern ends with a flagged, uncertified entry.
+    A rebuilt seed that is not wider raises ``CascadeError``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -156,7 +157,10 @@ def run_cascade(eq: DelayDiffEq, seed: SeedSpec, steps: int) -> SingularityPatte
         pattern, readable = _attempt(eq, seed, steps)
         if readable or seed.width >= MAX_TRUNCATION:
             return pattern
-        seed = seed.build(min(2 * seed.width, MAX_TRUNCATION))
+        wider = seed.build(min(2 * seed.width, MAX_TRUNCATION))
+        if wider.width <= seed.width:
+            raise CascadeError(f"regrowth from width {seed.width} gave width {wider.width}")
+        seed = wider
 
 
 def _attempt(eq: DelayDiffEq, seed: SeedSpec, steps: int) -> Tuple[SingularityPattern, bool]:

@@ -92,7 +92,7 @@ def _size(value: Value) -> Tuple[int, int]:
         return 0, max(re.numerator.bit_length(), re.denominator.bit_length(),
                       im.numerator.bit_length(), im.denominator.bit_length())
     polys = (value,) if type(value) is MPoly else (value.num, value.den)
-    degree = max((sum(e) for p in polys for e in p.terms), default=0)
+    degree = max(0, *(p.total_degree() for p in polys))
     bits = max((q.bit_length() for p in polys for c in p.terms.values()
                 for part in (c.re, c.im) for q in (part.numerator, part.denominator)),
                default=0)

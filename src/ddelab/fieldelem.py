@@ -30,6 +30,8 @@ coefficient.  A multivariate core can still depend on the arithmetic.
 A factor is cancelled only when every numerator shares it: finer
 cancellation would regrow when the window is put back over one denominator.
 ``_tighten`` is the first two steps alone, which every new series window gets.
+Its monomial is the per-slot minimum of all the terms' packed keys (see
+``mpoly``), and dividing it out subtracts that one int from each key.
 
 Polynomials skip ``_reduce``.  For a constant denominator ``_reduce`` always
 hands back the one shared ``_ONE_MP``, so ``den is _ONE_MP`` tells a
@@ -58,7 +60,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .gaussian import I, ONE, ZERO, GaussianRational
-from .mpoly import MPoly
+from .mpoly import _EXP_MASK, MPoly, _shift
 
 Coeffish = Union[int, Fraction, GaussianRational]
 ULi = List[GaussianRational]  # dense univariate coefficient list, low to high
@@ -241,8 +243,8 @@ def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
 
     # univariate den core: strip the den's own monomial prefactor, then fold
     # the shrinking gcd through the numerators' coefficient slices
-    dmono = den.min_exponents()
-    core = den.shift_exponents(dmono) if any(dmono) else den
+    dmono = MPoly._common_key([den])
+    core = den._divide_key(dmono) if dmono else den
     dvars = core.used_vars()
     if len(dvars) == 1:
         v = dvars[0]
@@ -254,7 +256,7 @@ def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
                 g = _gcd_with_content(g, n, v)
         if len(g) > 1:
             core = _from_univariate(_ulist_divexact(_as_univariate(core, v), g), v)
-            den = core * MPoly(den.vars, {dmono: ONE}) if any(dmono) else core
+            den = core * MPoly._make(den.vars, {dmono: ONE}) if dmono else core
             nums = [n if n.is_zero else _divide_content(n, v, g) for n in nums]
             if den.is_constant():
                 return _tighten(den, nums)
@@ -272,27 +274,10 @@ def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
 def _tighten(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
     """The first two steps of ``_reduce`` alone: no gcd, no unit."""
     if not den.is_constant():
-        common: Dict[str, int] = {
-            v: e for v, e in zip(den.vars, den.min_exponents()) if e
-        }
-        for n in nums:
-            if not common:
-                break
-            if n.is_zero:
-                continue
-            mins = dict(zip(n.vars, n.min_exponents()))
-            common = {
-                v: min(e, mins.get(v, 0))
-                for v, e in common.items()
-                if mins.get(v, 0)
-            }
+        common = MPoly._common_key([den, *nums])
         if common:
-            den = den.shift_exponents(tuple(common.get(v, 0) for v in den.vars))
-            nums = [
-                n if n.is_zero
-                else n.shift_exponents(tuple(common.get(v, 0) for v in n.vars))
-                for n in nums
-            ]
+            den = den._divide_key(common)
+            nums = [n if n.is_zero else n._divide_key(common) for n in nums]
     if den.is_constant():
         c = den.constant_value()
         if c != ONE:
@@ -350,12 +335,13 @@ def _from_univariate(lst: ULi, v: str) -> MPoly:
     return MPoly((v,), {(i,): c for i, c in enumerate(lst) if not c.is_zero})
 
 
-def _slices(p: MPoly, v: str) -> Iterator[Tuple[tuple, ULi]]:
-    """The coefficients of p in v, one list per monomial in the other vars."""
-    i = p.vars.index(v)
-    groups: Dict[tuple, Dict[int, GaussianRational]] = {}
-    for exps, c in p.terms.items():
-        groups.setdefault(exps[:i] + exps[i + 1:], {})[exps[i]] = c
+def _slices(p: MPoly, v: str) -> Iterator[Tuple[int, ULi]]:
+    """The coefficients of p in v, one list per monomial (a key) in the other vars."""
+    s = _shift(v)
+    groups: Dict[int, Dict[int, GaussianRational]] = {}
+    for key, c in p.terms.items():
+        e = key >> s & _EXP_MASK
+        groups.setdefault(key - (e << s), {})[e] = c
     for rest, grp in groups.items():
         lst = [ZERO] * (max(grp) + 1)
         for e, c in grp.items():
@@ -364,13 +350,13 @@ def _slices(p: MPoly, v: str) -> Iterator[Tuple[tuple, ULi]]:
 
 
 def _divide_content(p: MPoly, v: str, g: ULi) -> MPoly:
-    i = p.vars.index(v)
-    terms: Dict[tuple, GaussianRational] = {}
+    s = _shift(v)
+    terms: Dict[int, GaussianRational] = {}
     for rest, lst in _slices(p, v):
         for e, c in enumerate(_ulist_divexact(lst, g)):
             if not c.is_zero:
-                terms[rest[:i] + (e,) + rest[i:]] = c
-    return MPoly(p.vars, terms)
+                terms[rest + (e << s)] = c
+    return MPoly._make(p.vars, terms)
 
 
 def _ulist_trim(a: ULi) -> ULi:

@@ -1,12 +1,26 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-A polynomial carries its own ordered variable tuple plus a map from exponent
-vectors to nonzero GaussianRational coefficients.  Variable tuples follow a
-fixed session ordering (``z`` first, then the symbolic base point ``zhat``,
-seed symbols, parameter symbols, scaling symbols, then anything else
-alphabetically), so polynomials built independently align without surprises.
-Binary operations re-embed both operands into the union table; introducing a
-new symbol therefore never invalidates existing polynomials.
+A polynomial is a variable table plus a map from packed monomials to nonzero
+GaussianRational coefficients.  Each variable name owns one 32-bit slot of an
+int key for the whole session, assigned when the name is first seen, so all
+polynomials key x^a*y^b as ``(a << slot(x)) + (b << slot(y))``: a product
+term's key is the sum of two keys, equality compares term maps, and a new
+symbol never re-keys an existing polynomial.
+
+The top bit of each slot is a guard, so exponents stay below 2^31.  Outside
+input (the constructor, ``var`` and ``shift_exponents``) is packed by one
+checked function, which refuses an exponent that is negative or >= 2^31 with
+``OverflowError``, and a product raises it when a result key meets a guard
+bit.  Two valid exponents sum to less than 2^32, and internal subtraction only
+removes a monomial that divides every term, so no slot carries or borrows.
+
+Tables follow a fixed session ordering (``z`` first, then the symbolic base
+point ``zhat``, seed symbols, parameter symbols, scaling symbols, then
+anything else alphabetically); a binary operation's result has the union
+table.  A table only reads keys as exponent tuples over it: the constructor
+and ``shift_exponents`` take tuples, and ``exponents``, ``min_exponents`` and
+``sorted_terms`` return them, so sorting and printing follow the table, not
+the order in which slots were assigned.
 
 Coefficient-level zero tests are exact, so ``is_zero`` and equality are
 decidable, and dropping zero coefficients on construction keeps the term map
@@ -21,13 +35,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add as _iadd
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational
 
 Exponents = Tuple[int, ...]
-Terms = Dict[Exponents, GaussianRational]
+Terms = Dict[int, GaussianRational]
 Coeffish = Union[int, Fraction, GaussianRational]
 
 # Session-wide variable priority; unknown names sort alphabetically after these.
@@ -36,6 +49,39 @@ _CANONICAL = (
     "eps", "y0", "y1", "y2", "y3", "y4", "y5", "y6", "y7", "y8",
 )
 _CANON_INDEX = {name: i for i, name in enumerate(_CANONICAL)}
+
+_SLOT_BITS = 32
+_EXP_MASK = (1 << (_SLOT_BITS - 1)) - 1  # the exponent bits of a slot, and the largest exponent
+_SHIFTS: Dict[str, int] = {}  # variable name -> bit offset of its slot, fixed once assigned
+_GUARD = 0  # the top bit of every assigned slot
+
+
+def _shift(name: str) -> int:
+    """The bit offset of a variable's slot, assigned on first sight."""
+    global _GUARD
+    s = _SHIFTS.get(name)
+    if s is None:
+        s = _SHIFTS[name] = _SLOT_BITS * len(_SHIFTS)
+        _GUARD |= 1 << (s + _SLOT_BITS - 1)
+    return s
+
+
+def _pack(vars: Sequence[str], exps: Sequence[int]) -> int:
+    """The key of an exponent tuple over ``vars``, checked: outside input enters here."""
+    key = 0
+    for v, e in zip(vars, exps, strict=True):
+        if not 0 <= e <= _EXP_MASK:
+            raise OverflowError(f"exponent {e} of {v} is outside [0, 2^31)")
+        key += e << _shift(v)
+    return key
+
+
+def _slot_min(a: int, b: int) -> int:
+    """The per-slot minimum of two keys."""
+    # a slot's guard bit survives (a | guard) - b exactly where a's exponent >= b's
+    b_smaller = (((a | _GUARD) - b) & _GUARD) >> (_SLOT_BITS - 1)
+    take_b = b_smaller * _EXP_MASK
+    return (b & take_b) | (a & ~take_b)
 
 
 def _var_key(name: str) -> tuple:
@@ -48,18 +94,20 @@ def _ordered_vars(names: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(set(names), key=_var_key))
 
 
+def _union(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
+    return a if a == b else _ordered_vars(a + b)
+
+
 class MPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: Tuple[str, ...] = (), terms: Mapping[Exponents, GaussianRational] | None = None):
-        object.__setattr__(self, "vars", tuple(vars))
-        clean: Terms = {}
+        self.vars = tuple(vars)
+        self.terms = {}
         if terms:
             for exps, c in terms.items():
-                if c.is_zero:
-                    continue
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
+                if not c.is_zero:
+                    self.terms[_pack(self.vars, exps)] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -68,7 +116,7 @@ class MPoly:
         g = GaussianRational.coerce(c)
         if g.is_zero:
             return MPoly()
-        return MPoly((), {(): g})
+        return MPoly._make((), {0: g})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "MPoly":
@@ -76,14 +124,14 @@ class MPoly:
             raise ValueError("monomial exponent must be nonnegative")
         if exp == 0:
             return MPoly.const(1)
-        return MPoly((name,), {(exp,): ONE})
+        return MPoly._make((name,), {_pack((name,), (exp,)): ONE})
 
     @classmethod
     def _make(cls, vars: Tuple[str, ...], terms: Terms) -> "MPoly":
-        # trusted constructor: terms must already be zero-free with aligned keys
+        # trusted constructor: terms must already be zero-free, their keys over vars
         self = object.__new__(cls)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+        self.vars = vars
+        self.terms = terms
         return self
 
     # -- structural properties --------------------------------------------
@@ -93,14 +141,18 @@ class MPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> GaussianRational:
         if self.is_zero:
             return ZERO
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.vars), ZERO) if self.vars else self.terms[()]
+        return self.terms[0]
+
+    def exponents(self, key: int) -> Exponents:
+        """The exponent tuple over ``vars`` of one key of ``terms``."""
+        return tuple(key >> _shift(v) & _EXP_MASK for v in self.vars)
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -108,38 +160,19 @@ class MPoly:
             return -1
         if var not in self.vars:
             return 0
-        i = self.vars.index(var)
-        return max(e[i] for e in self.terms)
+        s = _shift(var)
+        return max(k >> s & _EXP_MASK for k in self.terms)
+
+    def total_degree(self) -> int:
+        """Largest exponent sum of a term; -1 for the zero polynomial."""
+        return max((sum(self.exponents(k)) for k in self.terms), default=-1)
 
     def used_vars(self) -> Tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
-        out = []
-        for i, v in enumerate(self.vars):
-            if any(e[i] for e in self.terms):
-                out.append(v)
-        return tuple(out)
-
-    # -- alignment ---------------------------------------------------------
-
-    def _embed(self, newvars: Tuple[str, ...]) -> Terms:
-        if newvars == self.vars:
-            return dict(self.terms)
-        idx = [newvars.index(v) for v in self.vars]
-        width = len(newvars)
-        out: Terms = {}
-        for exps, c in self.terms.items():
-            vec = [0] * width
-            for j, e in enumerate(exps):
-                vec[idx[j]] = e
-            out[tuple(vec)] = c
-        return out
-
-    @staticmethod
-    def _aligned(p: "MPoly", q: "MPoly") -> tuple[Tuple[str, ...], Terms, Terms]:
-        if p.vars == q.vars:
-            return p.vars, dict(p.terms), dict(q.terms)
-        union = _ordered_vars(p.vars + q.vars)
-        return union, p._embed(union), q._embed(union)
+        bits = 0
+        for k in self.terms:
+            bits |= k
+        return tuple(v for v in self.vars if bits >> _shift(v) & _EXP_MASK)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -153,19 +186,19 @@ class MPoly:
 
     def __add__(self, other) -> "MPoly":
         o = MPoly._coerce(other)
-        vars_, a, b = MPoly._aligned(self, o)
-        for exps, c in b.items():
-            cur = a.get(exps)
+        a = dict(self.terms)
+        for key, c in o.terms.items():
+            cur = a.get(key)
             if cur is None:
-                a[exps] = c
+                a[key] = c
                 continue
             re = cur.re + c.re
             im = cur.im + c.im
             if re or im:
-                a[exps] = GaussianRational(re, im)
+                a[key] = GaussianRational(re, im)
             else:
-                del a[exps]
-        return MPoly._make(vars_, a)
+                del a[key]
+        return MPoly._make(_union(self.vars, o.vars), a)
 
     __radd__ = __add__
 
@@ -186,7 +219,7 @@ class MPoly:
             r1, i1 = c1.re, c1.im
             if not i1:
                 for e2, c2 in b.items():
-                    key = tuple(map(_iadd, e1, e2))
+                    key = e1 + e2
                     cur = acc.get(key)
                     if cur is None:
                         acc[key] = [r1 * c2.re, r1 * c2.im]
@@ -196,7 +229,7 @@ class MPoly:
                             cur[1] += r1 * c2.im
             else:
                 for e2, c2 in b.items():
-                    key = tuple(map(_iadd, e1, e2))
+                    key = e1 + e2
                     r2, i2 = c2.re, c2.im
                     cur = acc.get(key)
                     if cur is None:
@@ -207,8 +240,11 @@ class MPoly:
 
     @staticmethod
     def _from_raw(vars_: Tuple[str, ...], acc: dict) -> "MPoly":
+        guard = _GUARD
         terms: Terms = {}
         for key, (re, im) in acc.items():
+            if key & guard:
+                raise OverflowError("a product exponent reached 2^31")
             if re or im:
                 terms[key] = GaussianRational(re, im)
         return MPoly._make(vars_, terms)
@@ -217,10 +253,9 @@ class MPoly:
         o = MPoly._coerce(other)
         if self.is_zero or o.is_zero:
             return MPoly()
-        vars_, a, b = MPoly._aligned(self, o)
         acc: dict = {}
-        MPoly._accumulate_product(acc, a, b)
-        return MPoly._from_raw(vars_, acc)
+        MPoly._accumulate_product(acc, self.terms, o.terms)
+        return MPoly._from_raw(_union(self.vars, o.vars), acc)
 
     __rmul__ = __mul__
 
@@ -228,39 +263,27 @@ class MPoly:
     def dot(pairs: Sequence[tuple["MPoly", "MPoly"]]) -> "MPoly":
         """Sum of pairwise products, accumulated in one pass.
 
-        Equivalent to ``sum(p * q for p, q in pairs)`` but each operand is
-        aligned to the union variable table once and no intermediate
+        Equivalent to ``sum(p * q for p, q in pairs)`` but no intermediate
         polynomials are materialized.
         """
         live = [(p, q) for p, q in pairs if not p.is_zero and not q.is_zero]
         if not live:
             return MPoly()
         names: set = set()
+        acc: dict = {}
         for p, q in live:
             names.update(p.vars)
             names.update(q.vars)
-        union = _ordered_vars(names)
-        cache: dict = {}
-        acc: dict = {}
-        for p, q in live:
-            tp = cache.get(id(p))
-            if tp is None:
-                tp = p.terms if p.vars == union else p._embed(union)
-                cache[id(p)] = tp
-            tq = cache.get(id(q))
-            if tq is None:
-                tq = q.terms if q.vars == union else q._embed(union)
-                cache[id(q)] = tq
-            MPoly._accumulate_product(acc, tp, tq)
-        return MPoly._from_raw(union, acc)
+            MPoly._accumulate_product(acc, p.terms, q.terms)
+        return MPoly._from_raw(_ordered_vars(names), acc)
 
     @staticmethod
     def convolve(avec: Sequence["MPoly"], bvec: Sequence["MPoly"], width: int) -> list["MPoly"]:
         """Windowed Cauchy product of two coefficient vectors.
 
         Entry k of the result is ``sum(avec[i] * bvec[k-i])``; entries at or
-        beyond ``width`` are dropped.  Inputs are aligned once and products
-        accumulate into raw component maps, one per output slot.
+        beyond ``width`` are dropped.  Products accumulate into raw component
+        maps, one per output slot.
         """
         names: set = set()
         for p in avec:
@@ -268,19 +291,13 @@ class MPoly:
         for p in bvec:
             names.update(p.vars)
         union = _ordered_vars(names)
-        araw = [None if p.is_zero else (p.terms if p.vars == union else p._embed(union)) for p in avec]
-        braw = [None if p.is_zero else (p.terms if p.vars == union else p._embed(union)) for p in bvec]
         accs: list[dict] = [dict() for _ in range(width)]
-        for i, ta in enumerate(araw):
-            if ta is None or i >= width:
+        for i, pa in enumerate(avec[:width]):
+            if pa.is_zero:
                 continue
-            top = width - i
-            for j, tb in enumerate(braw):
-                if j >= top:
-                    break
-                if tb is None:
-                    continue
-                MPoly._accumulate_product(accs[i + j], ta, tb)
+            for j, pb in enumerate(bvec[:width - i]):
+                if not pb.is_zero:
+                    MPoly._accumulate_product(accs[i + j], pa.terms, pb.terms)
         return [MPoly._from_raw(union, acc) for acc in accs]
 
     def __pow__(self, n: int) -> "MPoly":
@@ -291,8 +308,9 @@ class MPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def scale(self, c: Coeffish) -> "MPoly":
@@ -309,14 +327,12 @@ class MPoly:
     def derivative(self, var: str) -> "MPoly":
         if var not in self.vars:
             return MPoly()
-        i = self.vars.index(var)
+        s = _shift(var)
         out: Terms = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = GaussianRational(c.re * e, c.im * e)
+        for key, c in self.terms.items():
+            e = key >> s & _EXP_MASK
+            if e:
+                out[key - (1 << s)] = GaussianRational(c.re * e, c.im * e)
         return MPoly._make(self.vars, out)
 
     def coefficients(self, var: str) -> list["MPoly"]:
@@ -326,11 +342,12 @@ class MPoly:
             return []
         if var not in self.vars:
             return [self]
-        i = self.vars.index(var)
-        rest_vars = self.vars[:i] + self.vars[i + 1:]
+        s = _shift(var)
+        rest_vars = tuple(v for v in self.vars if v != var)
         by_exp: Dict[int, Terms] = {}
-        for exps, c in self.terms.items():
-            by_exp.setdefault(exps[i], {})[exps[:i] + exps[i + 1:]] = c
+        for key, c in self.terms.items():
+            e = key >> s & _EXP_MASK
+            by_exp.setdefault(e, {})[key - (e << s)] = c
         return [MPoly._make(rest_vars, by_exp.get(e, {})) for e in range(max(by_exp) + 1)]
 
     def compose(self, var: str, replacement: "MPoly") -> "MPoly":
@@ -350,9 +367,9 @@ class MPoly:
         if missing:
             raise ValueError(f"unassigned variables: {missing}")
         total = 0j
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             term = complex(c)
-            for v, e in zip(self.vars, exps):
+            for v, e in zip(self.vars, self.exponents(key)):
                 if e:
                     term *= complex(values[v]) ** e
             total += term
@@ -383,23 +400,34 @@ class MPoly:
         """Coefficient of the graded-lex leading monomial (canonical var order)."""
         if self.is_zero:
             return ZERO
-        key = max(self.terms, key=lambda e: (sum(e), e))
-        return self.terms[key]
+        items = ((self.exponents(k), c) for k, c in self.terms.items())
+        return max(items, key=lambda kv: (sum(kv[0]), kv[0]))[1]
+
+    @staticmethod
+    def _common_key(polys: Iterable["MPoly"]) -> int:
+        """The key of the largest monomial dividing every term of ``polys``,
+        their per-slot minimum; 0 when there is no term."""
+        common = None
+        for p in polys:
+            for key in p.terms:
+                common = key if common is None else _slot_min(common, key)
+                if not common:
+                    return 0
+        return common or 0
+
+    def _divide_key(self, m: int) -> "MPoly":
+        """Divide by the monomial with key m, which must divide every term."""
+        return MPoly._make(self.vars, {k - m: c for k, c in self.terms.items()})
 
     def min_exponents(self) -> Exponents:
-        if self.is_zero:
-            return (0,) * len(self.vars)
-        return tuple(min(e[i] for e in self.terms) for i in range(len(self.vars)))
+        return self.exponents(MPoly._common_key([self]))
 
     def shift_exponents(self, delta: Exponents) -> "MPoly":
         """Divide by the monomial with the given exponent vector (must divide)."""
-        out: Terms = {}
-        for exps, c in self.terms.items():
-            key = tuple(e - d for e, d in zip(exps, delta))
-            if any(x < 0 for x in key):
-                raise ValueError("monomial does not divide polynomial")
-            out[key] = c
-        return MPoly(self.vars, out)
+        m = _pack(self.vars, delta)
+        if any(_slot_min(k, m) != m for k in self.terms):
+            raise ValueError("monomial does not divide polynomial")
+        return self._divide_key(m)
 
     # -- comparison and display ----------------------------------------------
 
@@ -408,14 +436,14 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        vars_, a, b = MPoly._aligned(self, other)
-        return a == b
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("MPoly is not hashable")
 
     def sorted_terms(self) -> list[tuple[Exponents, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        items = ((self.exponents(k), c) for k, c in self.terms.items())
+        return sorted(items, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -311,6 +311,19 @@ class TestTruncationCap:
         assert widths == [1, 1, 1, 2, 2, 2]
 
 
+class _StuckSeed(SeedSpec):
+    def build(self, width):
+        return self
+
+
+class TestRegrowth:
+    def test_a_seed_that_does_not_widen_raises(self):
+        # confined-affine cannot read offset 3 at width 1, so it must regrow
+        eq = {e.id: e for e in load_demo_corpus()}["confined-affine"].eq
+        with pytest.raises(cascade.CascadeError, match="from width 1 gave width 1"):
+            run_cascade(eq, _StuckSeed(1, 1), 3)
+
+
 class TestSeedValidation:
     def test_order_must_be_positive(self):
         # a signed order: 0 is neither a zero nor a pole of w

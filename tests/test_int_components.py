@@ -13,6 +13,7 @@ coefficient, p^(m)(c) / m!.
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,12 +127,12 @@ def to_mpoly(p: RefPoly) -> MPoly:
     return MPoly(VARS, {e: gr(c) for e, c in p.items()})
 
 
-def to_ref(p: MPoly) -> RefPoly:
-    """The terms of p over VARS, after checking the component rule."""
+def to_ref(p: MPoly, names=VARS) -> RefPoly:
+    """The terms of p over ``names``, after checking the component rule."""
     out: RefPoly = {}
-    for e, c in p.terms.items():
-        exps = dict(zip(p.vars, e))
-        out[tuple(exps.get(v, 0) for v in VARS)] = canonical_pair(c)
+    for key, c in p.terms.items():
+        exps = dict(zip(p.vars, p.exponents(key)))
+        out[tuple(exps.get(v, 0) for v in names)] = canonical_pair(c)
     return out
 
 
@@ -169,6 +170,88 @@ def test_mpoly_operations_keep_the_component_rule(p, q, r, f, i):
         assert content == Fraction(num, den)
     else:
         assert content == 1
+
+
+# -- packed keys against the tuple reference -------------------------------------
+
+# Names first seen here, out of printing order: their slots run u3, u1, u2,
+# while every table prints them u1, u2, u3, after z.
+for _name in ("u3", "u1", "u2"):
+    MPoly.var(_name)
+TABLE = ("z", "u1", "u2", "u3")
+
+
+def ref_neg(p: RefPoly) -> RefPoly:
+    return {e: (-c[0], -c[1]) for e, c in p.items()}
+
+
+def ref_graded(e):
+    return sum(e), e
+
+
+def ref_str(p: RefPoly) -> str:
+    """``MPoly.__str__`` of p over TABLE, from the tuples alone."""
+    out = ""
+    for e, c in sorted(p.items(), key=lambda kv: ref_graded(kv[0]), reverse=True):
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(TABLE, e) if k)
+        cs = str(gr(c))
+        compound = "+" in cs[1:] or "-" in cs[1:]
+        if not mono:
+            body = f"({cs})" if compound else cs
+        elif cs in ("1", "-1"):
+            body = cs[:-1] + mono
+        elif compound or (cs.endswith("i") and cs not in ("i", "-i")):
+            body = f"({cs})*{mono}"
+        else:
+            body = f"{cs}*{mono}"
+        out += body if not out or body.startswith("-") else "+" + body
+    return out or "0"
+
+
+@st.composite
+def table_polys(draw):
+    """(MPoly, RefPoly over TABLE) in a drawn table in printing order."""
+    table = draw(st.sampled_from([(), ("z",), ("u1", "u3"), ("z", "u2"), ("u1", "u2", "u3"), TABLE]))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2) for _ in table]),
+                                 nonzero_pairs, max_size=4))
+    ref = {tuple(dict(zip(table, e)).get(v, 0) for v in TABLE): c for e, c in terms.items()}
+    return MPoly(table, {e: gr(c) for e, c in terms.items()}), ref
+
+
+def test_fresh_slots_are_out_of_printing_order():
+    from ddelab import mpoly
+
+    assert mpoly._SHIFTS["u3"] < mpoly._SHIFTS["u1"] < mpoly._SHIFTS["u2"]
+
+
+@SETTINGS
+@given(table_polys(), table_polys(), st.sampled_from(TABLE))
+def test_packed_keys_match_the_tuple_reference(pa, pb, v):
+    (a, p), (b, q) = pa, pb
+    i = TABLE.index(v)
+    results = [(a, p), (a + b, ref_poly_add(p, q)), (a - b, ref_poly_add(p, ref_neg(q))),
+               (a * b, ref_poly_mul(p, q))]
+    for got, want in results:
+        assert to_ref(got, TABLE) == want
+        assert str(got) == ref_str(want)
+        lead = want[max(want, key=ref_graded)] if want else (0, 0)
+        assert canonical_pair(got.leading_coefficient()) == lead
+        assert got.used_vars() == tuple(w for j, w in enumerate(TABLE) if any(e[j] for e in want))
+        assert got.degree(v) == max((e[i] for e in want), default=-1)
+        assert got.total_degree() == max((sum(e) for e in want), default=-1)
+        slices = [{e[:i] + (0,) + e[i + 1:]: c for e, c in want.items() if e[i] == k}
+                  for k in range(got.degree(v) + 1)]
+        assert [to_ref(c, TABLE) for c in got.coefficients(v)] == slices
+
+        mins = tuple(min((e[j] for e in want), default=0) for j in range(len(TABLE)))
+        assert got.min_exponents() == tuple(mins[TABLE.index(w)] for w in got.vars)
+        shifted = {tuple(x - m for x, m in zip(e, mins)): c for e, c in want.items()}
+        assert to_ref(got.shift_exponents(got.min_exponents()), TABLE) == shifted
+        if want and v in got.vars:
+            past = tuple(m + (w == v) for m, w in zip(got.min_exponents(), got.vars))
+            with pytest.raises(ValueError):
+                got.shift_exponents(past)
+    assert (a == b) == (p == q)
 
 
 def test_demo_cascade_windows_keep_the_component_rule():

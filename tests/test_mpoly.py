@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from ddelab.gaussian import gauss
+import pytest
+
+from ddelab.gaussian import ONE, gauss
 from ddelab.mpoly import MPoly
 
 
@@ -115,3 +117,35 @@ def test_min_exponents_and_shift():
     assert by_var["z"] == 2 and by_var["alpha"] == 1
     q = p.shift_exponents(mins)
     assert q == 1 + z * a
+
+
+def test_exponents_stay_below_two_to_the_31():
+    # each exponent has a 31-bit field of the key; reaching 2^31 raises
+    # instead of carrying into the neighbouring variable's field
+    x, y = MPoly.var("gx"), MPoly.var("gy")
+    big = MPoly.var("gx", 2 ** 30)
+    top = big * MPoly.var("gx", 2 ** 30 - 1) * y
+    assert (top.degree("gx"), top.degree("gy")) == (2 ** 31 - 1, 1)
+    assert str(top) == f"gx^{2 ** 31 - 1}*gy"
+    for product in (lambda: big * big, lambda: (big * y) * big, lambda: top * x,
+                    lambda: MPoly.var("gx", 2 ** 16) ** 2 ** 15,
+                    lambda: MPoly.dot([(big, big)]),
+                    lambda: MPoly.convolve([big], [y * big], 1)):
+        with pytest.raises(OverflowError):
+            product()
+    # no squaring past the last bit: the power is below 2^31
+    assert (MPoly.var("gx", 2 ** 16) ** (2 ** 15 - 1)).degree("gx") == 2 ** 31 - 2 ** 16
+    assert (top.degree("gx"), top.degree("gy")) == (2 ** 31 - 1, 1)
+
+
+def test_outside_exponents_are_checked():
+    for make in (lambda: MPoly.var("gx", 2 ** 31),
+                 lambda: MPoly(("gx", "gy"), {(0, 2 ** 31): ONE}),
+                 lambda: MPoly(("gx",), {(-1,): ONE}),
+                 lambda: MPoly.var("gx").shift_exponents((-1,))):
+        with pytest.raises(OverflowError):
+            make()
+    with pytest.raises(ValueError):
+        MPoly.var("gx").shift_exponents((2,))
+    with pytest.raises(ValueError):
+        MPoly(("gx", "gy"), {(1,): ONE})
