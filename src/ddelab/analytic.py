@@ -349,7 +349,7 @@ def verify_exponential(
 _LIMIT_TRUNCATION = 7
 
 
-def continuum_limit(lam_shift_symbol: Optional[str] = None) -> List[MPoly]:
+def continuum_limit() -> List[MPoly]:
     """Exact eps-expansion of the confined equation under the scaling limit.
 
     Substitutes w = 1 - eps^2*y(t) with t = eps*z, so shifted values become
@@ -361,13 +361,8 @@ def continuum_limit(lam_shift_symbol: Optional[str] = None) -> List[MPoly]:
     eps^0 .. eps^7, each a polynomial in the symbols yj, the j-th derivative
     of the limit profile at the running point; orders above 7 would need
     derivative symbols beyond y5 and are dropped as uncertified.
-
-    The leading coefficient is allowed one higher-order correction: passing
-    a symbol name adds symbol*eps to it, exposing how such freedom only
-    moves orders above the leading balance.
     """
     jmax = _LIMIT_TRUNCATION - 2
-    eps = MPoly.var("eps")
     one = MPoly.const(1)
     ys = [MPoly.var(f"y{j}") for j in range(jmax + 1)]
 
@@ -387,8 +382,6 @@ def continuum_limit(lam_shift_symbol: Optional[str] = None) -> List[MPoly]:
     wminus = taylor_shift(-1)
     wprime = -(MPoly.var("eps", 3) * ys[1])
     lam = MPoly.const(2)
-    if lam_shift_symbol is not None:
-        lam = lam + eps * MPoly.var(lam_shift_symbol)
     lam_nu = MPoly.var("eps", 5).scale(Fraction(-1, 3))
 
     expanded = (wplus - wminus) * w0 * w0 - lam * wprime - lam_nu * w0

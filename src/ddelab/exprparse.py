@@ -25,10 +25,10 @@ Numbers are folded while parsing, and polynomials stay in the ring: a value
 stays a ``GaussianRational`` until it meets a variable, then an ``MPoly`` until
 it is divided by a non-number, raised to a negative power or meets a
 ``FieldElem``; there it is lifted and the ``FieldElem`` operator runs.  An
-``MPoly`` step is the one that the ``FieldElem`` polynomial fast path takes (a
-zero result drops its variable table), and a quotient by a number scales the
-way ``FieldElem``'s normal form does.  The result is therefore the same as
-unfolded parsing, down to every variable table and term map of the result.
+``MPoly`` step is the one that the ``FieldElem`` polynomial fast path takes,
+and a quotient by a number scales the way ``FieldElem``'s normal form does.
+The result is therefore the same as unfolded parsing, down to every term map
+of the result.
 """
 
 from __future__ import annotations
@@ -151,7 +151,6 @@ class _Parser:
                 value = lhs if c == ONE else lhs.scale(c.inverse())
             else:
                 value = _BINARY[op](lhs, rhs)
-                value = MPoly() if value.is_zero else value
         else:
             value = _BINARY[op](lhs, rhs)
         degree, bits = _size(value)

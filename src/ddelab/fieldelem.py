@@ -36,15 +36,13 @@ Its monomial is the per-slot minimum of all the terms' packed keys (see
 Polynomials skip ``_reduce``.  For a constant denominator ``_reduce`` always
 hands back the one shared ``_ONE_MP``, so ``den is _ONE_MP`` tells a
 polynomial apart at the cost of a pointer test.  Over that denominator
-``_reduce`` returns a nonzero numerator unchanged and a zero one as
-``MPoly()``, so ``FieldElem(num)`` does the same without calling it, and
-``+``, ``-``, unary ``-`` and ``*`` of two polynomials build their result
-from ``num +- num`` or ``num * num`` alone.  The result is exactly the one the
-general path gives, down to the variable table and the term map: that path
-would only multiply by the constant 1 and then reduce over it.  (Multiplying
-by 1 re-sorts a variable table that is out of ``mpoly``'s canonical order;
-no table the package builds is.)  ``==`` of two polynomials compares the
-numerators, which is cross-multiplication less its two products by 1.
+``_reduce`` returns the numerator unchanged, so ``FieldElem(num)`` does the
+same without calling it, and ``+``, ``-``, unary ``-`` and ``*`` of two
+polynomials build their result from ``num +- num`` or ``num * num`` alone.
+The result is exactly the one the general path gives, down to the term map:
+that path would only multiply by the constant 1 and then reduce over it.
+``==`` of two polynomials compares the numerators, which is
+cross-multiplication less its two products by 1.
 
 Rational functions of the distinguished variable ``z`` are FieldElems whose
 function-field variable is ``z``; other symbols act as constants.
@@ -73,7 +71,7 @@ class FieldElem:
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
         if den is None:
-            den, num = _ONE_MP, MPoly() if num.is_zero else num
+            den = _ONE_MP
         elif den.is_zero:
             raise ZeroDivisionError("zero denominator")
         else:
@@ -236,7 +234,7 @@ def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
     invariant behind the polynomial fast paths of ``FieldElem``.
     """
     if all(n.is_zero for n in nums):
-        return _ONE_MP, [MPoly() for _ in nums]
+        return _ONE_MP, nums
     den, nums = _tighten(den, nums)
     if den.is_constant():
         return den, nums
@@ -256,7 +254,7 @@ def _reduce(den: MPoly, nums: List[MPoly]) -> Tuple[MPoly, List[MPoly]]:
                 g = _gcd_with_content(g, n, v)
         if len(g) > 1:
             core = _from_univariate(_ulist_divexact(_as_univariate(core, v), g), v)
-            den = core * MPoly._make(den.vars, {dmono: ONE}) if dmono else core
+            den = core * MPoly._make({dmono: ONE}) if dmono else core
             nums = [n if n.is_zero else _divide_content(n, v, g) for n in nums]
             if den.is_constant():
                 return _tighten(den, nums)
@@ -314,7 +312,7 @@ def _gaussian_gcd(coeffs: Iterable[GaussianRational]) -> GaussianRational:
 
 def _gcd_with_content(g: ULi, p: MPoly, v: str) -> ULi:
     """Fold gcd(g, content of p in v), slice by slice with early exit."""
-    if v not in p.vars:
+    if not p.degree(v):
         return [ONE]
     for _, lst in _slices(p, v):
         g = _ulist_gcd(g, lst)
@@ -356,7 +354,7 @@ def _divide_content(p: MPoly, v: str, g: ULi) -> MPoly:
         for e, c in enumerate(_ulist_divexact(lst, g)):
             if not c.is_zero:
                 terms[rest + (e << s)] = c
-    return MPoly._make(p.vars, terms)
+    return MPoly._make(terms)
 
 
 def _ulist_trim(a: ULi) -> ULi:

@@ -1,26 +1,26 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-A polynomial is a variable table plus a map from packed monomials to nonzero
-GaussianRational coefficients.  Each variable name owns one 32-bit slot of an
-int key for the whole session, assigned when the name is first seen, so all
-polynomials key x^a*y^b as ``(a << slot(x)) + (b << slot(y))``: a product
+A polynomial is a map from packed monomials to nonzero GaussianRational
+coefficients, and nothing else.  Each variable name owns one 32-bit slot of
+an int key for the whole session, assigned when the name is first seen, so
+all polynomials key x^a*y^b as ``(a << slot(x)) + (b << slot(y))``: a product
 term's key is the sum of two keys, equality compares term maps, and a new
 symbol never re-keys an existing polynomial.
 
 The top bit of each slot is a guard, so exponents stay below 2^31.  Outside
-input (the constructor, ``var`` and ``shift_exponents``) is packed by one
-checked function, which refuses an exponent that is negative or >= 2^31 with
-``OverflowError``, and a product raises it when a result key meets a guard
-bit.  Two valid exponents sum to less than 2^32, and internal subtraction only
-removes a monomial that divides every term, so no slot carries or borrows.
+input (the constructor and ``var``) is packed by one checked function, which
+refuses an exponent that is negative or >= 2^31 with ``OverflowError``, and a
+product raises it when a result key meets a guard bit.  Two valid exponents
+sum to less than 2^32, and internal subtraction only removes a monomial that
+divides every term, so no slot carries or borrows.
 
-Tables follow a fixed session ordering (``z`` first, then the symbolic base
-point ``zhat``, seed symbols, parameter symbols, scaling symbols, then
-anything else alphabetically); a binary operation's result has the union
-table.  A table only reads keys as exponent tuples over it: the constructor
-and ``shift_exponents`` take tuples, and ``exponents``, ``min_exponents`` and
-``sorted_terms`` return them, so sorting and printing follow the table, not
-the order in which slots were assigned.
+A polynomial's variables are the slots that are nonzero in some key, read in
+a fixed session order (``z`` first, then the symbolic base point ``zhat``,
+seed symbols, parameter symbols, scaling symbols, then anything else
+alphabetically), not in the order in which slots were assigned.
+``used_vars``, ``sorted_terms``, ``leading_coefficient`` and printing read
+keys as exponent tuples over those variables.  A name that owns no slot
+occurs in no polynomial, and asking about it assigns none.
 
 Coefficient-level zero tests are exact, so ``is_zero`` and equality are
 decidable, and dropping zero coefficients on construction keeps the term map
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .gaussian import ONE, ZERO, GaussianRational
 
@@ -53,6 +53,7 @@ _CANON_INDEX = {name: i for i, name in enumerate(_CANONICAL)}
 _SLOT_BITS = 32
 _EXP_MASK = (1 << (_SLOT_BITS - 1)) - 1  # the exponent bits of a slot, and the largest exponent
 _SHIFTS: Dict[str, int] = {}  # variable name -> bit offset of its slot, fixed once assigned
+_ORDER: List[Tuple[str, int]] = []  # the (name, offset) pairs of _SHIFTS in printing order
 _GUARD = 0  # the top bit of every assigned slot
 
 
@@ -63,13 +64,15 @@ def _shift(name: str) -> int:
     if s is None:
         s = _SHIFTS[name] = _SLOT_BITS * len(_SHIFTS)
         _GUARD |= 1 << (s + _SLOT_BITS - 1)
+        _ORDER.append((name, s))
+        _ORDER.sort(key=lambda vs: _var_key(vs[0]))
     return s
 
 
-def _pack(vars: Sequence[str], exps: Sequence[int]) -> int:
-    """The key of an exponent tuple over ``vars``, checked: outside input enters here."""
+def _pack(names: Sequence[str], exps: Sequence[int]) -> int:
+    """The key of an exponent tuple over ``names``, checked: outside input enters here."""
     key = 0
-    for v, e in zip(vars, exps, strict=True):
+    for v, e in zip(names, exps, strict=True):
         if not 0 <= e <= _EXP_MASK:
             raise OverflowError(f"exponent {e} of {v} is outside [0, 2^31)")
         key += e << _shift(v)
@@ -90,24 +93,17 @@ def _var_key(name: str) -> tuple:
     return (1, 0, name)
 
 
-def _ordered_vars(names: Iterable[str]) -> Tuple[str, ...]:
-    return tuple(sorted(set(names), key=_var_key))
-
-
-def _union(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
-    return a if a == b else _ordered_vars(a + b)
-
-
 class MPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars: Tuple[str, ...] = (), terms: Mapping[Exponents, GaussianRational] | None = None):
-        self.vars = tuple(vars)
+    def __init__(self, names: Sequence[str] = (), terms: Mapping[Exponents, GaussianRational] | None = None):
+        """The polynomial with the given exponent tuples over ``names``; the
+        names only say how to pack the tuples, and are not kept."""
         self.terms = {}
         if terms:
             for exps, c in terms.items():
                 if not c.is_zero:
-                    self.terms[_pack(self.vars, exps)] = c
+                    self.terms[_pack(names, exps)] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -116,7 +112,7 @@ class MPoly:
         g = GaussianRational.coerce(c)
         if g.is_zero:
             return MPoly()
-        return MPoly._make((), {0: g})
+        return MPoly._make({0: g})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "MPoly":
@@ -124,13 +120,12 @@ class MPoly:
             raise ValueError("monomial exponent must be nonnegative")
         if exp == 0:
             return MPoly.const(1)
-        return MPoly._make((name,), {_pack((name,), (exp,)): ONE})
+        return MPoly._make({_pack((name,), (exp,)): ONE})
 
     @classmethod
-    def _make(cls, vars: Tuple[str, ...], terms: Terms) -> "MPoly":
-        # trusted constructor: terms must already be zero-free, their keys over vars
+    def _make(cls, terms: Terms) -> "MPoly":
+        # trusted constructor: terms must already be zero-free and guard-free
         self = object.__new__(cls)
-        self.vars = vars
         self.terms = terms
         return self
 
@@ -150,29 +145,33 @@ class MPoly:
             raise ValueError("polynomial is not constant")
         return self.terms[0]
 
-    def exponents(self, key: int) -> Exponents:
-        """The exponent tuple over ``vars`` of one key of ``terms``."""
-        return tuple(key >> _shift(v) & _EXP_MASK for v in self.vars)
+    def _table(self) -> List[Tuple[str, int]]:
+        """The (name, offset) pairs of the variables that occur, in printing order."""
+        bits = 0
+        for k in self.terms:
+            bits |= k
+        return [(v, s) for v, s in _ORDER if bits >> s & _EXP_MASK]
+
+    def _exponent_terms(self) -> Iterable[Tuple[Exponents, GaussianRational]]:
+        """The terms with their keys read as exponent tuples over ``used_vars``."""
+        slots = [s for _, s in self._table()]
+        return ((tuple(k >> s & _EXP_MASK for s in slots), c) for k, c in self.terms.items())
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if self.is_zero:
             return -1
-        if var not in self.vars:
-            return 0
-        s = _shift(var)
-        return max(k >> s & _EXP_MASK for k in self.terms)
+        s = _SHIFTS.get(var)
+        return 0 if s is None else max(k >> s & _EXP_MASK for k in self.terms)
 
     def total_degree(self) -> int:
         """Largest exponent sum of a term; -1 for the zero polynomial."""
-        return max((sum(self.exponents(k)) for k in self.terms), default=-1)
+        slots = [s for _, s in self._table()]
+        return max((sum(k >> s & _EXP_MASK for s in slots) for k in self.terms), default=-1)
 
     def used_vars(self) -> Tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
-        bits = 0
-        for k in self.terms:
-            bits |= k
-        return tuple(v for v in self.vars if bits >> _shift(v) & _EXP_MASK)
+        return tuple(v for v, _ in self._table())
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -198,12 +197,12 @@ class MPoly:
                 a[key] = GaussianRational(re, im)
             else:
                 del a[key]
-        return MPoly._make(_union(self.vars, o.vars), a)
+        return MPoly._make(a)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._make(self.vars, {e: GaussianRational(-c.re, -c.im) for e, c in self.terms.items()})
+        return MPoly._make({e: GaussianRational(-c.re, -c.im) for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-MPoly._coerce(other))
@@ -239,7 +238,7 @@ class MPoly:
                         cur[1] += r1 * i2 + i1 * r2
 
     @staticmethod
-    def _from_raw(vars_: Tuple[str, ...], acc: dict) -> "MPoly":
+    def _from_raw(acc: dict) -> "MPoly":
         guard = _GUARD
         terms: Terms = {}
         for key, (re, im) in acc.items():
@@ -247,7 +246,7 @@ class MPoly:
                 raise OverflowError("a product exponent reached 2^31")
             if re or im:
                 terms[key] = GaussianRational(re, im)
-        return MPoly._make(vars_, terms)
+        return MPoly._make(terms)
 
     def __mul__(self, other) -> "MPoly":
         o = MPoly._coerce(other)
@@ -255,7 +254,7 @@ class MPoly:
             return MPoly()
         acc: dict = {}
         MPoly._accumulate_product(acc, self.terms, o.terms)
-        return MPoly._from_raw(_union(self.vars, o.vars), acc)
+        return MPoly._from_raw(acc)
 
     __rmul__ = __mul__
 
@@ -269,13 +268,10 @@ class MPoly:
         live = [(p, q) for p, q in pairs if not p.is_zero and not q.is_zero]
         if not live:
             return MPoly()
-        names: set = set()
         acc: dict = {}
         for p, q in live:
-            names.update(p.vars)
-            names.update(q.vars)
             MPoly._accumulate_product(acc, p.terms, q.terms)
-        return MPoly._from_raw(_ordered_vars(names), acc)
+        return MPoly._from_raw(acc)
 
     @staticmethod
     def convolve(avec: Sequence["MPoly"], bvec: Sequence["MPoly"], width: int) -> list["MPoly"]:
@@ -285,12 +281,6 @@ class MPoly:
         beyond ``width`` are dropped.  Products accumulate into raw component
         maps, one per output slot.
         """
-        names: set = set()
-        for p in avec:
-            names.update(p.vars)
-        for p in bvec:
-            names.update(p.vars)
-        union = _ordered_vars(names)
         accs: list[dict] = [dict() for _ in range(width)]
         for i, pa in enumerate(avec[:width]):
             if pa.is_zero:
@@ -298,7 +288,7 @@ class MPoly:
             for j, pb in enumerate(bvec[:width - i]):
                 if not pb.is_zero:
                     MPoly._accumulate_product(accs[i + j], pa.terms, pb.terms)
-        return [MPoly._from_raw(union, acc) for acc in accs]
+        return [MPoly._from_raw(acc) for acc in accs]
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
@@ -319,40 +309,40 @@ class MPoly:
             return MPoly()
         if not g.im:
             gr = g.re
-            return MPoly._make(self.vars, {e: GaussianRational(v.re * gr, v.im * gr) for e, v in self.terms.items()})
-        return MPoly._make(self.vars, {e: v * g for e, v in self.terms.items()})
+            return MPoly._make({e: GaussianRational(v.re * gr, v.im * gr) for e, v in self.terms.items()})
+        return MPoly._make({e: v * g for e, v in self.terms.items()})
 
     # -- calculus and substitution ------------------------------------------
 
     def derivative(self, var: str) -> "MPoly":
-        if var not in self.vars:
+        s = _SHIFTS.get(var)
+        if s is None:
             return MPoly()
-        s = _shift(var)
         out: Terms = {}
         for key, c in self.terms.items():
             e = key >> s & _EXP_MASK
             if e:
                 out[key - (1 << s)] = GaussianRational(c.re * e, c.im * e)
-        return MPoly._make(self.vars, out)
+        return MPoly._make(out)
 
     def coefficients(self, var: str) -> list["MPoly"]:
         """``[P_0, ..., P_d]`` with ``self = sum(P_e * var^e)`` and d the
         degree in ``var``; each ``P_e`` is free of ``var``."""
         if not self.terms:
             return []
-        if var not in self.vars:
+        s = _SHIFTS.get(var)
+        if s is None:
             return [self]
-        s = _shift(var)
-        rest_vars = tuple(v for v in self.vars if v != var)
         by_exp: Dict[int, Terms] = {}
         for key, c in self.terms.items():
             e = key >> s & _EXP_MASK
             by_exp.setdefault(e, {})[key - (e << s)] = c
-        return [MPoly._make(rest_vars, by_exp.get(e, {})) for e in range(max(by_exp) + 1)]
+        return [MPoly._make(by_exp.get(e, {})) for e in range(max(by_exp) + 1)]
 
     def compose(self, var: str, replacement: "MPoly") -> "MPoly":
         """Substitute a polynomial for one variable."""
-        if var not in self.vars:
+        s = _SHIFTS.get(var)
+        if s is None or not any(k >> s & _EXP_MASK for k in self.terms):
             return self
         # Horner in the replacement
         out = MPoly()
@@ -363,13 +353,15 @@ class MPoly:
         return out
 
     def eval_complex(self, values: Mapping[str, complex]) -> complex:
-        missing = [v for v in self.used_vars() if v not in values]
+        table = self._table()
+        missing = [v for v, _ in table if v not in values]
         if missing:
             raise ValueError(f"unassigned variables: {missing}")
         total = 0j
         for key, c in self.terms.items():
             term = complex(c)
-            for v, e in zip(self.vars, self.exponents(key)):
+            for v, s in table:
+                e = key >> s & _EXP_MASK
                 if e:
                     term *= complex(values[v]) ** e
             total += term
@@ -400,8 +392,7 @@ class MPoly:
         """Coefficient of the graded-lex leading monomial (canonical var order)."""
         if self.is_zero:
             return ZERO
-        items = ((self.exponents(k), c) for k, c in self.terms.items())
-        return max(items, key=lambda kv: (sum(kv[0]), kv[0]))[1]
+        return max(self._exponent_terms(), key=lambda kv: (sum(kv[0]), kv[0]))[1]
 
     @staticmethod
     def _common_key(polys: Iterable["MPoly"]) -> int:
@@ -417,17 +408,7 @@ class MPoly:
 
     def _divide_key(self, m: int) -> "MPoly":
         """Divide by the monomial with key m, which must divide every term."""
-        return MPoly._make(self.vars, {k - m: c for k, c in self.terms.items()})
-
-    def min_exponents(self) -> Exponents:
-        return self.exponents(MPoly._common_key([self]))
-
-    def shift_exponents(self, delta: Exponents) -> "MPoly":
-        """Divide by the monomial with the given exponent vector (must divide)."""
-        m = _pack(self.vars, delta)
-        if any(_slot_min(k, m) != m for k in self.terms):
-            raise ValueError("monomial does not divide polynomial")
-        return self._divide_key(m)
+        return MPoly._make({k - m: c for k, c in self.terms.items()})
 
     # -- comparison and display ----------------------------------------------
 
@@ -442,17 +423,17 @@ class MPoly:
         raise TypeError("MPoly is not hashable")
 
     def sorted_terms(self) -> list[tuple[Exponents, GaussianRational]]:
-        items = ((self.exponents(k), c) for k, c in self.terms.items())
-        return sorted(items, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self._exponent_terms(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        names = self.used_vars()
         pieces = []
         for exps, c in self.sorted_terms():
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exps) if e
+                for v, e in zip(names, exps) if e
             )
             cs = str(c)
             if mono:

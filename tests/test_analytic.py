@@ -221,16 +221,6 @@ class TestContinuumLimit:
         assert oracle[5] == 4 * a[0] * a[1] - a[3] / 3 + Fraction(1, 3)
         assert oracle[5] != 0
 
-    def test_slope_shift_moves_the_defect_to_fourth_order(self):
-        coeffs = continuum_limit(lam_shift_symbol="d1")
-        expected = MPoly.var("y1") * MPoly.var("d1")
-        assert (coeffs[4] - expected).is_zero
-        # the balance order itself is unchanged
-        y0, y1, y3 = MPoly.var("y0"), MPoly.var("y1"), MPoly.var("y3")
-        third = MPoly.const(Fraction(1, 3))
-        expected5 = y0 * y1 * MPoly.const(4) - y3 * third + third
-        assert (coeffs[5] - expected5).is_zero
-
     def test_coefficient_beyond_truncation_is_rejected(self):
         # orders above 7 are uncertified, so the expansion stops at eps^7
         assert len(continuum_limit()) == 8

@@ -336,8 +336,7 @@ def _outcome(parse, errors, text):
     except errors as exc:
         return ("error", str(exc), exc.line, exc.col)
     num, den = value.num, value.den
-    return ("value", num.vars, repr(list(num.terms.items())),
-            den.vars, repr(list(den.terms.items())), str(value))
+    return ("value", repr(list(num.terms.items())), repr(list(den.terms.items())), str(value))
 
 
 def _tame(text):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from ddelab import mpoly
+from ddelab.exprparse import parse_expression
 from ddelab.gaussian import ONE, gauss
 from ddelab.mpoly import MPoly
 
@@ -112,11 +114,9 @@ def test_min_exponents_and_shift():
     z = MPoly.var("z")
     a = MPoly.var("alpha")
     p = z ** 2 * a + z ** 3 * a ** 2
-    mins = p.min_exponents()
-    by_var = dict(zip(p.vars, mins))
-    assert by_var["z"] == 2 and by_var["alpha"] == 1
-    q = p.shift_exponents(mins)
-    assert q == 1 + z * a
+    common = MPoly._common_key([p])
+    assert MPoly._make({common: ONE}) == z ** 2 * a
+    assert p._divide_key(common) == 1 + z * a
 
 
 def test_exponents_stay_below_two_to_the_31():
@@ -141,11 +141,43 @@ def test_exponents_stay_below_two_to_the_31():
 def test_outside_exponents_are_checked():
     for make in (lambda: MPoly.var("gx", 2 ** 31),
                  lambda: MPoly(("gx", "gy"), {(0, 2 ** 31): ONE}),
-                 lambda: MPoly(("gx",), {(-1,): ONE}),
-                 lambda: MPoly.var("gx").shift_exponents((-1,))):
+                 lambda: MPoly(("gx",), {(-1,): ONE})):
         with pytest.raises(OverflowError):
             make()
     with pytest.raises(ValueError):
-        MPoly.var("gx").shift_exponents((2,))
-    with pytest.raises(ValueError):
         MPoly(("gx", "gy"), {(1,): ONE})
+
+
+def test_a_cancelled_variable_is_gone():
+    # a polynomial is its term map: a variable that cancels leaves no trace
+    z, alpha = MPoly.var("z"), MPoly.var("alpha")
+    p = (z + alpha) - alpha
+    assert p.terms == z.terms
+    assert str(p) == "z"
+    assert p.used_vars() == ("z",)
+    assert p.degree("alpha") == 0
+    assert [q.terms for q in p.coefficients("alpha")] == [z.terms]
+    assert p.derivative("alpha") == MPoly()
+    assert p.compose("alpha", z + 7).terms == z.terms
+
+
+def test_every_zero_is_the_empty_map():
+    z, alpha = MPoly.var("z"), MPoly.var("alpha")
+    p = z * alpha + 3
+    zeros = [p - p, p * 0, MPoly.dot([(p, z), (-p, z)]), parse_expression("z - z").num]
+    for zero in zeros:
+        assert zero == MPoly() and zero.terms == {}
+        assert str(zero) == "0"
+        assert zero.used_vars() == ()
+
+
+def test_an_unseen_name_gets_no_slot():
+    p = MPoly.var("z") * MPoly.var("alpha") + 1
+    before = dict(mpoly._SHIFTS)
+    name = "never_seen_anywhere"
+    assert p.degree(name) == 0
+    assert p.derivative(name) == MPoly()
+    assert p.coefficients(name) == [p]
+    assert p.compose(name, MPoly.var("z")) is p
+    assert name not in p.used_vars()
+    assert mpoly._SHIFTS == before
