@@ -21,6 +21,13 @@ match byte for byte.  The ``--format text`` reports of ``classify`` and
 ``cascade``, on the demo and on this corpus, must match their goldens once
 the ``[N ms]`` timings are stripped.
 
+``residual-corpus.json`` holds log-deriv entries whose denominators carry a
+``q_residual``: non-monic constants, a non-monic linear residual, residuals of
+degree 1 and 2 that share a root with P, and a polynomial right side over the
+constant 2 + i, the one entry that runs a cascade.  No other corpus sends a
+residual of positive degree through the report.  Its ``classify`` and
+``cascade`` JSON entries must match byte for byte.
+
 ``verify`` and ``nev`` carry floating-point measurements, so they are
 compared field by field.  Strings, integers, booleans, nulls and the set of
 keys must match exactly; that covers ids, verdicts, parameters, sample
@@ -116,6 +123,14 @@ def test_verdict_shapes_entries_match_golden(subcommand, tmp_path):
     entries = _report_entries(subcommand, tmp_path, "--corpus", str(corpus))
     got = json.dumps(entries, sort_keys=True, indent=2) + "\n"
     assert got == (GOLDEN / f"verdict-shapes-{subcommand}.json").read_text()
+
+
+@pytest.mark.parametrize("subcommand", ["classify", "cascade"])
+def test_residual_entries_match_golden(subcommand, tmp_path):
+    corpus = GOLDEN / "residual-corpus.json"
+    entries = _report_entries(subcommand, tmp_path, "--corpus", str(corpus))
+    got = json.dumps(entries, sort_keys=True, indent=2) + "\n"
+    assert got == (GOLDEN / f"residual-{subcommand}.json").read_text()
 
 
 @pytest.mark.parametrize("corpus", ["demo", "verdict-shapes"])
