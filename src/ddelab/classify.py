@@ -63,29 +63,22 @@ def classify_log_deriv(eq: DelayDiffEq) -> Dict[str, Any]:
     Branch A needs the numerator degree to exceed the denominator degree by
     exactly one and stay at most three; branch B needs total degree zero or
     one.  Both can hold at once; the verdict then reports branch A and sets
-    ``also_branch_b``.  Checkability requires a monic denominator, a
-    supplied factorization, and no common roots; ``DelayDiffEq`` already
-    rejects a denominator that is zero or vanishes at w = 0.
+    ``also_branch_b``.  Checkability requires a nonzero P with no root in
+    common with Q; ``DelayDiffEq`` already rejects a denominator that is zero
+    or vanishes at w = 0.  Q is not normalized: the verdict reads only
+    degrees and roots, which a common factor of P and Q leaves alone.
 
-    Common roots are decided at the supplied roots: P and Q share one exactly
-    when P vanishes at one of them, or when P and a residual factor of
-    positive degree in w have a zero resultant.  The Sylvester determinant of
-    P and Q themselves runs only for an equation built without a factorization.
+    Common roots are decided on the factored Q (``shares_root``): P and Q
+    share one exactly when P vanishes at a supplied root, or when P and a
+    residual factor of positive degree in w have a zero resultant.
     """
     if eq.kind != EqKind.LOG_DERIV:
         raise ValueError("classifier expects the rational-in-w class")
-    failed = []
-    q = eq.q_poly
-    if not q.is_monic:
-        failed.append("denominator is not monic")
-    if q.degree > 0 and eq.q_factors is None:
-        failed.append("denominator factorization not supplied")
-    if not eq.p_poly.is_zero and shares_root(eq.p_poly, q, eq.q_factors):
-        failed.append("numerator and denominator share a root")
     if eq.p_poly.is_zero:
-        failed.append("numerator is identically zero")
-    if failed:
-        return _verdict(eq, Outcome.HYPOTHESIS_VIOLATION, *failed)
+        return _verdict(eq, Outcome.HYPOTHESIS_VIOLATION, "numerator is identically zero")
+    if shares_root(eq.p_poly, eq.q_factors):
+        return _verdict(eq, Outcome.HYPOTHESIS_VIOLATION,
+                        "numerator and denominator share a root")
 
     rep = rational_degree(eq)
     dp, dq, dr = rep["num"], rep["den"], rep["map"]

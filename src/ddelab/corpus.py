@@ -272,7 +272,9 @@ def parse_equation(raw: Mapping[str, Any],
             a=expr("a", raw["a"]), b=expr("b", raw["b"]), c=expr("c", raw.get("c", "0"))
         )
     except EquationError as exc:
-        raise CorpusError(f"entry {entry_id!r}: {exc}") from exc
+        # a log-deriv entry can fail only on its denominator
+        fields = "fields 'q_factors', 'q_residual': " if kind == EqKind.LOG_DERIV else ""
+        raise CorpusError(f"entry {entry_id!r}: {fields}{exc}") from exc
 
 
 def _request(entry_id: str, eq_kind: EqKind, name: str, raw: Any) -> Dict[str, Any]:

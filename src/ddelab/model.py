@@ -13,22 +13,23 @@ Every equation also carries the derived normal form
 
 which is what the cascade engine consumes.  Both views are exact.
 
-A log-deriv equation with a factored denominator expands the factors once,
-when it is built: the expansion is Q when no Q is given, and must equal a
-given Q.
+A log-deriv equation is given as P over its factored denominator
+prod (w - r_i)^m_i * R, the form the paper states the class in, with R an
+optional residual factor.  Q is the expansion of that form, computed once
+when the equation is built.  P and Q are kept as given: P/Q, the degrees, the
+common-root test and the normal form do not change when both are scaled by a
+common factor, so neither is normalized.
 
 The module also provides degree reports for the right-hand side as a
 rational map of w, resultants in w, and the common-root test for P and Q.
-That test reads the supplied factorization Q = prod (w - r_i)^m_i * R:
-since res(P, Q) = +-prod P(r_i)^m_i * res(P, R), P and Q share a root exactly
+Since res(P, Q) = +-prod P(r_i)^m_i * res(P, R), P and Q share a root exactly
 when P vanishes at a supplied root or when res(P, R) vanishes.  The Sylvester
-determinant therefore runs only on a residual R of positive degree in w, or
-on Q itself when no factorization was supplied.
+determinant therefore runs only on a residual R of positive degree in w.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,10 +69,6 @@ class WPoly:
             cs.pop()
         self.coeffs: Tuple[FieldElem, ...] = tuple(cs)
 
-    @staticmethod
-    def const(c) -> "WPoly":
-        return WPoly([FieldElem.coerce(c)])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -79,16 +76,6 @@ class WPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> FieldElem:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == _ONE
 
     def coefficient(self, k: int) -> FieldElem:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
@@ -101,21 +88,6 @@ class WPoly:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * x + c
         return acc
-
-    def scale(self, c: FieldElem) -> "WPoly":
-        return WPoly([c * a for a in self.coeffs])
-
-    def __add__(self, other: "WPoly") -> "WPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return WPoly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
-
-    def __sub__(self, other: "WPoly") -> "WPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return WPoly(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
 
     def __mul__(self, other: "WPoly") -> "WPoly":
         if self.is_zero or other.is_zero:
@@ -136,27 +108,13 @@ class WPoly:
     def __hash__(self):
         raise TypeError("WPoly is not hashable")
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == _ONE else f"({c})*"
-                parts.append(f"{head}w" + (f"^{k}" if k > 1 else ""))
-        return " + ".join(reversed(parts))
-
 
 @dataclass(frozen=True)
 class FactoredDenominator:
     """Denominator supplied in factored form: product of (w - root)^mult.
 
     An optional residual factor covers a part the supplier asserts has no
-    roots rational in z; expansion must reproduce the stored denominator.
+    roots rational in z; it need not be monic.
     """
 
     factors: Tuple[Tuple[FieldElem, int], ...]
@@ -201,8 +159,8 @@ class DelayDiffEq:
     b: FieldElem = _ZERO
     c: FieldElem = _ZERO
     p_poly: Optional[WPoly] = None
-    q_poly: Optional[WPoly] = None
     q_factors: Optional[FactoredDenominator] = None
+    q_poly: Optional[WPoly] = field(init=False, default=None)
 
     def __post_init__(self):
         if self.kind in (EqKind.PURE_LOG_DERIV, EqKind.INVERSE_SQUARE):
@@ -211,38 +169,17 @@ class DelayDiffEq:
                     f"a(z) identically zero is outside the {self.kind.value} class"
                 )
         if self.kind == EqKind.LOG_DERIV:
-            if self.q_factors is not None:
-                q = self.q_factors.expand()
-                if self.q_poly is None:
-                    object.__setattr__(self, "q_poly", q)
-                elif q != self.q_poly:
-                    raise EquationError(
-                        "factored denominator does not expand to Q"
-                    )
-            if self.p_poly is None or self.q_poly is None:
-                raise EquationError("log-deriv equations need both P and Q")
-            if self.q_poly.is_zero:
+            if self.p_poly is None or self.q_factors is None:
+                raise EquationError("log-deriv equations need P and the factored Q")
+            q = self.q_factors.expand()
+            if q.is_zero:
                 raise EquationError("denominator Q is identically zero")
-            if self.q_poly.coefficient(0).is_zero:
+            if q.coefficient(0).is_zero:
                 raise EquationError("Q(z, 0) must not vanish identically")
+            object.__setattr__(self, "q_poly", q)
 
 
-def make_log_deriv(
-    a: FieldElem,
-    p_poly: WPoly,
-    q_factors: FactoredDenominator,
-) -> DelayDiffEq:
-    """Build a log-deriv equation, normalizing the denominator to monic.
-
-    The linear factors are monic, so only a residual makes Q non-monic;
-    dividing the residual and P by its leading coefficient normalizes it.
-    """
-    res = q_factors.residual
-    # a zero residual is left to the equation's zero-Q check
-    if res is not None and not res.is_zero and not res.is_monic:
-        inv = res.leading.inverse()
-        p_poly = p_poly.scale(inv)
-        q_factors = FactoredDenominator(q_factors.factors, res.scale(inv))
+def make_log_deriv(a: FieldElem, p_poly: WPoly, q_factors: FactoredDenominator) -> DelayDiffEq:
     return DelayDiffEq(EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_factors=q_factors)
 
 
@@ -294,11 +231,10 @@ def resultant_in_w(p: WPoly, q: WPoly) -> FieldElem:
     return _det(rows)
 
 
-def shares_root(p: WPoly, q: WPoly, q_factors: Optional[FactoredDenominator]) -> bool:
-    """Whether nonzero P and Q share a root in w, decided as the module
-    docstring says: at the supplied roots of Q when there are any."""
-    if q_factors is None:
-        return resultant_in_w(p, q).is_zero
+def shares_root(p: WPoly, q_factors: FactoredDenominator) -> bool:
+    """Whether nonzero P and the expansion Q of ``q_factors`` share a root in
+    w, decided as the module docstring says: P at each supplied root, then the
+    Sylvester determinant of P and the residual when its degree is positive."""
     if any(p.evaluate(r).is_zero for r in q_factors.roots()):
         return True
     res = q_factors.residual

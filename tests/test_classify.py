@@ -25,7 +25,6 @@ from ddelab.corpus import load_corpus, load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import gauss
 from ddelab.model import (
-    DelayDiffEq,
     EqKind,
     FactoredDenominator,
     WPoly,
@@ -83,34 +82,36 @@ class TestLogDerivBranches:
         assert v["outcome"] == Outcome.HYPOTHESIS_VIOLATION
         assert any("share a root" in d for d in v["details"])
 
-    def test_unnormalized_input_is_flagged_not_classified(self):
-        eq = DelayDiffEq(
-            EqKind.LOG_DERIV, a=W0, p_poly=_wpoly(ONE),
-            q_poly=_wpoly(ONE, FieldElem.const(2)),
-        )
-        v = classify_log_deriv(eq)
-        assert v["outcome"] == Outcome.HYPOTHESIS_VIOLATION
-        assert any("monic" in d for d in v["details"])
-        assert any("factorization" in d for d in v["details"])
-
     def test_verdict_survives_common_rescaling(self):
+        # P and Q are not normalized: scaling both by c leaves the verdict alone
         p = _wpoly(ONE, W0, W0, ONE)
         q = FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)), None)
         eq = make_log_deriv(a=W0, p_poly=p, q_factors=q)
         c = FieldElem.const(3) * Z + ONE
         scaled = make_log_deriv(
-            a=W0, p_poly=p.scale(c),
+            a=W0, p_poly=WPoly([c * x for x in p.coeffs]),
             q_factors=FactoredDenominator(q.factors, WPoly([c])),
         )
         assert classify_log_deriv(scaled)["outcome"] == classify_log_deriv(eq)["outcome"]
+        # Q the non-monic constant 2 + i: a polynomial right side, whose pole
+        # orders polynomial_blowup reads, the only cascade of a log-deriv entry
+        p = _wpoly(ONE, Z, ONE)
+        c = FieldElem.const(gauss(2, 1))
+        eq = make_log_deriv(a=ONE, p_poly=p, q_factors=FactoredDenominator((), None))
+        scaled = make_log_deriv(
+            a=ONE, p_poly=WPoly([c * x for x in p.coeffs]),
+            q_factors=FactoredDenominator((), WPoly([c])),
+        )
+        assert classify_log_deriv(scaled) == classify_log_deriv(eq)
+        assert polynomial_blowup(scaled, 3) == polynomial_blowup(eq, 3) == (2, 4, 8)
 
     def test_repeated_calls_agree(self):
         eq = _log_deriv([ONE, W0, W0, ONE], [Z, FieldElem.const(2) * Z])
         assert classify_log_deriv(eq) == classify_log_deriv(eq)
 
     def test_factored_entries_skip_the_sylvester_determinant(self, monkeypatch):
-        # the supplied roots decide; the determinant is for residuals of
-        # positive degree and for equations built without a factorization
+        # the supplied roots decide; the determinant is only for a residual
+        # of positive degree in w, and these residuals are constants in w
         def refuse(p, q):
             raise AssertionError("resultant_in_w called")
 
@@ -126,9 +127,6 @@ class TestLogDerivBranches:
         monkeypatch.setattr(model, "resultant_in_w", refuse)
         outcomes = [classify_log_deriv(eq)["outcome"] for eq in eqs]
         assert outcomes[-2] == Outcome.HYPOTHESIS_VIOLATION
-        unfactored = DelayDiffEq(EqKind.LOG_DERIV, a=W0, p_poly=_wpoly(ONE), q_poly=_wpoly(ONE, ONE))
-        with pytest.raises(AssertionError, match="resultant_in_w called"):
-            classify_log_deriv(unfactored)
 
 
 class TestPureLogDerivVerdicts:

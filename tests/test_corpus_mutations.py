@@ -3,7 +3,10 @@
 Each draw copies the demo corpus and mutates one entry: an expression nested
 deep, an expression raised to a large power, a count set out of range, the
 cascade seed set to either kind, a field given a value of the wrong JSON
-type, or an unknown field added.
+type, an unknown field added, or a log-deriv denominator given a residual
+factor of 1 to 3 coefficients (zero, constant, linear in z, or the entry's
+own texts), so that a residual of positive degree reaches the common-root
+test.
 ``cli.run`` must return 0, 1 or 2 and never raise, and a 2 must name the
 entry and the field.  The run is ``classify``: the load converts and checks
 every field and request, whatever the subcommand, and the caps bound what an
@@ -73,7 +76,10 @@ def mutated_corpora(draw):
     corpus = copy.deepcopy(DEMO)
     index = draw(st.integers(0, len(corpus["entries"]) - 1))
     entry = corpus["entries"][index]
-    kind = draw(st.sampled_from(["nesting", "power", "count", "seed", "type", "unknown"]))
+    kinds = ["nesting", "power", "count", "seed", "type", "unknown"]
+    if entry["class"] == "log-deriv":
+        kinds.append("residual")
+    kind = draw(st.sampled_from(kinds))
     if kind == "nesting":
         label, where, key = draw(st.sampled_from(_expression_fields(entry)))
         depth = draw(st.integers(0, 250))
@@ -93,6 +99,10 @@ def mutated_corpora(draw):
         # an inverse-square cascade needs a zero seed; log-deriv ones ignore it
         label, where, key = "cascade.seed", entry.setdefault("cascade", {}), "seed"
         where[key] = draw(st.sampled_from(["zero-of-w", "pole-of-w"]))
+    elif kind == "residual":
+        label, where, key = "q_residual", entry, "q_residual"
+        texts = ["0", "1", "2", "z", "2*z+1", "i*z"] + [box[k] for _, box, k in _expression_fields(entry)]
+        where[key] = draw(st.lists(st.sampled_from(texts), min_size=1, max_size=3))
     elif kind == "type":
         label, where, key = draw(st.sampled_from(_any_fields(entry)))
         where[key] = draw(_WRONG_TYPES)
@@ -144,6 +154,9 @@ def test_a_mutated_entry_never_takes_down_the_run(tmp_path_factory, mutation):
     # the load expanded (w - z)^1000000
     ("q_factors", [{"root": "z", "mult": 10**6}], "q_factors[0].mult"),
     ("q_factors", [{"root": "z", "mult": 40}, {"root": "2*z", "mult": 25}], "q_factors[1].mult"),
+    # a residual that made Q zero, or zero at w = 0, was reported without its field
+    ("q_residual", ["0"], "q_residual"),
+    ("q_residual", ["0", "1"], "q_residual"),
 ])
 def test_mutations_that_once_took_down_the_run(tmp_path, field, value, label):
     corpus = copy.deepcopy(DEMO)
