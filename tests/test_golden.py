@@ -23,9 +23,11 @@ the ``[N ms]`` timings are stripped.
 
 ``residual-corpus.json`` holds log-deriv entries whose denominators carry a
 ``q_residual``: non-monic constants, a non-monic linear residual, residuals of
-degree 1 and 2 that share a root with P, and a polynomial right side over the
-constant 2 + i, the one entry that runs a cascade.  No other corpus sends a
-residual of positive degree through the report.  Its ``classify`` and
+degree 1 and 2 that share a root with P, numerators of degree 15 and 23
+beside quadratic residuals (one with a leading coefficient in z, one with
+rational coefficients whose roots P shares), and a polynomial right side over
+the constant 2 + i, the one entry that runs a cascade.  No other corpus sends
+a residual of positive degree through the report.  Its ``classify`` and
 ``cascade`` JSON entries must match byte for byte.
 
 ``verify`` and ``nev`` carry floating-point measurements, so they are
