@@ -69,8 +69,9 @@ def classify_log_deriv(eq: DelayDiffEq) -> Dict[str, Any]:
     degrees and roots, which a common factor of P and Q leaves alone.
 
     Common roots are decided on the factored Q (``shares_root``): P and Q
-    share one exactly when P vanishes at a supplied root, or when P and a
-    residual factor of positive degree in w have a zero resultant.
+    share one exactly when P vanishes at a supplied root, or when the gcd of
+    P and the residual factor, by Euclid's remainder sequence, has positive
+    degree in w.
     """
     if eq.kind != EqKind.LOG_DERIV:
         raise ValueError("classifier expects the rational-in-w class")

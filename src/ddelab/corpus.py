@@ -34,9 +34,11 @@ finite numbers, ``C`` also nonzero [C: 1; the others required]; ``r_min`` <
 work of one request, and the cap on ``p`` the error of the exponential
 verifier, which grows with |p|; 64 is the range ``classify`` searches for p.
 ``_REQUESTS`` gives the reason for each.  The multiplicities of ``q_factors``
-sum to at most 64, which bounds the expansion of the denominator at load.  An
-error names its entry by ``id``, or by position when the ``id`` itself is
-wrong.
+sum to at most 64, which bounds the expansion of the denominator at load, and
+``p`` and ``q_residual`` hold at most 65 coefficients each, which bounds the
+degrees in ``classify``'s common-root test but not the cost of its gcd
+(``_MAX_DEGREE`` gives the times).  An error names its entry by ``id``, or by
+position when the ``id`` itself is wrong.
 """
 
 from __future__ import annotations
@@ -81,8 +83,10 @@ _CLASS_FIELDS = {
 _COMMON_FIELDS = {"id", "class", "note"}
 
 # the load expands the factored denominator Q in w: two factors took 0.05 s at degree 64, 0.4 s
-# at 128 and 3.5 s at 512, and multiplicities of 10^6 stalled the load
-_MAX_Q_DEGREE = 64
+# at 128 and 3.5 s at 512, and multiplicities of 10^6 stalled the load.  classify runs Euclid on
+# P and the residual, so each holds at most 65 coefficients: P of 65 "1"s took 3.4 s beside
+# w^2 + w + z and 490 s beside w^2/(z+2) + w/3 + z.  The cap bounds n, not that cost
+_MAX_DEGREE = 64
 
 
 def _is_number(value: Any) -> bool:
@@ -233,10 +237,11 @@ def parse_equation(raw: Mapping[str, Any],
         if kind == EqKind.LOG_DERIV:
             a = expr("a", raw["a"])
             p_field = raw["p"]
-            if not isinstance(p_field, Sequence) or isinstance(p_field, str) or not p_field:
+            if (not isinstance(p_field, Sequence) or isinstance(p_field, str) or not p_field
+                    or len(p_field) > _MAX_DEGREE + 1):
                 raise CorpusError(
-                    f"entry {entry_id!r}: 'p' must be a nonempty list of "
-                    "coefficient expressions, constant term first"
+                    f"entry {entry_id!r}: 'p' must be a nonempty list of at most "
+                    f"{_MAX_DEGREE + 1} coefficient expressions, constant term first"
                 )
             p_poly = WPoly([expr(f"p[{i}]", c) for i, c in enumerate(p_field)])
             factors = []
@@ -247,18 +252,24 @@ def parse_equation(raw: Mapping[str, Any],
                 if not (isinstance(item, Mapping) and {"root"} <= set(item) <= {"root", "mult"}):
                     raise CorpusError(f"entry {entry_id!r}: q_factors[{i}] must be {{root, mult}}")
                 mult = item.get("mult", 1)
-                room = _MAX_Q_DEGREE - sum(m for _, m in factors)
+                room = _MAX_DEGREE - sum(m for _, m in factors)
                 if not (_is_number(mult) and isinstance(mult, int) and 0 < mult <= room):
                     raise CorpusError(
                         f"entry {entry_id!r}: q_factors[{i}].mult must be a positive integer, "
-                        f"and the multiplicities at most {_MAX_Q_DEGREE} in all, got {mult!r}"
+                        f"and the multiplicities at most {_MAX_DEGREE} in all, got {mult!r}"
                     )
-                factors.append((expr(f"q_factors[{i}].root", item["root"]), mult))
+                root = expr(f"q_factors[{i}].root", item["root"])
+                if any(root == r for r, _ in factors):
+                    raise CorpusError(f"entry {entry_id!r}: field 'q_factors[{i}].root': "
+                                      "repeats the root of an earlier factor")
+                factors.append((root, mult))
             residual = None
             if raw.get("q_residual") is not None:
                 res_field = raw["q_residual"]
-                if not isinstance(res_field, Sequence) or isinstance(res_field, str):
-                    raise CorpusError(f"entry {entry_id!r}: 'q_residual' must be a list")
+                if (not isinstance(res_field, Sequence) or isinstance(res_field, str)
+                        or len(res_field) > _MAX_DEGREE + 1):
+                    raise CorpusError(f"entry {entry_id!r}: 'q_residual' must be a list of at "
+                                      f"most {_MAX_DEGREE + 1} coefficient expressions")
                 residual = WPoly(
                     [expr(f"q_residual[{i}]", c) for i, c in enumerate(res_field)]
                 )

@@ -364,6 +364,8 @@ def _ulist_trim(a: ULi) -> ULi:
 
 
 def _ulist_divmod(a: ULi, b: ULi) -> tuple[ULi, ULi]:
+    """Quotient and remainder over any field with ``*``, ``-``, ``inverse()`` and
+    ``is_zero``: Q(i) lists for ``_reduce``, ``FieldElem`` lists for ``model.shares_root``."""
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     r = list(a)

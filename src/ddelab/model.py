@@ -21,10 +21,12 @@ common-root test and the normal form do not change when both are scaled by a
 common factor, so neither is normalized.
 
 The module also provides degree reports for the right-hand side as a
-rational map of w, resultants in w, and the common-root test for P and Q.
-Since res(P, Q) = +-prod P(r_i)^m_i * res(P, R), P and Q share a root exactly
-when P vanishes at a supplied root or when res(P, R) vanishes.  The Sylvester
-determinant therefore runs only on a residual R of positive degree in w.
+rational map of w and the common-root test for P and Q.  Since Q is the
+product of the supplied factors and R, P and Q share a root exactly when P
+vanishes at a supplied root or when P and R share one, and nonzero P and R
+share a root over the algebraic closure of Q(i)(z) exactly when their gcd in
+Q(i)(z)[w] has positive degree.  Euclid's remainder sequence decides that
+exactly, and runs only on a residual R of positive degree in w.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fieldelem import FieldElem
+from .fieldelem import FieldElem, _ulist_divmod
 from .laurent import LaurentSeries, compose_rational, series_of_ratfunc
 
 _ZERO = FieldElem.const(0)
@@ -192,7 +194,7 @@ def make_inverse_square(a: FieldElem, b: FieldElem, c: FieldElem = _ZERO) -> Del
 
 
 # ---------------------------------------------------------------------------
-# degree data and resultants
+# degree data and the common-root test
 
 
 def rational_degree(eq: DelayDiffEq) -> Dict[str, int]:
@@ -206,65 +208,19 @@ def rational_degree(eq: DelayDiffEq) -> Dict[str, int]:
     return {"num": dp, "den": dq, "map": max(dp, dq)}
 
 
-def resultant_in_w(p: WPoly, q: WPoly) -> FieldElem:
-    """Resultant with the convention lc(P)^deg(Q) * prod Q(root_i(P)).
-
-    Zero exactly when P and Q share a root over the algebraic closure of
-    the coefficient field.  Computed as a Sylvester determinant with exact
-    fraction arithmetic.
-    """
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant of a zero polynomial")
-    m, n = p.degree, q.degree
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    pd = list(reversed(p.coeffs))
-    qd = list(reversed(q.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([_ZERO] * i + pd + [_ZERO] * (size - m - 1 - i))
-    for j in range(m):
-        rows.append([_ZERO] * j + qd + [_ZERO] * (size - n - 1 - j))
-    return _det(rows)
-
-
 def shares_root(p: WPoly, q_factors: FactoredDenominator) -> bool:
     """Whether nonzero P and the expansion Q of ``q_factors`` share a root in
-    w, decided as the module docstring says: P at each supplied root, then the
-    Sylvester determinant of P and the residual when its degree is positive."""
+    w, decided as the module docstring says: P at each supplied root, then
+    Euclid's remainder sequence of P and a residual of positive degree."""
     if any(p.evaluate(r).is_zero for r in q_factors.roots()):
         return True
     res = q_factors.residual
-    return res is not None and res.degree > 0 and resultant_in_w(p, res).is_zero
-
-
-def _det(rows) -> FieldElem:
-    n = len(rows)
-    sign = 1
-    det = _ONE
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if not rows[r][col].is_zero), None
-        )
-        if pivot is None:
-            return _ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        pv = rows[col][col]
-        det = det * pv
-        inv = pv.inverse()
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor.is_zero:
-                continue
-            rows[r] = [
-                rows[r][k] - factor * rows[col][k] for k in range(n)
-            ]
-    return det if sign == 1 else _ZERO - det
+    if res is None or res.degree < 1:
+        return False
+    a, b = list(p.coeffs), list(res.coeffs)
+    while b:
+        a, b = b, _ulist_divmod(a, b)[1]
+    return len(a) > 1
 
 
 # ---------------------------------------------------------------------------

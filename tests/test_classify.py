@@ -109,11 +109,11 @@ class TestLogDerivBranches:
         eq = _log_deriv([ONE, W0, W0, ONE], [Z, FieldElem.const(2) * Z])
         assert classify_log_deriv(eq) == classify_log_deriv(eq)
 
-    def test_factored_entries_skip_the_sylvester_determinant(self, monkeypatch):
-        # the supplied roots decide; the determinant is only for a residual
-        # of positive degree in w, and these residuals are constants in w
-        def refuse(p, q):
-            raise AssertionError("resultant_in_w called")
+    def test_factored_entries_skip_the_remainder_sequence(self, monkeypatch):
+        # the supplied roots decide; Euclid's remainder sequence is only for a
+        # residual of positive degree in w, and these residuals are constants in w
+        def refuse(a, b):
+            raise AssertionError("_ulist_divmod called")
 
         eqs = [e.eq for e in load_demo_corpus() if e.eq.kind == EqKind.LOG_DERIV]
         eqs += [
@@ -124,7 +124,7 @@ class TestLogDerivBranches:
                 q_factors=FactoredDenominator(((Z, 2),), WPoly([FieldElem.const(3) * Z + ONE])),
             ),
         ]
-        monkeypatch.setattr(model, "resultant_in_w", refuse)
+        monkeypatch.setattr(model, "_ulist_divmod", refuse)
         outcomes = [classify_log_deriv(eq)["outcome"] for eq in eqs]
         assert outcomes[-2] == Outcome.HYPOTHESIS_VIOLATION
 

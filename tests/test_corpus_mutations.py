@@ -157,6 +157,11 @@ def test_a_mutated_entry_never_takes_down_the_run(tmp_path_factory, mutation):
     # a residual that made Q zero, or zero at w = 0, was reported without its field
     ("q_residual", ["0"], "q_residual"),
     ("q_residual", ["0", "1"], "q_residual"),
+    # a repeated root was named only as 'q_factors', 'q_residual'
+    ("q_factors", [{"root": "z"}, {"root": "z"}], "q_factors[1].root"),
+    # classify's common-root test runs Euclid on P and the residual, whose cost grows with n
+    ("p", ["1"] * 66, "'p'"),
+    ("q_residual", ["z", "1"] * 33, "'q_residual'"),
 ])
 def test_mutations_that_once_took_down_the_run(tmp_path, field, value, label):
     corpus = copy.deepcopy(DEMO)

@@ -1,4 +1,10 @@
-"""Equation objects, degrees, resultants, the normal form as a series."""
+"""Equation objects, degrees, the common-root test, the normal form as a series.
+
+``shares_root`` decides a residual by Euclid's remainder sequence.  The
+resultant below, a Sylvester determinant eliminated over Q(i)(z), is kept here
+as an independent reference: it is zero exactly when P and the residual share
+a root, and the differential test checks the two against each other.
+"""
 
 import random
 from fractions import Fraction
@@ -21,7 +27,6 @@ from ddelab.model import (
     make_pure_log_deriv,
     normal_form_series,
     rational_degree,
-    resultant_in_w,
     shares_root,
 )
 from ddelab.mpoly import MPoly
@@ -218,6 +223,36 @@ def test_rational_degree_scaling_invariance():
 # -- resultants ---------------------------------------------------------------
 
 
+def resultant_in_w(p, q):
+    """Resultant lc(P)^deg(Q) * prod Q(root_i(P)), as the Sylvester determinant
+    of P and Q eliminated with exact fraction arithmetic."""
+    m, n = p.degree, q.degree
+    if m == 0:
+        return p.coeffs[0] ** n
+    if n == 0:
+        return q.coeffs[0] ** m
+    size = m + n
+    pd, qd = list(reversed(p.coeffs)), list(reversed(q.coeffs))
+    rows = [[ZERO] * i + pd + [ZERO] * (size - m - 1 - i) for i in range(n)]
+    rows += [[ZERO] * j + qd + [ZERO] * (size - n - 1 - j) for j in range(m)]
+    det = ONE
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if not rows[r][col].is_zero), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = ZERO - det
+        pv = rows[col][col]
+        det = det * pv
+        inv = pv.inverse()
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            if not factor.is_zero:
+                rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(size)]
+    return det
+
+
 def test_resultant_frozen_values():
     w = WPoly([ZERO, ONE])
     # Res(w, w - 1) = -1
@@ -294,22 +329,26 @@ roots = st.tuples(small, small, st.sampled_from([0, 0, 1])).map(
     lambda c: FieldElem.const(c[0]) + FieldElem.const(c[1]) * Z + FieldElem.const(c[2]) * Z ** 2
 )
 z_polys = st.tuples(small, small).map(lambda c: FieldElem.const(c[0]) + FieldElem.const(c[1]) * Z)
+# residual coefficients also take a z-denominator, so that Euclid divides by
+# leading coefficients that are non-constant rational functions
+residual_coeffs = st.one_of(z_polys, st.just(ONE / (Z + FieldElem.const(2))))
 
 
-def _wpolys(max_degree):
-    return st.lists(z_polys, min_size=1, max_size=max_degree + 1).map(WPoly).filter(
-        lambda w: not w.is_zero
-    )
+def _wpolys(max_degree, coeffs=z_polys):
+    # the length is drawn first, so that every degree up to the maximum is common
+    return st.integers(1, max_degree + 1).flatmap(
+        lambda n: st.lists(coeffs, min_size=n, max_size=n)
+    ).map(WPoly).filter(lambda w: not w.is_zero)
 
 
 @st.composite
 def root_cases(draw):
     """(P, factorization): up to two roots of multiplicity up to 2, a residual
-    of degree up to 2, and P built to share a supplied root, the residual's
-    roots, or neither."""
+    of degree up to 3 whose coefficients may carry a z-denominator, and P
+    built to share a supplied root, the residual's roots, or neither."""
     rs = draw(st.lists(roots, max_size=2, unique_by=str))
     factors = tuple((r, draw(st.integers(1, 2))) for r in rs)
-    residual = draw(st.one_of(st.none(), _wpolys(2)))
+    residual = draw(st.one_of(st.none(), _wpolys(3, residual_coeffs)))
     p = draw(_wpolys(2))
     share = draw(st.sampled_from(["none", "root", "residual"]))
     if share == "root" and factors:
@@ -324,6 +363,11 @@ def root_cases(draw):
 @example((WPoly([ONE, ZERO, ZERO, ONE]), FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)))))
 @example((WPoly([ZERO - Z, ONE]), FactoredDenominator(((Z, 2),), WPoly([ONE, Z, ONE]))))
 @example((WPoly([ONE, Z, ONE]), FactoredDenominator(((ONE, 1),), WPoly([ONE, Z, ONE]))))
+# gcds of degree 1: a linear residual, and one root of two shared with a residual
+# whose leading coefficient is 1/(z + 2)
+@example((WPoly([Z, Z + 3, FieldElem.const(3)]), FactoredDenominator((), WPoly([Z, FieldElem.const(3)]))))
+@example((WPoly([Z, -Z - 1, ONE]),
+          FactoredDenominator((), WPoly([-Z, Z - ONE / (Z + 2), ONE / (Z + 2)]))))
 def test_root_test_agrees_with_the_sylvester_determinant(case):
     p, fd = case
     q = fd.expand()
