@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -23,6 +22,7 @@ import numpy as np
 
 from .fieldelem import FieldElem
 from .mpoly import MPoly
+from .record import ReadOnly
 from .wp import PoleSignal, WeierstrassP, _parts, _reciprocal, _times
 
 
@@ -38,15 +38,14 @@ _ELLIPTIC_TOL, _EXPONENTIAL_TOL, _MKDV_TOL = 1e-8, 1e-10, 1e-12
 # verifier reports
 
 
-@dataclass(frozen=True)
-class VerifierReport:
+class VerifierReport(ReadOnly):
     """Uniform result shape for the numeric residual checks."""
 
-    check: str
-    params: Dict[str, str]
-    samples: int
-    max_residual: float
-    tol: float
+    __slots__ = ("check", "params", "samples", "max_residual", "tol")
+
+    def __init__(self, check: str, params: Dict[str, str], samples: int,
+                 max_residual: float, tol: float):
+        self._set(check=check, params=params, samples=samples, max_residual=max_residual, tol=tol)
 
     @property
     def passed(self) -> bool:
@@ -89,23 +88,20 @@ def _accepted_draws(
 # elliptic solution family of the confined class with constant coefficient
 
 
-@dataclass(frozen=True)
-class EllipticParams:
+class EllipticParams(ReadOnly):
     """Data of the elliptic family w(z) = alpha*(p(W*z) - p(W)).
 
     alpha is the principal square root of -lam*W/p'(W); the sign convention
     is recorded so the deliberately wrong branch stays reproducible as a
-    negative control.
+    negative control.  ``p_omega`` is p(W), evaluated once.
     """
 
-    g2: complex
-    g3: complex
-    omega: complex
-    lam: complex
-    alpha: complex
-    sign_flipped: bool
-    engine: WeierstrassP = field(repr=False, compare=False)
-    p_omega: complex = field(repr=False, compare=False)  # p(W), evaluated once
+    __slots__ = ("g2", "g3", "omega", "lam", "alpha", "sign_flipped", "engine", "p_omega")
+
+    def __init__(self, g2: complex, g3: complex, omega: complex, lam: complex,
+                 alpha: complex, sign_flipped: bool, engine: WeierstrassP, p_omega: complex):
+        self._set(g2=g2, g3=g3, omega=omega, lam=lam, alpha=alpha, sign_flipped=sign_flipped,
+                  engine=engine, p_omega=p_omega)
 
     def export(self) -> Dict[str, str]:
         return {

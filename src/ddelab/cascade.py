@@ -39,7 +39,6 @@ pattern is returned as it stands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from .fieldelem import FieldElem
@@ -52,6 +51,7 @@ from .laurent import (
 )
 from .model import DelayDiffEq, EqKind, normal_form_series, rational_degree
 from .mpoly import MPoly
+from .record import ReadOnly
 
 _ZERO = FieldElem.const(0)
 _TWO = FieldElem.const(2)
@@ -63,16 +63,18 @@ class CascadeError(RuntimeError):
     """Raised when a cascade cannot produce the requested certified data."""
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(ReadOnly):
     """A seed of signed order (p for a zero of w, -p for a pole) at a window width."""
 
-    order: int
-    width: int
+    __slots__ = ("order", "width")
 
-    def __post_init__(self):
-        if self.order == 0 or self.width < 1:
-            raise ValueError(f"a seed needs a nonzero order and a width >= 1, got {self}")
+    def __init__(self, order: int, width: int):
+        if order == 0 or width < 1:
+            raise ValueError("a seed needs a nonzero order and a width >= 1, "
+                             f"got SeedSpec(order={order!r}, width={width!r})")
+        self._set(order=order, width=width)
+
+    __eq__ = ReadOnly._same_fields
 
     def build(self, width: int) -> "SeedSpec":
         """The same seed at another width; ``run_cascade`` regrows with it."""
@@ -102,14 +104,13 @@ def cascade_step(eq: DelayDiffEq, seed: SeedSpec, window: Dict[int, LaurentSerie
     return (window[j - 1] + n).canonical()
 
 
-@dataclass(frozen=True)
-class PatternEntry:
-    offset: int
-    order: Optional[int]
-    leading: Optional[FieldElem]
-    series: LaurentSeries
-    certified: bool = True
-    note: str = ""
+class PatternEntry(ReadOnly):
+    __slots__ = ("offset", "order", "leading", "series", "certified", "note")
+
+    def __init__(self, offset: int, order: Optional[int], leading: Optional[FieldElem],
+                 series: LaurentSeries, certified: bool = True, note: str = ""):
+        self._set(offset=offset, order=order, leading=leading, series=series, certified=certified,
+                  note=note)
 
     def export(self) -> dict:
         return {
@@ -120,9 +121,11 @@ class PatternEntry:
         }
 
 
-@dataclass(frozen=True)
-class SingularityPattern:
-    entries: Tuple[PatternEntry, ...]
+class SingularityPattern(ReadOnly):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[PatternEntry, ...]):
+        self._set(entries=entries)
 
     def entry_at(self, offset: int) -> PatternEntry:
         for e in self.entries:

@@ -1,34 +1,43 @@
-"""Batch front-end: corpus in, verdict/cascade/verifier/measurement reports out.
+"""ddelab: exact singularity cascades, necessary-condition verdicts, closed-form
+solution verifiers and growth measurements for delay differential equations.
 
-Reports are deterministic: the JSON body is a pure function of the corpus
-text, the subcommand, the flags, and the tool version.  Wall-clock timings
-therefore appear only in the text rendering.  The report's ``config_hash``
-covers exactly those inputs: the corpus text (empty for ``limit``), the
-``--entry`` filter, the ``--seed``, the subcommand and the tool version.
-Series window widths are not an input: the cascade sizes its own window.
+usage: ddelab {classify,cascade,verify,nev,limit} [options]
 
-The ``classify`` and ``cascade`` verdicts reach the rows as their analyses
-return them, with exact ``FieldElem`` and ``GaussianRational`` values (the
-witnesses and the triple lam, mu, nu).  They are printed in one place: the
-JSON writer turns those two types into their ``str``, and the text writer
-formats them the same way.
+  classify    necessary-condition verdicts for every entry
+  cascade     singularity chains and confinement verdicts
+  verify      closed-form solution family residuals
+  nev         characteristic tables and growth estimates
+  limit       slow-modulation continuum limit of the lattice instance
 
-Output files are written to a sibling temp file and moved into place, so
-readers never observe a partial report.
+options (limit reads no corpus, and takes neither --corpus nor --entry):
+  --corpus F  corpus JSON path (default: the built-in demo)
+  --entry ID  restrict to this entry id; repeatable
+  --out F     write the report to F atomically (default: standard output)
+  --seed N    verifier sampling seed (default: 0)
+  --format json|text   report format (default: text)
+
+A value follows its option or an '='; a repeated option keeps its last value,
+and none is abbreviated.  -h or --help prints this help and exits 0.  Exit
+codes: 0 when every entry passes, 1 when an analysis fails or raises, 2 on a
+usage error (bad arguments, a bad corpus or entry id, or an unusable --out).
+
+The JSON report is a pure function of what its config_hash covers: the corpus
+text (empty for limit), --entry, --seed, the subcommand and the tool version.
+Timings appear only in the text report; the cascade sizes its own window.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
-import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
 from .analytic import (
@@ -168,6 +177,7 @@ def _run_entries(entries, runner, args) -> Tuple[List[Dict[str, Any]], bool, Lis
         try:
             result, failed = runner(entry, args)
         except Exception as exc:
+            import traceback  # only a failed entry needs it
             print(f"entry {entry.id!r} failed:", file=sys.stderr)
             traceback.print_exc()
             result = {"error": str(exc), "error_type": type(exc).__name__}
@@ -207,7 +217,7 @@ def _config_hash(corpus_text: str, args, subcommand: str) -> str:
     payload = json.dumps(
         {
             "corpus": corpus_text,
-            "entry_filter": sorted(getattr(args, "entry", None) or []),
+            "entry_filter": sorted(args.entry or []),
             "seed": args.seed,
             "subcommand": subcommand,
             "version": __version__,
@@ -217,6 +227,9 @@ def _config_hash(corpus_text: str, args, subcommand: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# The classify and cascade verdicts reach the rows with exact FieldElem and
+# GaussianRational values (the witnesses and the triple lam, mu, nu).  Both
+# writers print them as their str: the JSON writer through this default.
 def _exact_str(value: Any) -> str:
     if isinstance(value, (FieldElem, GaussianRational)):
         return str(value)
@@ -274,8 +287,7 @@ def _render_text(report: Dict[str, Any], timings: List[float]) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     target = Path(path)
-    parent = target.parent if str(target.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=target.name + ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -286,45 +298,55 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ddelab",
-        description=(
-            "Exact singularity cascades, necessary-condition verdicts, "
-            "closed-form solution verifiers, and growth measurements for "
-            "delay differential equations."
-        ),
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("classify", "necessary-condition verdicts for every entry"),
-        ("cascade", "singularity chains and confinement verdicts"),
-        ("verify", "closed-form solution family residuals"),
-        ("nev", "characteristic tables and growth estimates"),
-        ("limit", "slow-modulation continuum limit of the lattice instance"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if name != "limit":
-            p.add_argument("--corpus", help="corpus JSON path (default: built-in demo)")
-            p.add_argument(
-                "--entry", action="append",
-                help="restrict to this entry id (repeatable)",
-            )
-        p.add_argument("--out", help="write the report here (atomic)")
-        p.add_argument("--seed", type=int, default=0, help="verifier sampling seed")
-        p.add_argument(
-            "--format", choices=("json", "text"), default="text",
-            help="report format",
-        )
-    return parser
+_USAGE = "usage: ddelab {classify,cascade,verify,nev,limit} [options]\n"
+# each option with the type of its value; limit takes neither of the first two
+_OPTIONS = {"--corpus": str, "--entry": str, "--out": str, "--seed": int, "--format": str}
+# argparse's rule: a token after an option is its value unless it looks like an
+# option; "" and "-", a negative number and a token with a space do not
+_VALUE = re.compile(r"$|[^-]|-$|-\d+$|-\d*\.\d+$|.* ")
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """``argv`` read as the module docstring says; exits raise ``SystemExit``."""
+    def fail(message: str) -> NoReturn:
+        sys.stderr.write(f"{_USAGE}ddelab: error: {message}\n")
+        raise SystemExit(EXIT_USAGE)
+
+    args = SimpleNamespace(subcommand=None, corpus=None, entry=None, out=None, seed=0,
+                           format="text")
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(__doc__ or _USAGE)
+            raise SystemExit(EXIT_OK)
+        if args.subcommand is None and (token in _RUNNERS or token == "limit"):
+            args.subcommand = token
+            continue
+        name, inline, value = token.partition("=")
+        if (args.subcommand is None or name not in _OPTIONS
+                or args.subcommand == "limit" and name in ("--corpus", "--entry")):
+            fail(f"unrecognized argument {token!r}")
+        if not inline:
+            value = next(tokens, None)
+            if value is None or not _VALUE.match(value):
+                fail(f"argument {name}: expected one value")
+        try:
+            value = _OPTIONS[name](value)
+        except ValueError:
+            fail(f"argument {name}: invalid int value {value!r}")
+        if name == "--format" and value not in ("json", "text"):
+            fail(f"argument --format: invalid choice {value!r} (choose json or text)")
+        setattr(args, name[2:], (args.entry or []) + [value] if name == "--entry" else value)
+    if args.subcommand is None:
+        fail("a subcommand is required")
+    return args
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return exc.code
 
     subcommand = args.subcommand
     if args.out and not Path(args.out).parent.is_dir():

@@ -46,7 +46,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
@@ -62,6 +61,7 @@ from .model import (
     make_log_deriv,
     make_pure_log_deriv,
 )
+from .record import ReadOnly
 
 SCHEMA_VERSION = 1
 
@@ -187,17 +187,17 @@ _REQUESTS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(ReadOnly):
     """One validated corpus row: the parsed equation and its requests.
 
     ``requests`` maps each request the entry carries, and always ``cascade``,
     to its converted fields, defaults filled in.
     """
 
-    id: str
-    eq: DelayDiffEq
-    requests: Mapping[str, Mapping[str, Any]]
+    __slots__ = ("id", "eq", "requests")
+
+    def __init__(self, id: str, eq: DelayDiffEq, requests: Mapping[str, Mapping[str, Any]]):
+        self._set(id=id, eq=eq, requests=requests)
 
 
 def parse_equation(raw: Mapping[str, Any],

@@ -31,12 +31,12 @@ exactly, and runs only on a residual R of positive degree in w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fieldelem import FieldElem, _ulist_divmod
 from .laurent import LaurentSeries, compose_rational, series_of_ratfunc
+from .record import ReadOnly
 
 _ZERO = FieldElem.const(0)
 _ONE = FieldElem.const(1)
@@ -111,26 +111,28 @@ class WPoly:
         raise TypeError("WPoly is not hashable")
 
 
-@dataclass(frozen=True)
-class FactoredDenominator:
+class FactoredDenominator(ReadOnly):
     """Denominator supplied in factored form: product of (w - root)^mult.
 
     An optional residual factor covers a part the supplier asserts has no
     roots rational in z; it need not be monic.
     """
 
-    factors: Tuple[Tuple[FieldElem, int], ...]
-    residual: Optional[WPoly] = None
+    __slots__ = ("factors", "residual")
 
-    def __post_init__(self):
-        roots = [r for r, _ in self.factors]
+    def __init__(self, factors: Tuple[Tuple[FieldElem, int], ...],
+                 residual: Optional[WPoly] = None):
+        roots = [r for r, _ in factors]
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
                 if roots[i] == roots[j]:
                     raise EquationError("duplicate denominator factor roots")
-        for _, m in self.factors:
+        for _, m in factors:
             if m < 1:
                 raise EquationError("factor multiplicity must be positive")
+        self._set(factors=factors, residual=residual)
+
+    __eq__ = ReadOnly._same_fields
 
     def expand(self) -> WPoly:
         """The product, one linear factor at a time.  The coefficients below
@@ -154,31 +156,26 @@ class FactoredDenominator:
 # the equation object
 
 
-@dataclass(frozen=True)
-class DelayDiffEq:
-    kind: EqKind
-    a: FieldElem = _ZERO
-    b: FieldElem = _ZERO
-    c: FieldElem = _ZERO
-    p_poly: Optional[WPoly] = None
-    q_factors: Optional[FactoredDenominator] = None
-    q_poly: Optional[WPoly] = field(init=False, default=None)
+class DelayDiffEq(ReadOnly):
+    __slots__ = ("kind", "a", "b", "c", "p_poly", "q_factors", "q_poly")
 
-    def __post_init__(self):
-        if self.kind in (EqKind.PURE_LOG_DERIV, EqKind.INVERSE_SQUARE):
-            if self.a.is_zero:
-                raise EquationError(
-                    f"a(z) identically zero is outside the {self.kind.value} class"
-                )
-        if self.kind == EqKind.LOG_DERIV:
-            if self.p_poly is None or self.q_factors is None:
+    def __init__(self, kind: EqKind, a: FieldElem = _ZERO, b: FieldElem = _ZERO,
+                 c: FieldElem = _ZERO, p_poly: Optional[WPoly] = None,
+                 q_factors: Optional[FactoredDenominator] = None):
+        q = None
+        if kind in (EqKind.PURE_LOG_DERIV, EqKind.INVERSE_SQUARE) and a.is_zero:
+            raise EquationError(f"a(z) identically zero is outside the {kind.value} class")
+        if kind == EqKind.LOG_DERIV:
+            if p_poly is None or q_factors is None:
                 raise EquationError("log-deriv equations need P and the factored Q")
-            q = self.q_factors.expand()
+            q = q_factors.expand()
             if q.is_zero:
                 raise EquationError("denominator Q is identically zero")
             if q.coefficient(0).is_zero:
                 raise EquationError("Q(z, 0) must not vanish identically")
-            object.__setattr__(self, "q_poly", q)
+        self._set(kind=kind, a=a, b=b, c=c, p_poly=p_poly, q_factors=q_factors, q_poly=q)
+
+    __eq__ = ReadOnly._same_fields
 
 
 def make_log_deriv(a: FieldElem, p_poly: WPoly, q_factors: FactoredDenominator) -> DelayDiffEq:

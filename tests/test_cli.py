@@ -1,5 +1,7 @@
-"""Checks for the batch front-end's handling of entries that fail."""
+"""Checks for the batch front-end: its argument reader, and its handling of
+entries that fail."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -342,3 +344,90 @@ def test_json_writer_prints_exact_values_and_nothing_else_unknown():
     assert json.loads(body) == {"witness": str(witness), "params": {"nu": str(nu)}}
     with pytest.raises(TypeError, match="complex is not JSON serializable"):
         cli._render_json({"value": 1j})
+
+
+# -- the argument reader ------------------------------------------------------
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse tree that the reader replaced, kept as its reference."""
+    parser = argparse.ArgumentParser(prog="ddelab")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in ("classify", "cascade", "verify", "nev", "limit"):
+        p = sub.add_parser(name)
+        if name != "limit":
+            p.add_argument("--corpus")
+            p.add_argument("--entry", action="append")
+        p.add_argument("--out")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("json", "text"), default="text")
+    return parser
+
+
+_FIELDS = ("subcommand", "corpus", "entry", "out", "seed", "format")
+
+
+def _read(parse, argv):
+    """(exit code, None) when ``parse`` exits, else (None, the parsed fields)."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return exc.code or 0, None
+    return None, {name: getattr(args, name, None) for name in _FIELDS}
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--help"],
+    ["classify", "-h"],
+    ["limit", "--help"],
+    ["classify"],
+    ["limit"],
+    ["classify", "--seed=7"],
+    ["verify", "--seed", "-3"],
+    ["nev", "--seed", "+4"],
+    ["cascade", "--entry", "a", "--entry=b", "--corpus", "c.json"],
+    ["classify", "--out", "r.json", "--out=s.json", "--format", "json", "--format=text"],
+    ["classify", "--corpus=", "--out", ""],
+    ["verify", "--entry", "x=y"],
+    ["limit", "--seed", "5", "--format", "json", "--out", "l.json"],
+    ["limit", "--corpus", "x"],
+    ["limit", "--entry=x"],
+    ["bogus"],
+    ["--seed", "3", "classify"],
+    ["classify", "--bogus"],
+    ["classify", "--truncation", "8"],
+    ["classify", "stray"],
+    ["classify", "--out"],
+    ["classify", "--entry", "--seed", "1"],
+    ["classify", "--out", "-x"],
+    ["classify", "--out", "-", "--entry", "-a b", "--corpus", "-.5"],
+    ["classify", "--out", "-5.", "--entry", "-"],
+    ["classify", "--seed", "x"],
+    ["classify", "--seed=1.5"],
+    ["classify", "--format", "xml"],
+    ["classify", "-x"],
+    ["classify", "cascade"],
+], ids=lambda argv: "_".join(argv) or "empty")
+def test_reader_agrees_with_the_argparse_reference(argv, capsys):
+    want = _read(_reference_parser().parse_args, argv)
+    capsys.readouterr()
+    got = _read(cli._parse_args, argv)
+    out, err = capsys.readouterr()
+    assert got == want
+    if got[0] == cli.EXIT_OK:
+        assert "usage: ddelab" in out and "--format json|text" in out and not err
+    elif got[0] == cli.EXIT_USAGE:
+        assert err.startswith("usage: ddelab") and "\nddelab: error: " in err and not out
+    if got[0] is not None:
+        # run returns the exit code before any analysis
+        assert cli.run(argv) == got[0]
+
+
+def test_abbreviated_options_are_the_one_divergence(capsys):
+    # argparse takes a unique prefix of an option; the reader takes none
+    argv = ["classify", "--for", "json", "--se", "2"]
+    assert _read(_reference_parser().parse_args, argv)[1]["format"] == "json"
+    assert _read(cli._parse_args, argv) == (cli.EXIT_USAGE, None)
+    assert "'--for'" in capsys.readouterr().err
