@@ -75,9 +75,9 @@ def classify_log_deriv(eq: DelayDiffEq) -> Dict[str, Any]:
     """
     if eq.kind != EqKind.LOG_DERIV:
         raise ValueError("classifier expects the rational-in-w class")
-    if eq.p_poly.is_zero:
+    if not eq.p_poly:
         return _verdict(eq, Outcome.HYPOTHESIS_VIOLATION, "numerator is identically zero")
-    if shares_root(eq.p_poly, eq.q_factors):
+    if shares_root(eq):
         return _verdict(eq, Outcome.HYPOTHESIS_VIOLATION,
                         "numerator and denominator share a root")
 

@@ -55,8 +55,6 @@ from .model import (
     DelayDiffEq,
     EqKind,
     EquationError,
-    FactoredDenominator,
-    WPoly,
     make_inverse_square,
     make_log_deriv,
     make_pure_log_deriv,
@@ -243,7 +241,7 @@ def parse_equation(raw: Mapping[str, Any],
                     f"entry {entry_id!r}: 'p' must be a nonempty list of at most "
                     f"{_MAX_DEGREE + 1} coefficient expressions, constant term first"
                 )
-            p_poly = WPoly([expr(f"p[{i}]", c) for i, c in enumerate(p_field)])
+            p_poly = tuple(expr(f"p[{i}]", c) for i, c in enumerate(p_field))
             factors = []
             q_field = raw["q_factors"]
             if not isinstance(q_field, Sequence) or isinstance(q_field, str):
@@ -270,13 +268,8 @@ def parse_equation(raw: Mapping[str, Any],
                         or len(res_field) > _MAX_DEGREE + 1):
                     raise CorpusError(f"entry {entry_id!r}: 'q_residual' must be a list of at "
                                       f"most {_MAX_DEGREE + 1} coefficient expressions")
-                residual = WPoly(
-                    [expr(f"q_residual[{i}]", c) for i, c in enumerate(res_field)]
-                )
-            return make_log_deriv(
-                a=a, p_poly=p_poly,
-                q_factors=FactoredDenominator(tuple(factors), residual),
-            )
+                residual = tuple(expr(f"q_residual[{i}]", c) for i, c in enumerate(res_field))
+            return make_log_deriv(a, p_poly, tuple(factors), residual)
         if kind == EqKind.PURE_LOG_DERIV:
             return make_pure_log_deriv(a=expr("a", raw["a"]), b=expr("b", raw["b"]))
         return make_inverse_square(

@@ -53,15 +53,16 @@ constant works) and d/dz.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .gaussian import I, ONE, ZERO, GaussianRational
-from .mpoly import _EXP_MASK, MPoly, _shift
+from .mpoly import _EXP_MASK, MPoly, _content, _shift
 
 Coeffish = Union[int, Fraction, GaussianRational]
-ULi = List[GaussianRational]  # dense univariate coefficient list, low to high
+# a dense univariate coefficient list, low to high, over Q(i); _ulist_trim and
+# _ulist_divmod take one over Q(i)(z) as well, a FieldElem list, for model
+ULi = List[GaussianRational]
 
 _ONE_MP = MPoly.const(1)
 
@@ -390,23 +391,11 @@ def _ulist_divexact(a: ULi, b: ULi) -> ULi:
 
 def _ulist_primitive(a: ULi) -> ULi:
     """Divide out the rational content, keeping coefficients integral."""
-    if not a:
+    scale = 1 / _content(a)
+    if scale == 1:
         return a
-    num_gcd = 0
-    den_lcm = 1
-    for c in a:
-        for f in (c.re, c.im):
-            if f:
-                num_gcd = math.gcd(num_gcd, abs(f.numerator))
-                den_lcm = den_lcm * f.denominator // math.gcd(
-                    den_lcm, f.denominator
-                )
-    if num_gcd == 0:
-        return a
-    scale = GaussianRational.coerce(Fraction(int(den_lcm), int(num_gcd)))
-    if scale == ONE:
-        return a
-    return [c * scale for c in a]
+    coeff = GaussianRational.coerce(scale)
+    return [c * coeff for c in a]
 
 
 def _ulist_gcd(a: ULi, b: ULi) -> ULi:

@@ -13,15 +13,17 @@ Every equation also carries the derived normal form
 
 which is what the cascade engine consumes.  Both views are exact.
 
-A log-deriv equation is given as P over its factored denominator
-prod (w - r_i)^m_i * R, the form the paper states the class in, with R an
-optional residual factor.  Q is the expansion of that form, computed once
-when the equation is built.  P and Q are kept as given: P/Q, the degrees, the
-common-root test and the normal form do not change when both are scaled by a
-common factor, so neither is normalized.
+A log-deriv equation holds P, the factors (r_i, m_i) and the optional
+residual R as they are given: P/Q with Q = prod (w - r_i)^m_i * R, the form
+the paper states the class in.  P, R and Q are coefficient tuples in w,
+constant term first, with no zero top coefficient; () is the zero
+polynomial.  Q, their expansion (``_expand``), is computed once when the
+equation is built, and ``_evaluate`` is Horner's rule on such a tuple.  P and
+Q are not normalized: P/Q, the degrees, the common-root test and the normal
+form do not change when both are scaled by a common factor.
 
 The module also provides degree reports for the right-hand side as a
-rational map of w and the common-root test for P and Q.  Since Q is the
+rational map of w and the common-root test ``shares_root``.  Since Q is the
 product of the supplied factors and R, P and Q share a root exactly when P
 vanishes at a supplied root or when P and R share one, and nonzero P and R
 share a root over the algebraic closure of Q(i)(z) exactly when their gcd in
@@ -34,7 +36,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fieldelem import FieldElem, _ulist_divmod
+from .fieldelem import FieldElem, _ulist_divmod, _ulist_trim
 from .laurent import LaurentSeries, compose_rational, series_of_ratfunc
 from .record import ReadOnly
 
@@ -53,133 +55,82 @@ class EqKind(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in w with rational-function coefficients
+# polynomials in w, and the equation object
+
+# a polynomial in w: its rational-function coefficients, constant term first,
+# with no zero top coefficient; () is the zero polynomial
+WCoeffs = Tuple[FieldElem, ...]
 
 
-class WPoly:
-    """Polynomial in w over the field of rational functions of z.
-
-    Coefficients are stored by ascending power of w; the leading coefficient
-    is never identically zero (the zero polynomial stores an empty tuple).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[FieldElem]):
-        cs = [FieldElem.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs: Tuple[FieldElem, ...] = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> FieldElem:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
-
-    def evaluate(self, x: FieldElem) -> FieldElem:
-        """Horner's rule from the top coefficient: d products at degree d."""
-        if self.is_zero:
-            return _ZERO
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other: "WPoly") -> "WPoly":
-        if self.is_zero or other.is_zero:
-            return WPoly([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return WPoly(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WPoly):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        raise TypeError("WPoly is not hashable")
+def _evaluate(p: WCoeffs, x: FieldElem) -> FieldElem:
+    """Horner's rule from the top coefficient: d products at degree d."""
+    if not p:
+        return _ZERO
+    acc = p[-1]
+    for c in reversed(p[:-1]):
+        acc = acc * x + c
+    return acc
 
 
-class FactoredDenominator(ReadOnly):
-    """Denominator supplied in factored form: product of (w - root)^mult.
-
-    An optional residual factor covers a part the supplier asserts has no
-    roots rational in z; it need not be monic.
-    """
-
-    __slots__ = ("factors", "residual")
-
-    def __init__(self, factors: Tuple[Tuple[FieldElem, int], ...],
-                 residual: Optional[WPoly] = None):
-        roots = [r for r, _ in factors]
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if roots[i] == roots[j]:
-                    raise EquationError("duplicate denominator factor roots")
-        for _, m in factors:
-            if m < 1:
-                raise EquationError("factor multiplicity must be positive")
-        self._set(factors=factors, residual=residual)
-
-    __eq__ = ReadOnly._same_fields
-
-    def expand(self) -> WPoly:
-        """The product, one linear factor at a time.  The coefficients below
-        the leading 1 are c_0 .. c_(n-1); multiplying by (w - r) gives
-        c_k <- c_(k-1) - r*c_k, with c_(-1) = 0 and the new c_n = c_(n-1) - r.
-        The leading 1 takes no product, so m factors cost m(m-1)/2."""
-        low: List[FieldElem] = []
-        for root, mult in self.factors:
-            for _ in range(mult):
-                low = ([-root * c for c in low[:1]]
-                       + [lo - root * hi for lo, hi in zip(low, low[1:])]
-                       + [low[-1] - root if low else -root])
-        product = WPoly(low + [_ONE])
-        return product if self.residual is None else product * self.residual
-
-    def roots(self) -> Tuple[FieldElem, ...]:
-        return tuple(r for r, _ in self.factors)
-
-
-# ---------------------------------------------------------------------------
-# the equation object
+def _expand(factors: Tuple[Tuple[FieldElem, int], ...], residual: Optional[WCoeffs]) -> WCoeffs:
+    """prod (w - root)^mult * residual, one linear factor at a time.  The
+    coefficients below the leading 1 are c_0 .. c_(n-1); multiplying by
+    (w - r) gives c_k <- c_(k-1) - r*c_k, with c_(-1) = 0 and the new
+    c_n = c_(n-1) - r.  The leading 1 takes no product, so m factors cost
+    m(m-1)/2; then one product by the residual."""
+    low: List[FieldElem] = []
+    for root, mult in factors:
+        for _ in range(mult):
+            low = ([-root * c for c in low[:1]]
+                   + [lo - root * hi for lo, hi in zip(low, low[1:])]
+                   + [low[-1] - root if low else -root])
+    product = low + [_ONE]
+    if residual is None:
+        return tuple(product)
+    out = [_ZERO] * (len(product) + len(residual) - 1)
+    for i, a in enumerate(product):
+        for j, b in enumerate(residual):
+            out[i + j] = out[i + j] + a * b
+    return tuple(_ulist_trim(out))
 
 
 class DelayDiffEq(ReadOnly):
-    __slots__ = ("kind", "a", "b", "c", "p_poly", "q_factors", "q_poly")
+    __slots__ = ("kind", "a", "b", "c", "p_poly", "q_factors", "q_residual", "q_poly")
 
     def __init__(self, kind: EqKind, a: FieldElem = _ZERO, b: FieldElem = _ZERO,
-                 c: FieldElem = _ZERO, p_poly: Optional[WPoly] = None,
-                 q_factors: Optional[FactoredDenominator] = None):
+                 c: FieldElem = _ZERO, p_poly: Optional[Sequence[FieldElem]] = None,
+                 q_factors: Optional[Sequence[Tuple[FieldElem, int]]] = None,
+                 q_residual: Optional[Sequence[FieldElem]] = None):
         q = None
         if kind in (EqKind.PURE_LOG_DERIV, EqKind.INVERSE_SQUARE) and a.is_zero:
             raise EquationError(f"a(z) identically zero is outside the {kind.value} class")
         if kind == EqKind.LOG_DERIV:
             if p_poly is None or q_factors is None:
                 raise EquationError("log-deriv equations need P and the factored Q")
-            q = q_factors.expand()
-            if q.is_zero:
+            p_poly, q_factors = tuple(_ulist_trim(list(p_poly))), tuple(q_factors)
+            if q_residual is not None:
+                q_residual = tuple(_ulist_trim(list(q_residual)))
+            roots = [r for r, _ in q_factors]
+            if any(r == s for i, r in enumerate(roots) for s in roots[i + 1:]):
+                raise EquationError("duplicate denominator factor roots")
+            if any(m < 1 for _, m in q_factors):
+                raise EquationError("factor multiplicity must be positive")
+            q = _expand(q_factors, q_residual)
+            if not q:
                 raise EquationError("denominator Q is identically zero")
-            if q.coefficient(0).is_zero:
+            if q[0].is_zero:
                 raise EquationError("Q(z, 0) must not vanish identically")
-        self._set(kind=kind, a=a, b=b, c=c, p_poly=p_poly, q_factors=q_factors, q_poly=q)
+        self._set(kind=kind, a=a, b=b, c=c, p_poly=p_poly, q_factors=q_factors,
+                  q_residual=q_residual, q_poly=q)
 
     __eq__ = ReadOnly._same_fields
 
 
-def make_log_deriv(a: FieldElem, p_poly: WPoly, q_factors: FactoredDenominator) -> DelayDiffEq:
-    return DelayDiffEq(EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_factors=q_factors)
+def make_log_deriv(a: FieldElem, p_poly: Sequence[FieldElem],
+                   q_factors: Sequence[Tuple[FieldElem, int]],
+                   q_residual: Optional[Sequence[FieldElem]] = None) -> DelayDiffEq:
+    return DelayDiffEq(EqKind.LOG_DERIV, a=a, p_poly=p_poly, q_factors=q_factors,
+                       q_residual=q_residual)
 
 
 def make_pure_log_deriv(a: FieldElem, b: FieldElem) -> DelayDiffEq:
@@ -200,21 +151,20 @@ def rational_degree(eq: DelayDiffEq) -> Dict[str, int]:
     degree of P/Q as a map of w."""
     if eq.kind != EqKind.LOG_DERIV:
         raise ValueError("degree report applies to the log-deriv class")
-    dp = eq.p_poly.degree
-    dq = eq.q_poly.degree
+    dp = len(eq.p_poly) - 1
+    dq = len(eq.q_poly) - 1
     return {"num": dp, "den": dq, "map": max(dp, dq)}
 
 
-def shares_root(p: WPoly, q_factors: FactoredDenominator) -> bool:
-    """Whether nonzero P and the expansion Q of ``q_factors`` share a root in
-    w, decided as the module docstring says: P at each supplied root, then
+def shares_root(eq: DelayDiffEq) -> bool:
+    """Whether a log-deriv equation's nonzero P and its Q share a root in w,
+    decided as the module docstring says: P at each supplied root, then
     Euclid's remainder sequence of P and a residual of positive degree."""
-    if any(p.evaluate(r).is_zero for r in q_factors.roots()):
+    if any(_evaluate(eq.p_poly, r).is_zero for r, _ in eq.q_factors):
         return True
-    res = q_factors.residual
-    if res is None or res.degree < 1:
+    if eq.q_residual is None or len(eq.q_residual) < 2:
         return False
-    a, b = list(p.coeffs), list(res.coeffs)
+    a, b = list(eq.p_poly), list(eq.q_residual)
     while b:
         a, b = b, _ulist_divmod(a, b)[1]
     return len(a) > 1
@@ -245,5 +195,5 @@ def normal_form_series(
     if eq.kind == EqKind.PURE_LOG_DERIV:
         rhs = series_of_ratfunc(eq.b, offset, width)
     else:
-        rhs = compose_rational(eq.p_poly.coeffs, eq.q_poly.coeffs, w, offset, width)
+        rhs = compose_rational(eq.p_poly, eq.q_poly, w, offset, width)
     return rhs - a_s * wp.div(w, width)

@@ -57,6 +57,18 @@ _ORDER: List[Tuple[str, int]] = []  # the (name, offset) pairs of _SHIFTS in pri
 _GUARD = 0  # the top bit of every assigned slot
 
 
+def _content(coeffs: Iterable[GaussianRational]) -> Fraction:
+    """The gcd of the numerators over the lcm of the denominators of the
+    nonzero components of ``coeffs``; 1 when there is none."""
+    num_gcd, den_lcm = 0, 1
+    for c in coeffs:
+        for part in (c.re, c.im):
+            if part:
+                num_gcd = gcd(num_gcd, abs(part.numerator))
+                den_lcm = den_lcm * part.denominator // gcd(den_lcm, part.denominator)
+    return Fraction(num_gcd, den_lcm) if num_gcd else Fraction(1)
+
+
 def _shift(name: str) -> int:
     """The bit offset of a variable's slot, assigned on first sight."""
     global _GUARD
@@ -371,22 +383,7 @@ class MPoly:
 
     def content(self) -> Fraction:
         """Positive rational content over all coefficient components."""
-        nums: list[int] = []
-        dens: list[int] = []
-        for c in self.terms.values():
-            for part in (c.re, c.im):
-                if part:
-                    nums.append(abs(part.numerator))
-                    dens.append(part.denominator)
-        if not nums:
-            return Fraction(1)
-        gn = 0
-        for n in nums:
-            gn = gcd(gn, n)
-        ld = 1
-        for d in dens:
-            ld = ld * d // gcd(ld, d)
-        return Fraction(int(gn), int(ld))
+        return _content(self.terms.values())
 
     def leading_coefficient(self) -> GaussianRational:
         """Coefficient of the graded-lex leading monomial (canonical var order)."""

@@ -23,8 +23,6 @@ from ddelab.corpus import SCHEMA_VERSION, load_corpus, load_demo_corpus
 from ddelab.fieldelem import FieldElem
 from ddelab.model import (
     EqKind,
-    FactoredDenominator,
-    WPoly,
     make_inverse_square,
     make_log_deriv,
     make_pure_log_deriv,
@@ -193,18 +191,18 @@ class TestResidueObstruction:
 
 class TestPolynomialBlowup:
     def test_quartic_map_quadruples_pole_orders(self):
-        w4 = WPoly([FieldElem.const(0)] * 4 + [ONE])
-        eq = make_log_deriv(a=FieldElem.const(0), p_poly=w4, q_factors=FactoredDenominator((), None))
+        w4 = (FieldElem.const(0),) * 4 + (ONE,)
+        eq = make_log_deriv(a=FieldElem.const(0), p_poly=w4, q_factors=())
         assert polynomial_blowup(eq, 3) == (4, 16, 64)
 
     def test_quadratic_map_doubles_pole_orders(self):
-        w2 = WPoly([FieldElem.const(0)] * 2 + [ONE])
-        eq = make_log_deriv(a=FieldElem.const(0), p_poly=w2, q_factors=FactoredDenominator((), None))
+        w2 = (FieldElem.const(0),) * 2 + (ONE,)
+        eq = make_log_deriv(a=FieldElem.const(0), p_poly=w2, q_factors=())
         assert polynomial_blowup(eq, 3) == (2, 4, 8)
 
     def test_geometric_growth_verdict(self):
-        w4 = WPoly([FieldElem.const(0)] * 4 + [ONE])
-        eq = make_log_deriv(a=FieldElem.const(0), p_poly=w4, q_factors=FactoredDenominator((), None))
+        w4 = (FieldElem.const(0),) * 4 + (ONE,)
+        eq = make_log_deriv(a=FieldElem.const(0), p_poly=w4, q_factors=())
         pat = run_cascade(eq, first_seed(-1), 3)
         verdict = confinement_report(pat, eq)
         assert verdict["kind"] == "exponential-order-growth"
@@ -212,10 +210,10 @@ class TestPolynomialBlowup:
         assert verdict["witness"] == ALPHA**64
 
     def test_rejects_rational_right_side(self):
-        w2 = WPoly([FieldElem.const(0)] * 2 + [ONE])
+        w2 = (FieldElem.const(0),) * 2 + (ONE,)
         eq = make_log_deriv(
             a=FieldElem.const(0), p_poly=w2,
-            q_factors=FactoredDenominator(((FieldElem.const(1), 1),), None),
+            q_factors=((FieldElem.const(1), 1),),
         )
         with pytest.raises(ValueError):
             polynomial_blowup(eq, 2)

@@ -26,8 +26,6 @@ from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import gauss
 from ddelab.model import (
     EqKind,
-    FactoredDenominator,
-    WPoly,
     make_inverse_square,
     make_log_deriv,
     make_pure_log_deriv,
@@ -38,14 +36,9 @@ ONE = FieldElem.const(1)
 W0 = FieldElem.const(0)
 
 
-def _wpoly(*ascending):
-    return WPoly([FieldElem.coerce(c) for c in ascending])
-
-
 def _log_deriv(p_coeffs, roots, a=W0):
-    p = _wpoly(*p_coeffs)
-    q = FactoredDenominator(tuple((FieldElem.coerce(r), 1) for r in roots), None)
-    return make_log_deriv(a=a, p_poly=p, q_factors=q)
+    p = tuple(FieldElem.coerce(c) for c in p_coeffs)
+    return make_log_deriv(a=a, p_poly=p, q_factors=tuple((FieldElem.coerce(r), 1) for r in roots))
 
 
 class TestLogDerivBranches:
@@ -72,11 +65,9 @@ class TestLogDerivBranches:
         assert v["also_branch_b"]
 
     def test_shared_root_is_a_hypothesis_violation(self):
-        # num and den both vanish at w = z
-        p = _wpoly(-Z, ONE) * _wpoly(ONE, W0, ONE)
+        # num and den both vanish at w = z: P = (w - z)(w^2 + 1)
         eq = make_log_deriv(
-            a=W0, p_poly=p,
-            q_factors=FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)), None),
+            a=W0, p_poly=(-Z, ONE, -Z, ONE), q_factors=((Z, 1), (FieldElem.const(2) * Z, 1)),
         )
         v = classify_log_deriv(eq)
         assert v["outcome"] == Outcome.HYPOTHESIS_VIOLATION
@@ -84,24 +75,18 @@ class TestLogDerivBranches:
 
     def test_verdict_survives_common_rescaling(self):
         # P and Q are not normalized: scaling both by c leaves the verdict alone
-        p = _wpoly(ONE, W0, W0, ONE)
-        q = FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)), None)
+        p = (ONE, W0, W0, ONE)
+        q = ((Z, 1), (FieldElem.const(2) * Z, 1))
         eq = make_log_deriv(a=W0, p_poly=p, q_factors=q)
         c = FieldElem.const(3) * Z + ONE
-        scaled = make_log_deriv(
-            a=W0, p_poly=WPoly([c * x for x in p.coeffs]),
-            q_factors=FactoredDenominator(q.factors, WPoly([c])),
-        )
+        scaled = make_log_deriv(a=W0, p_poly=[c * x for x in p], q_factors=q, q_residual=(c,))
         assert classify_log_deriv(scaled)["outcome"] == classify_log_deriv(eq)["outcome"]
         # Q the non-monic constant 2 + i: a polynomial right side, whose pole
         # orders polynomial_blowup reads, the only cascade of a log-deriv entry
-        p = _wpoly(ONE, Z, ONE)
+        p = (ONE, Z, ONE)
         c = FieldElem.const(gauss(2, 1))
-        eq = make_log_deriv(a=ONE, p_poly=p, q_factors=FactoredDenominator((), None))
-        scaled = make_log_deriv(
-            a=ONE, p_poly=WPoly([c * x for x in p.coeffs]),
-            q_factors=FactoredDenominator((), WPoly([c])),
-        )
+        eq = make_log_deriv(a=ONE, p_poly=p, q_factors=())
+        scaled = make_log_deriv(a=ONE, p_poly=[c * x for x in p], q_factors=(), q_residual=(c,))
         assert classify_log_deriv(scaled) == classify_log_deriv(eq)
         assert polynomial_blowup(scaled, 3) == polynomial_blowup(eq, 3) == (2, 4, 8)
 
@@ -119,10 +104,8 @@ class TestLogDerivBranches:
         eqs += [
             _log_deriv([ONE, W0, W0, ONE], [Z, FieldElem.const(2) * Z]),
             _log_deriv([FieldElem.const(-2), ONE], [FieldElem.const(2), FieldElem.const(-3)]),
-            make_log_deriv(
-                a=W0, p_poly=_wpoly(ONE, Z),
-                q_factors=FactoredDenominator(((Z, 2),), WPoly([FieldElem.const(3) * Z + ONE])),
-            ),
+            make_log_deriv(a=W0, p_poly=(ONE, Z), q_factors=((Z, 2),),
+                           q_residual=(FieldElem.const(3) * Z + ONE,)),
         ]
         monkeypatch.setattr(model, "_ulist_divmod", refuse)
         outcomes = [classify_log_deriv(eq)["outcome"] for eq in eqs]

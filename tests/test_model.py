@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ddelab import model
 from ddelab.corpus import CorpusError, parse_equation
 from ddelab.fieldelem import FieldElem
 from ddelab.gaussian import gauss
@@ -20,8 +21,8 @@ from ddelab.laurent import LaurentSeries
 from ddelab.model import (
     EqKind,
     EquationError,
-    FactoredDenominator,
-    WPoly,
+    _evaluate,
+    _expand,
     make_inverse_square,
     make_log_deriv,
     make_pure_log_deriv,
@@ -36,73 +37,78 @@ ONE = FieldElem.const(1)
 ZERO = FieldElem.const(0)
 
 
+def _mul(p, q):
+    """The product of two coefficient sequences in w, by convolution."""
+    if not p or not q:
+        return ()
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
 def std_log_deriv():
     # Q = (w - z)(w - 2z), P = w^3 + 1, a = 1
-    p = WPoly([ONE, ZERO, ZERO, ONE])
-    q = FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)))
-    return make_log_deriv(ONE, p, q)
+    return make_log_deriv(ONE, (ONE, ZERO, ZERO, ONE), ((Z, 1), (FieldElem.const(2) * Z, 1)))
 
 
-# -- WPoly and FactoredDenominator ------------------------------------------
+# -- coefficient tuples: evaluation, trimming, expansion ----------------------
 
 
 def test_wpoly_basics():
-    p = WPoly([ONE, ZERO, ZERO, ONE])  # 1 + w^3
-    assert p.degree == 3
-    assert p.coefficient(0) == ONE
-    assert p.coefficient(2).is_zero
-    assert p.evaluate(FieldElem.const(2)) == FieldElem.const(9)
-    assert WPoly([ZERO]).is_zero
-    assert WPoly([ZERO]).degree == -1
+    p = (ONE, ZERO, ZERO, ONE)  # 1 + w^3
+    assert _evaluate(p, FieldElem.const(2)) == FieldElem.const(9)
+    assert _evaluate((), Z) == ZERO
 
 
 def test_wpoly_trailing_zero_strip():
-    p = WPoly([ONE, ONE, ZERO, ZERO])
-    assert p.degree == 1
+    # DelayDiffEq trims P and R; the expansion Q is built from the trimmed R
+    eq = make_log_deriv(ONE, [ONE, ONE, ZERO, ZERO], ((Z, 1),), [FieldElem.const(3), ZERO])
+    assert eq.p_poly == (ONE, ONE)
+    assert eq.q_residual == (FieldElem.const(3),)
+    assert eq.q_poly == (FieldElem.const(-3) * Z, FieldElem.const(3))
+    assert rational_degree(eq) == {"num": 1, "den": 1, "map": 1}
 
 
 def test_wpoly_arithmetic():
-    p = WPoly([ONE, ZERO, ONE])
-    q = p * p
-    assert q.degree == 4
-    assert q.coefficient(2) == FieldElem.const(2)
-    assert (p * WPoly([])).is_zero
+    # _expand multiplies the linear factors by the residual
+    assert _expand(((Z, 1),), (ONE, ZERO, ONE)) == (-Z, ONE, -Z, ONE)
+    assert _expand((), (ONE, ZERO, ONE)) == (ONE, ZERO, ONE)
+    assert _expand(((Z, 1),), ()) == ()
 
 
 def test_factored_expand():
-    f = FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)))
-    q = f.expand()
+    q = _expand(((Z, 1), (FieldElem.const(2) * Z, 1)), None)
     # (w - z)(w - 2z) = w^2 - 3z w + 2z^2
-    assert q.degree == 2
-    assert q.coefficient(1) == FieldElem.const(-3) * Z
-    assert q.coefficient(0) == FieldElem.const(2) * Z * Z
-    assert q.coefficient(2) == ONE
+    assert q == (FieldElem.const(2) * Z * Z, FieldElem.const(-3) * Z, ONE)
 
 
 def test_factored_multiplicity_and_duplicates():
-    f = FactoredDenominator(((Z, 2),))
-    assert f.expand().degree == 2
-    with pytest.raises(EquationError):
-        FactoredDenominator(((Z, 1), (Z, 1)))
-    with pytest.raises(EquationError):
-        FactoredDenominator(((Z, 0),))
+    assert len(_expand(((Z, 2),), None)) == 3
+    with pytest.raises(EquationError, match="duplicate denominator factor roots"):
+        make_log_deriv(ONE, (ONE,), ((Z, 1), (Z, 1)))
+    with pytest.raises(EquationError, match="duplicate denominator factor roots"):
+        make_log_deriv(ONE, (ONE,), ((Z, 1), (ONE, 2), (Z, 1)))
+    with pytest.raises(EquationError, match="factor multiplicity must be positive"):
+        make_log_deriv(ONE, (ONE,), ((Z, 0),))
 
 
 @pytest.mark.parametrize("factors, residual", [
     ((), None),
-    ((), WPoly([Z, ONE, FieldElem.const(3)])),
+    ((), (Z, ONE, FieldElem.const(3))),
     (((Z, 2), (FieldElem.const(2) * Z, 1)), None),
     (((FieldElem.const(-1), 3), (FieldElem.const(gauss(1, 2)), 1)), None),
-    (((ONE / (Z + ONE), 2), (Z * Z, 1)), WPoly([Z, ONE, FieldElem.const(3)])),
+    (((ONE / (Z + ONE), 2), (Z * Z, 1)), (Z, ONE, FieldElem.const(3))),
 ])
 def test_factored_expand_equals_the_wpoly_product(factors, residual):
-    product = WPoly([ONE])
+    product = (ONE,)
     for root, mult in factors:
         for _ in range(mult):
-            product = product * WPoly([ZERO - root, ONE])
+            product = _mul(product, (ZERO - root, ONE))
     if residual is not None:
-        product = product * residual
-    assert FactoredDenominator(factors, residual).expand() == product
+        product = _mul(product, residual)
+    assert _expand(factors, residual) == product
 
 
 def _count_field_products(monkeypatch):
@@ -123,25 +129,24 @@ def _count_field_products(monkeypatch):
     ((FieldElem.const(-1), 3), (FieldElem.const(gauss(1, 2)), 1), (ONE / (Z + ONE), 2)),
 ])
 def test_expand_takes_no_product_by_the_leading_one(monkeypatch, factors):
-    want = FactoredDenominator(factors).expand()
+    want = _expand(factors, None)
     m = sum(mult for _, mult in factors)
     calls = _count_field_products(monkeypatch)
-    assert FactoredDenominator(factors).expand() == want
+    assert _expand(factors, None) == want
     assert len(calls) == m * (m - 1) // 2
 
 
 @pytest.mark.parametrize("coeffs", [
-    [Z],
-    [ONE, Z],
-    [Z + ONE, ZERO, ONE / Z, FieldElem.const(gauss(2, -1))],
+    (Z,),
+    (ONE, Z),
+    (Z + ONE, ZERO, ONE / Z, FieldElem.const(gauss(2, -1))),
 ])
 def test_evaluate_starts_horner_at_the_top_coefficient(monkeypatch, coeffs):
-    p = WPoly(coeffs)
     x = Z * Z - FieldElem.const(3)
     want = sum((c * x ** k for k, c in enumerate(coeffs)), ZERO)
     calls = _count_field_products(monkeypatch)
-    assert p.evaluate(x) == want
-    assert len(calls) == p.degree
+    assert _evaluate(coeffs, x) == want
+    assert len(calls) == len(coeffs) - 1
 
 
 # -- equation construction ---------------------------------------------------
@@ -153,40 +158,38 @@ def test_kind_hypotheses():
     with pytest.raises(EquationError):
         make_inverse_square(ZERO, ONE)
     # a == 0 is fine for log-deriv at construction time
-    eq = make_log_deriv(
-        ZERO, WPoly([ONE]), FactoredDenominator(((Z, 1),))
-    )
+    eq = make_log_deriv(ZERO, (ONE,), ((Z, 1),))
     assert eq.a.is_zero
 
 
 def test_q_at_zero_must_not_vanish():
     # Q = w has Q(z, 0) = 0
     with pytest.raises(EquationError):
-        make_log_deriv(ONE, WPoly([ONE]), FactoredDenominator(((ZERO, 1),)))
+        make_log_deriv(ONE, (ONE,), ((ZERO, 1),))
 
 
-def test_a_zero_residual_is_an_equation_error():
+@pytest.mark.parametrize("residual", [(), (ZERO,), (ZERO, ZERO)])
+def test_a_zero_residual_is_an_equation_error(residual):
     # a zero residual makes Q zero; a ValueError from reading its leading
     # coefficient once escaped the corpus load with a traceback
     with pytest.raises(EquationError, match="identically zero"):
-        make_log_deriv(ONE, WPoly([ONE]), FactoredDenominator(((Z, 1),), WPoly([])))
+        make_log_deriv(ONE, (ONE,), ((Z, 1),), residual)
 
 
 def test_make_log_deriv_expands_the_factors_once(monkeypatch):
     calls = []
-    expand = FactoredDenominator.expand
+    expand = model._expand
 
-    def counting(self):
-        calls.append(self)
-        return expand(self)
+    def counting(factors, residual):
+        calls.append(factors)
+        return expand(factors, residual)
 
-    monkeypatch.setattr(FactoredDenominator, "expand", counting)
-    for residual in (None, WPoly([FieldElem.const(3) * Z + ONE, ONE, FieldElem.const(2)])):
+    monkeypatch.setattr(model, "_expand", counting)
+    for residual in (None, (FieldElem.const(3) * Z + ONE, ONE, FieldElem.const(2))):
         calls.clear()
-        eq = make_log_deriv(ONE, WPoly([ONE, ONE]), FactoredDenominator(((Z, 2),), residual))
+        eq = make_log_deriv(ONE, (ONE, ONE), ((Z, 2),), residual)
         assert len(calls) == 1
-        fresh = FactoredDenominator(eq.q_factors.factors, eq.q_factors.residual)
-        assert fresh.expand() == eq.q_poly
+        assert expand(eq.q_factors, eq.q_residual) == eq.q_poly
 
 
 # -- degree report ------------------------------------------------------------
@@ -197,14 +200,11 @@ def test_rational_degree_examples():
     assert rational_degree(eq) == {"num": 3, "den": 2, "map": 3}
 
     quartic = make_log_deriv(
-        ONE, WPoly([ZERO, ZERO, ZERO, ZERO, ONE]),
-        FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1))),
+        ONE, (ZERO, ZERO, ZERO, ZERO, ONE), ((Z, 1), (FieldElem.const(2) * Z, 1)),
     )
     assert rational_degree(quartic) == {"num": 4, "den": 2, "map": 4}
 
-    const_rhs = make_log_deriv(
-        ONE, WPoly([Z]), FactoredDenominator(((ONE, 1),)),
-    )
+    const_rhs = make_log_deriv(ONE, (Z,), ((ONE, 1),))
     # Q = w - 1, P = z: degrees (0, 1, 1)
     assert rational_degree(const_rhs) == {"num": 0, "den": 1, "map": 1}
 
@@ -213,10 +213,7 @@ def test_rational_degree_scaling_invariance():
     # multiplying P and Q by the same z-function leaves every degree unchanged
     eq = std_log_deriv()
     s = (Z * Z + 1) / FieldElem.const(3)
-    f = FactoredDenominator(
-        ((Z, 1), (FieldElem.const(2) * Z, 1)), residual=WPoly([s])
-    )
-    eq2 = make_log_deriv(ONE, WPoly([s * c for c in eq.p_poly.coeffs]), f)
+    eq2 = make_log_deriv(ONE, [s * c for c in eq.p_poly], eq.q_factors, (s,))
     assert rational_degree(eq2) == rational_degree(eq)
 
 
@@ -226,13 +223,13 @@ def test_rational_degree_scaling_invariance():
 def resultant_in_w(p, q):
     """Resultant lc(P)^deg(Q) * prod Q(root_i(P)), as the Sylvester determinant
     of P and Q eliminated with exact fraction arithmetic."""
-    m, n = p.degree, q.degree
+    m, n = len(p) - 1, len(q) - 1
     if m == 0:
-        return p.coeffs[0] ** n
+        return p[0] ** n
     if n == 0:
-        return q.coeffs[0] ** m
+        return q[0] ** m
     size = m + n
-    pd, qd = list(reversed(p.coeffs)), list(reversed(q.coeffs))
+    pd, qd = list(reversed(p)), list(reversed(q))
     rows = [[ZERO] * i + pd + [ZERO] * (size - m - 1 - i) for i in range(n)]
     rows += [[ZERO] * j + qd + [ZERO] * (size - n - 1 - j) for j in range(m)]
     det = ONE
@@ -254,16 +251,16 @@ def resultant_in_w(p, q):
 
 
 def test_resultant_frozen_values():
-    w = WPoly([ZERO, ONE])
+    w = (ZERO, ONE)
     # Res(w, w - 1) = -1
-    assert resultant_in_w(w, WPoly([-ONE, ONE])) == FieldElem.const(-1)
+    assert resultant_in_w(w, (-ONE, ONE)) == FieldElem.const(-1)
     # shared root w = z
-    w_minus_z = WPoly([-Z, ONE])
-    shared = resultant_in_w(w_minus_z, w_minus_z * WPoly([ONE, ONE]))
+    w_minus_z = (-Z, ONE)
+    shared = resultant_in_w(w_minus_z, _mul(w_minus_z, (ONE, ONE)))
     assert shared.is_zero
     # Res(w^3 + 1, (w - z)(w - 2z)) = (1 + z^3)(1 + 8z^3)
-    p = WPoly([ONE, ZERO, ZERO, ONE])
-    q = FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1))).expand()
+    p = (ONE, ZERO, ZERO, ONE)
+    q = _expand(((Z, 1), (FieldElem.const(2) * Z, 1)), None)
     expected = (ONE + Z ** 3) * (ONE + FieldElem.const(8) * Z ** 3)
     assert resultant_in_w(p, q) == expected
 
@@ -272,8 +269,8 @@ def test_resultant_numeric_sylvester_oracle():
     # compare against an exact numeric Sylvester determinant at random
     # rational points
     rng = random.Random(321)
-    p = WPoly([ONE, ZERO, ZERO, ONE])
-    q = FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1))).expand()
+    p = (ONE, ZERO, ZERO, ONE)
+    q = _expand(((Z, 1), (FieldElem.const(2) * Z, 1)), None)
     res = resultant_in_w(p, q)
 
     def num_sylvester(pc, qc):
@@ -304,30 +301,30 @@ def test_resultant_numeric_sylvester_oracle():
         z0 = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
         at_z0 = MPoly.const(z0)
         val = res.compose_var("z", at_z0)
-        pc = [Fraction(c.compose_var("z", at_z0).constant_value().re) for c in p.coeffs]
-        qc = [Fraction(c.compose_var("z", at_z0).constant_value().re) for c in q.coeffs]
+        pc = [Fraction(c.compose_var("z", at_z0).constant_value().re) for c in p]
+        qc = [Fraction(c.compose_var("z", at_z0).constant_value().re) for c in q]
         assert val.constant_value().re == num_sylvester(pc, qc)
 
 
 def test_resultant_zero_iff_root_shared():
     # both decision paths agree: determinant and factored-root evaluation
-    p = WPoly([ONE, ZERO, ZERO, ONE])
+    p = (ONE, ZERO, ZERO, ONE)
     for factors in [((Z, 1), (FieldElem.const(2) * Z, 1)),
                     ((FieldElem.const(-1), 1), (Z, 1))]:
-        fd = FactoredDenominator(factors)
-        q = fd.expand()
+        q = _expand(factors, None)
         det_zero = resultant_in_w(p, q).is_zero
-        root_shared = any(p.evaluate(r).is_zero for r in fd.roots())
+        root_shared = any(_evaluate(p, r).is_zero for r, _ in factors)
         assert det_zero == root_shared
 
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 small = st.integers(-2, 2)
-# constant roots, and roots affine or quadratic in z
+# constant roots, and roots affine or quadratic in z; a root of 0, like a
+# residual R with R(z, 0) = 0, would give Q(z, 0) = 0, which DelayDiffEq refuses
 roots = st.tuples(small, small, st.sampled_from([0, 0, 1])).map(
     lambda c: FieldElem.const(c[0]) + FieldElem.const(c[1]) * Z + FieldElem.const(c[2]) * Z ** 2
-)
+).filter(lambda r: not r.is_zero)
 z_polys = st.tuples(small, small).map(lambda c: FieldElem.const(c[0]) + FieldElem.const(c[1]) * Z)
 # residual coefficients also take a z-denominator, so that Euclid divides by
 # leading coefficients that are non-constant rational functions
@@ -335,43 +332,43 @@ residual_coeffs = st.one_of(z_polys, st.just(ONE / (Z + FieldElem.const(2))))
 
 
 def _wpolys(max_degree, coeffs=z_polys):
-    # the length is drawn first, so that every degree up to the maximum is common
+    # the length is drawn first, so that every degree up to the maximum is common;
+    # a zero top coefficient is left for DelayDiffEq to trim
     return st.integers(1, max_degree + 1).flatmap(
-        lambda n: st.lists(coeffs, min_size=n, max_size=n)
-    ).map(WPoly).filter(lambda w: not w.is_zero)
+        lambda n: st.lists(coeffs, min_size=n, max_size=n).map(tuple)
+    ).filter(lambda w: not all(c.is_zero for c in w))
 
 
 @st.composite
 def root_cases(draw):
-    """(P, factorization): up to two roots of multiplicity up to 2, a residual
+    """(P, factors, R): up to two roots of multiplicity up to 2, a residual
     of degree up to 3 whose coefficients may carry a z-denominator, and P
     built to share a supplied root, the residual's roots, or neither."""
     rs = draw(st.lists(roots, max_size=2, unique_by=str))
     factors = tuple((r, draw(st.integers(1, 2))) for r in rs)
-    residual = draw(st.one_of(st.none(), _wpolys(3, residual_coeffs)))
+    residual = draw(st.one_of(st.none(), _wpolys(3, residual_coeffs).filter(
+        lambda w: not w[0].is_zero)))
     p = draw(_wpolys(2))
     share = draw(st.sampled_from(["none", "root", "residual"]))
     if share == "root" and factors:
-        p = p * WPoly([ZERO - factors[0][0], ONE])
+        p = _mul(p, (ZERO - factors[0][0], ONE))
     elif share == "residual" and residual is not None:
-        p = p * residual
-    return p, FactoredDenominator(factors, residual)
+        p = _mul(p, residual)
+    return p, factors, residual
 
 
 @SETTINGS
 @given(root_cases())
-@example((WPoly([ONE, ZERO, ZERO, ONE]), FactoredDenominator(((Z, 1), (FieldElem.const(2) * Z, 1)))))
-@example((WPoly([ZERO - Z, ONE]), FactoredDenominator(((Z, 2),), WPoly([ONE, Z, ONE]))))
-@example((WPoly([ONE, Z, ONE]), FactoredDenominator(((ONE, 1),), WPoly([ONE, Z, ONE]))))
+@example(((ONE, ZERO, ZERO, ONE), ((Z, 1), (FieldElem.const(2) * Z, 1)), None))
+@example(((ZERO - Z, ONE), ((Z, 2),), (ONE, Z, ONE)))
+@example(((ONE, Z, ONE), ((ONE, 1),), (ONE, Z, ONE)))
 # gcds of degree 1: a linear residual, and one root of two shared with a residual
 # whose leading coefficient is 1/(z + 2)
-@example((WPoly([Z, Z + 3, FieldElem.const(3)]), FactoredDenominator((), WPoly([Z, FieldElem.const(3)]))))
-@example((WPoly([Z, -Z - 1, ONE]),
-          FactoredDenominator((), WPoly([-Z, Z - ONE / (Z + 2), ONE / (Z + 2)]))))
+@example(((Z, Z + 3, FieldElem.const(3)), (), (Z, FieldElem.const(3))))
+@example(((Z, -Z - 1, ONE), (), (-Z, Z - ONE / (Z + 2), ONE / (Z + 2))))
 def test_root_test_agrees_with_the_sylvester_determinant(case):
-    p, fd = case
-    q = fd.expand()
-    assert shares_root(p, fd) == resultant_in_w(p, q).is_zero
+    eq = make_log_deriv(ONE, *case)
+    assert shares_root(eq) == resultant_in_w(eq.p_poly, eq.q_poly).is_zero
 
 
 # -- normal form as series ----------------------------------------------------
@@ -412,7 +409,7 @@ def test_normal_form_series_log_deriv_matches_exact():
     n_series = normal_form_series(eq, 0, w_series, width=6)
     wp = cand.derivative()
     exact_n = (
-        eq.p_poly.evaluate(cand) / eq.q_poly.evaluate(cand)
+        _evaluate(eq.p_poly, cand) / _evaluate(eq.q_poly, cand)
         - eq.a * wp / cand
     )
     expected = series_of_ratfunc(exact_n, 0, 6)
@@ -441,9 +438,10 @@ def test_parse_log_deriv_entry():
     }
     eq = parse_equation(entry)
     assert eq.kind == EqKind.LOG_DERIV
-    assert eq.p_poly.degree == 3
-    assert eq.q_poly.degree == 2
-    assert eq.q_factors.roots() == (Z, FieldElem.const(2) * Z)
+    assert len(eq.p_poly) == 4
+    assert len(eq.q_poly) == 3
+    assert eq.q_factors == ((Z, 1), (FieldElem.const(2) * Z, 1))
+    assert eq.q_residual is None
 
 
 def test_parse_inverse_square_zero_a_rejected():

@@ -1,10 +1,12 @@
-"""The suite's warning filters let a failing property test fail on its own.
+"""The suite's configuration lets a failing or hanging test fail on its own.
 
 Under ``filterwarnings = ["error"]`` the Hypothesis plugin raised a
 DeprecationWarning while it reported a failing ``@given`` test; pytest then
-stopped the session with an INTERNALERROR and ran no later test.  This runs
-pytest on a failing property test and a passing test, with the repo's own
-filters, and expects both outcomes to be reported.
+stopped the session with an INTERNALERROR and ran no later test.  The first
+probe runs pytest on a failing property test and a passing test, with the
+repo's own filters, and expects both outcomes to be reported.  The second
+runs the suite's ``conftest.py``, its time limit cut to 1 s, on a test that
+sleeps past it and a passing test.
 """
 
 import subprocess
@@ -16,6 +18,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 
 TESTS = '''
 from hypothesis import given, strategies as st
@@ -42,4 +45,31 @@ def test_failing_property_test_leaves_the_session_running(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1
+
+
+HANGING = '''
+import time
+
+
+def test_sleeps():
+    time.sleep(5)
+
+
+def test_passes():
+    assert True
+'''
+
+
+def test_a_test_past_the_time_limit_fails_by_name(tmp_path):
+    conftest = CONFTEST.read_text()
+    assert "\nLIMIT_S = 120\n" in conftest
+    (tmp_path / "conftest.py").write_text(conftest.replace("\nLIMIT_S = 120\n", "\nLIMIT_S = 1\n"))
+    (tmp_path / "test_probe.py").write_text(HANGING)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+    )
+    assert "1 failed, 1 passed" in run.stdout
+    assert "test_probe.py::test_sleeps still running after the 1 s limit" in run.stdout
     assert run.returncode == 1

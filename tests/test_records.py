@@ -6,7 +6,7 @@ from ddelab.analytic import EllipticParams, VerifierReport, elliptic_params
 from ddelab.cascade import PatternEntry, SeedSpec, SingularityPattern, first_seed, run_cascade
 from ddelab.corpus import CorpusEntry, load_demo_corpus
 from ddelab.fieldelem import FieldElem
-from ddelab.model import DelayDiffEq, EqKind, FactoredDenominator, WPoly
+from ddelab.model import DelayDiffEq, EqKind
 
 _DEMO = {e.id: e for e in load_demo_corpus()}
 _Z = FieldElem.var("z")
@@ -28,9 +28,8 @@ RECORDS = {
                      ("offset", "order", "leading", "series", "certified", "note")),
     "SingularityPattern": (_pattern, ("entries",)),
     "CorpusEntry": (lambda: _DEMO["branch-first"], ("id", "eq", "requests")),
-    "FactoredDenominator": (lambda: _DEMO["branch-first"].eq.q_factors, ("factors", "residual")),
     "DelayDiffEq": (lambda: _DEMO["branch-first"].eq,
-                    ("kind", "a", "b", "c", "p_poly", "q_factors", "q_poly")),
+                    ("kind", "a", "b", "c", "p_poly", "q_factors", "q_residual", "q_poly")),
 }
 
 
@@ -55,12 +54,11 @@ def test_defaults_and_keyword_construction():
     series = _pattern().entries[0].series
     entry = PatternEntry(offset=0, order=1, leading=None, series=series)
     assert (entry.certified, entry.note) == (True, "")
-    assert FactoredDenominator(((_Z, 1),)).residual is None
     eq = DelayDiffEq(EqKind.INVERSE_SQUARE, a=FieldElem.const(1))
     assert eq.b.is_zero and eq.c.is_zero and eq.q_poly is None
-    eq = DelayDiffEq(kind=EqKind.LOG_DERIV, a=_Z, p_poly=WPoly([_Z]),
-                     q_factors=FactoredDenominator(factors=((_Z + 1, 2),)))
-    assert eq.q_poly == eq.q_factors.expand()
+    eq = DelayDiffEq(kind=EqKind.LOG_DERIV, a=_Z, p_poly=[_Z], q_factors=[(_Z + 1, 2)])
+    assert (eq.p_poly, eq.q_factors, eq.q_residual) == ((_Z,), ((_Z + 1, 2),), None)
+    assert eq.q_poly == ((_Z + 1) ** 2, -2 * (_Z + 1), FieldElem.const(1))
     corpus_entry = CorpusEntry(id="x", eq=eq, requests={})
     assert corpus_entry.id == "x" and corpus_entry.eq is eq
     report = VerifierReport(check="c", params={}, samples=2, max_residual=0.5, tol=1.0)
@@ -72,10 +70,11 @@ def test_defaults_and_keyword_construction():
 def test_compared_records_compare_field_by_field():
     assert first_seed(-1) == SeedSpec(-1, 1) and SeedSpec(1, 2) != SeedSpec(1, 3)
     eq = _DEMO["branch-first"].eq
-    again = DelayDiffEq(eq.kind, eq.a, eq.b, eq.c, eq.p_poly,
-                        FactoredDenominator(eq.q_factors.factors, eq.q_factors.residual))
+    again = DelayDiffEq(eq.kind, eq.a, eq.b, eq.c, list(eq.p_poly), list(eq.q_factors))
     assert again == eq and again.q_factors == eq.q_factors
     assert DelayDiffEq(eq.kind, eq.a + 1, eq.b, eq.c, eq.p_poly, eq.q_factors) != eq
+    two = FieldElem.const(2)
+    assert DelayDiffEq(eq.kind, eq.a, eq.b, eq.c, eq.p_poly, eq.q_factors, (two,)) != eq
 
 
 def test_a_seed_subclass_keeps_the_checks_and_equality():

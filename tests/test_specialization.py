@@ -138,8 +138,8 @@ def _reference_step(eq, before, w, offset, width):
         a, b, c = (_taylor(f, offset, width) for f in (eq.a, eq.b, eq.c))
         return before + (a * dw + b * w) * (w * w).inverse(width) + c
     # w(z+1) - w(z-1) + a w'/w = P(w)/Q(w)
-    p = _poly_in_w(eq.p_poly.coeffs, w, offset, width)
-    q = _poly_in_w(eq.q_poly.coeffs, w, offset, width)
+    p = _poly_in_w(eq.p_poly, w, offset, width)
+    q = _poly_in_w(eq.q_poly, w, offset, width)
     return before + p * q.inverse(width) - _taylor(eq.a, offset, width) * dw * w.inverse(width)
 
 
