@@ -46,8 +46,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Mapping, Sequence
 from importlib import resources
-from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from .exprparse import ParseError, parse_expression
 from .fieldelem import FieldElem
@@ -77,8 +78,6 @@ _CLASS_FIELDS = {
     EqKind.PURE_LOG_DERIV: {"a", "b"},
     EqKind.INVERSE_SQUARE: {"a", "b", "c"},
 }
-
-_COMMON_FIELDS = {"id", "class", "note"}
 
 # the load expands the factored denominator Q in w: two factors took 0.05 s at degree 64, 0.4 s
 # at 128 and 3.5 s at 512, and multiplicities of 10^6 stalled the load.  classify runs Euclid on
@@ -153,7 +152,7 @@ _LATTICE = {"g2": (_as_complex, None), "g3": (_as_complex, None), "omega": (_as_
 # and fails its 1e-10 tolerance at 1000, and 10^400 overflowed a float; 64 is classify's range
 _P = _as_int(("nonzero", lambda n: n != 0),
              ("at most 64 in absolute value", lambda n: abs(n) <= 64))
-_FAMILY = {"p": (_P, 1), "C": (_as_nonzero_complex, 1.0)}
+_FAMILY = {"p": (_P, 1), "C": (_as_nonzero_complex, 1 + 0j)}
 _GRID = {
     "r_min": (_as_radius, 1.0),
     "r_max": (_as_radius, 16.0),
@@ -162,7 +161,8 @@ _GRID = {
 }
 
 # request -> kind -> (entry class the kind needs, or None for any;
-# {field: (converter, default)}).  A default of None marks a required field;
+# {field: (converter, default)}).  A default of None marks a required field,
+# and any other is stored as it stands, so it is already a converted value;
 # the kind None, a request without a ``kind`` field.
 _REQUESTS = {
     "cascade": {None: (None, {
@@ -183,6 +183,11 @@ _REQUESTS = {
         "exponential": (EqKind.PURE_LOG_DERIV, {**_GRID, **_FAMILY}),
     },
 }
+
+
+# class -> every field an entry of that class may carry
+_FIELDS = {kind: {"id", "class", "note", *_REQUESTS, *fields}
+           for kind, fields in _CLASS_FIELDS.items()}
 
 
 class CorpusEntry(ReadOnly):
@@ -300,10 +305,13 @@ def _request(entry_id: str, eq_kind: EqKind, name: str, raw: Any) -> Dict[str, A
     if unknown:
         raise CorpusError(f"{entry}: {name!r} request: unknown fields {sorted(unknown)}")
     for key, (convert, default) in fields.items():
-        if key not in raw and default is None:
-            raise CorpusError(f"{entry}: field '{name}.{key}' is required")
+        if key not in raw:
+            if default is None:
+                raise CorpusError(f"{entry}: field '{name}.{key}' is required")
+            out[key] = default
+            continue
         try:
-            out[key] = convert(raw.get(key, default))
+            out[key] = convert(raw[key])
         except (ValueError, OverflowError) as exc:
             raise CorpusError(f"{entry}: field '{name}.{key}': {exc}") from exc
     # the one range that spans two fields
@@ -331,7 +339,7 @@ def _validate_entry(raw: Any, parsed: Dict[str, FieldElem], position: int) -> Co
     if not isinstance(entry_id, str) or not entry_id:
         raise CorpusError(f"entry {position}: field 'id' must be a nonempty string")
     eq = parse_equation(raw, parsed)
-    unknown = set(raw) - _COMMON_FIELDS - set(_REQUESTS) - _CLASS_FIELDS[eq.kind]
+    unknown = raw.keys() - _FIELDS[eq.kind]
     if unknown:
         raise CorpusError(f"entry {entry_id!r}: unknown fields {sorted(unknown)}")
     requests = {

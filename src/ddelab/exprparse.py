@@ -19,14 +19,18 @@ the token that passes it: parentheses and unary minus signs nest at most 100
 deep; an INTEGER has at most 8192 bits; a power x^n needs |n| * (total degree
 of x) <= 64 and |n| * (bit length of x's largest numerator or denominator)
 <= 8192; and the result of every ``+``, ``-``, ``*`` and ``/`` has total
-degree <= 64 and bit length <= 8192 in the same sense.
+degree <= 64 and bit length <= 8192 in the same sense.  ``_size`` reads both
+in one pass over a value's terms: ``z`` is the one variable, so a packed key
+is z's exponent in z's slot, and the largest key gives the total degree.
 
 Numbers are folded while parsing, and polynomials stay in the ring: a value
 stays a ``GaussianRational`` until it meets a variable, then an ``MPoly`` until
 it is divided by a non-number, raised to a negative power or meets a
 ``FieldElem``; there it is lifted and the ``FieldElem`` operator runs.  An
 ``MPoly`` step is the one that the ``FieldElem`` polynomial fast path takes,
-and a quotient by a number scales the way ``FieldElem``'s normal form does.
+except that a product or quotient by a number scales each term: the product
+by a one-term constant gives that term map, and the quotient the one that
+``FieldElem``'s normal form gives.
 The result is therefore the same as unfolded parsing, down to every term map
 of the result.
 """
@@ -40,10 +44,12 @@ from typing import List, Tuple, Union
 
 from .fieldelem import FieldElem
 from .gaussian import I, ONE, GaussianRational
-from .mpoly import MPoly
+from .mpoly import MPoly, _shift
 
 Value = Union[GaussianRational, MPoly, FieldElem]
-Token = Tuple[str, str, int]  # kind (INT, NAME, OP, END), text, offset
+# kind (INT, NAME, OP, END), text, offset; only an OP's text is punctuation,
+# so the parser tells operators apart by text alone
+Token = Tuple[str, str, int]
 
 # leading whitespace is skipped; BAD catches any other character
 _TOKEN = re.compile(
@@ -51,6 +57,7 @@ _TOKEN = re.compile(
 )
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _MAX_DEPTH, _MAX_DEGREE, _MAX_BITS = 100, 64, 8192
+_Z = MPoly.var("z")  # an MPoly is never changed after it is built, so every z shares one
 
 
 class ParseError(ValueError):
@@ -88,15 +95,18 @@ def _lift(x: Value) -> FieldElem:
 def _size(value: Value) -> Tuple[int, int]:
     """Total degree, and bit length of the largest numerator or denominator."""
     if type(value) is GaussianRational:
-        re, im = value.re, value.im
-        return 0, max(re.numerator.bit_length(), re.denominator.bit_length(),
-                      im.numerator.bit_length(), im.denominator.bit_length())
-    polys = (value,) if type(value) is MPoly else (value.num, value.den)
-    degree = max(0, *(p.total_degree() for p in polys))
-    bits = max((q.bit_length() for p in polys for c in p.terms.values()
-                for part in (c.re, c.im) for q in (part.numerator, part.denominator)),
-               default=0)
-    return degree, bits
+        items = ((0, value),)
+    elif type(value) is MPoly:
+        items = value.terms.items()
+    else:
+        items = [*value.num.terms.items(), *value.den.terms.items()]
+    key = top = 0
+    for k, c in items:
+        re, im = c.re, c.im
+        if k > key:
+            key = k
+        top = max(top, abs(re.numerator), re.denominator, abs(im.numerator), im.denominator)
+    return key >> _shift("z"), top.bit_length()
 
 
 class _Parser:
@@ -120,7 +130,7 @@ class _Parser:
         value = self.term()
         while True:
             tok = self.tokens[self.pos]
-            if tok[0] != "OP" or tok[1] not in "+-":
+            if tok[1] not in ("+", "-"):
                 return value
             self.pos += 1
             value = self.apply(tok, value, self.term())
@@ -129,7 +139,7 @@ class _Parser:
         value = self.factor()
         while True:
             tok = self.tokens[self.pos]
-            if tok[0] != "OP" or tok[1] not in "*/":
+            if tok[1] not in ("*", "/"):
                 return value
             self.pos += 1
             rhs = self.factor()
@@ -141,13 +151,15 @@ class _Parser:
         """``lhs op rhs`` for the operator token: in Q(i) while both are numbers,
         in the ring while neither is a ``FieldElem`` and no divisor has a
         variable, and in ``FieldElem`` otherwise (module docstring)."""
-        op, kinds = tok[1], {type(lhs), type(rhs)}
-        if FieldElem in kinds or op == "/" and type(rhs) is MPoly and not rhs.is_constant():
+        op, left, right = tok[1], type(lhs), type(rhs)
+        if FieldElem in (left, right) or op == "/" and right is MPoly and not rhs.is_constant():
             value = _BINARY[op](_lift(lhs), _lift(rhs))
-        elif MPoly in kinds:
-            lhs = MPoly.const(lhs) if type(lhs) is GaussianRational else lhs
+        elif op == "*" and left is not right:  # no FieldElem: a number times a polynomial
+            value = rhs.scale(lhs) if left is GaussianRational else lhs.scale(rhs)
+        elif MPoly in (left, right):
+            lhs = MPoly.const(lhs) if left is GaussianRational else lhs
             if op == "/":
-                c = rhs.constant_value() if type(rhs) is MPoly else rhs
+                c = rhs.constant_value() if right is MPoly else rhs
                 value = lhs if c == ONE else lhs.scale(c.inverse())
             else:
                 value = _BINARY[op](lhs, rhs)
@@ -161,10 +173,10 @@ class _Parser:
     def factor(self) -> Value:
         # each '(' and unary '-' starts a factor: the open factors count the nesting
         tok = self.tokens[self.pos]
-        if self.depth == _MAX_DEPTH and tok[:2] in (("OP", "("), ("OP", "-")):
+        if self.depth == _MAX_DEPTH and tok[1] in ("(", "-"):
             raise self.error(f"nested deeper than {_MAX_DEPTH}", tok)
         self.depth += 1
-        if tok[:2] == ("OP", "-"):
+        if tok[1] == "-":
             self.pos += 1
             value = -self.factor()
         else:
@@ -174,7 +186,7 @@ class _Parser:
 
     def power(self) -> Value:
         value = self.atom()
-        while self.tokens[self.pos][:2] == ("OP", "^"):
+        while self.tokens[self.pos][1] == "^":
             tok = self.tokens[self.pos]
             self.pos += 1
             n = self.exponent()
@@ -190,7 +202,7 @@ class _Parser:
 
     def exponent(self) -> int:
         sign = 1
-        if self.tokens[self.pos][:2] == ("OP", "-"):
+        if self.tokens[self.pos][1] == "-":
             self.pos += 1
             sign = -1
         kind, text, _ = tok = self.tokens[self.pos]
@@ -208,11 +220,11 @@ class _Parser:
             if text == "i":
                 return I
             if text == "z":
-                return MPoly.var(text)
+                return _Z
             raise self.error(f"unknown symbol {text!r}", tok)
         if text == "(":
             value = self.expr()
-            if self.tokens[self.pos][:2] != ("OP", ")"):
+            if self.tokens[self.pos][1] != ")":
                 raise self.error("expected ')'", self.tokens[self.pos])
             self.pos += 1
             return value

@@ -12,7 +12,8 @@ canonical and equality structural, and it keeps the common integral case on
 Python ints: ``+``, ``-`` and ``*`` of integral parts never build a
 ``Fraction``.  ``__init__`` is the one place that turns an integral
 ``Fraction`` into an ``int``.  Because ``int / int`` is a float, a raw
-component is divided only through ``Fraction`` (see ``inverse``).
+component is divided only through ``Fraction``: ``inverse``, and ``/`` by a
+nonzero real divisor, which divides each component and builds no inverse.
 """
 
 from __future__ import annotations
@@ -96,7 +97,11 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rationalish) -> "GaussianRational":
-        return self * GaussianRational.coerce(other).inverse()
+        o = GaussianRational.coerce(other)
+        # a nonzero real divisor divides each component, with no inverse to build
+        if not o.im and o.re:
+            return GaussianRational(Fraction(self.re, o.re), Fraction(self.im, o.re))
+        return self * o.inverse()
 
     def __rtruediv__(self, other: Rationalish) -> "GaussianRational":
         return GaussianRational.coerce(other) * self.inverse()

@@ -176,11 +176,6 @@ class MPoly:
         s = _SHIFTS.get(var)
         return 0 if s is None else max(k >> s & _EXP_MASK for k in self.terms)
 
-    def total_degree(self) -> int:
-        """Largest exponent sum of a term; -1 for the zero polynomial."""
-        slots = [s for _, s in self._table()]
-        return max((sum(k >> s & _EXP_MASK for s in slots) for k in self.terms), default=-1)
-
     def used_vars(self) -> Tuple[str, ...]:
         """Variables that actually occur with positive exponent."""
         return tuple(v for v, _ in self._table())

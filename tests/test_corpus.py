@@ -165,3 +165,30 @@ def test_a_log_deriv_cascade_does_not_read_the_seed(tmp_path, seed):
     rows = json.loads((tmp_path / "out.json").read_text())["entries"]
     row = next(r for r in rows if r["id"] == "polynomial-blowup-quartic")
     assert row["pole_orders"] == [4, 16, 64]
+
+
+@pytest.mark.parametrize("entry, written", [
+    ({"class": "pure-log-deriv", "a": "1", "b": "1",
+      "verify": {"kind": "exponential"}, "nev": {"kind": "exponential"}},
+     {"cascade": {"steps": 3, "order": 1, "seed": "zero-of-w"},
+      "verify": {"kind": "exponential", "samples": 100, "p": 1, "C": 1},
+      "nev": {"kind": "exponential", "r_min": 1, "r_max": 16, "radii": 24, "p": 1, "C": 1}}),
+    ({"class": "inverse-square", "a": "1", "b": "1",
+      "verify": {"kind": "elliptic", "g2": 1, "g3": 0, "omega": 1},
+      "nev": {"kind": "elliptic", "g2": 1, "g3": 0, "omega": 1}},
+     {"verify": {"kind": "elliptic", "samples": 100, "g2": 1, "g3": 0, "omega": 1},
+      "nev": {"kind": "elliptic", "r_min": 1.0, "r_max": 16.0, "radii": 24,
+              "g2": 1, "g3": 0, "omega": 1}}),
+])
+def test_a_left_out_field_reads_as_its_default_written_out(entry, written):
+    # a default is stored as it stands, so it must be the value that
+    # converting the documented default gives, down to its type
+    def requests(fields):
+        doc = {"schema_version": 1, "entries": [{"id": "e", **fields}]}
+        return load_corpus(json.dumps(doc))[0].requests
+
+    left_out, spelled = requests(entry), requests({**entry, **written})
+    assert left_out == spelled
+    for name, fields in left_out.items():
+        assert {k: type(v) for k, v in fields.items()} == {
+            k: type(v) for k, v in spelled[name].items()}

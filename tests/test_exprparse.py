@@ -9,14 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddelab import exprparse, fieldelem
 from ddelab.corpus import demo_corpus_text
 from ddelab.exprparse import ParseError, parse_expression
 from ddelab.fieldelem import FieldElem
-from ddelab.gaussian import gauss
+from ddelab.gaussian import GaussianRational, gauss
+from ddelab.mpoly import MPoly
 
 Z = FieldElem.var("z")
 ONE = FieldElem.const(1)
@@ -386,11 +387,11 @@ def test_agrees_with_the_reference_on_expressions(text):
 @pytest.mark.parametrize("text", [
     "(z-z)", "z-z+1", "-(z-z)", "(z-z)*z", "z/2", "(z-z)/2", "(z-z)^0", "(z-z)^3",
     "(z+2-z)", "z/(z+2-z)", "i/(z-z+i)", "(2*z)/(2+i)", "z^-1", "(z+1)^-2",
-    "(z+1)/(z+1)", "(z-z+1)^-1", "3*(1/z)", "(1/z)*z-1",
+    "(z+1)/(z+1)", "(z-z+1)^-1", "3*(1/z)", "(1/z)*z-1", "(1+2*i)/3", "(2*i)/(-4/5)",
 ])
 def test_agrees_with_the_reference_on_ring_edge_cases(text):
-    # zero results, quotients by numbers that carry a variable table, and
-    # negative powers of polynomials
+    # zero results, quotients by numbers that carry a variable table, negative
+    # powers of polynomials, and non-real numbers over real ones
     _assert_same_as_reference(text)
 
 
@@ -445,3 +446,51 @@ def test_decimal_digits_of_any_script_are_integers():
     assert parse_expression("٣*z") == FieldElem.const(3) * Z
     with pytest.raises(ParseError, match=r"unexpected character '²' \(line 1, column 3\)"):
         parse_expression("z^²")
+
+
+def _two_pass_size(value):
+    """The size reader as it was: total degrees from the exponent tuples over
+    the variables that occur, then a separate scan of every numerator and
+    denominator."""
+    if type(value) is GaussianRational:
+        re, im = value.re, value.im
+        return 0, max(re.numerator.bit_length(), re.denominator.bit_length(),
+                      im.numerator.bit_length(), im.denominator.bit_length())
+    polys = (value,) if type(value) is MPoly else (value.num, value.den)
+    degree = max((sum(e) for p in polys for e, _ in p.sorted_terms()), default=0)
+    bits = max((q.bit_length() for p in polys for c in p.terms.values()
+                for part in (c.re, c.im) for q in (part.numerator, part.denominator)),
+               default=0)
+    return degree, bits
+
+
+@st.composite
+def _sized_texts(draw, depth=3):
+    """Well-formed texts whose values are numbers, polynomials and quotients,
+    with wide numerators and denominators in both components."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(["z", "i", "0", "1", "3", "2^70", "(1/3)", "(5/2^40)"]))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
+    lhs = draw(_sized_texts(depth - 1))
+    rhs = (draw(st.sampled_from(["0", "2", "3", "-1", "-2"])) if op == "^"
+           else draw(_sized_texts(depth - 1)))
+    return f"({lhs}{op}{rhs})"
+
+
+@_SETTINGS
+@given(_sized_texts())
+# the denominator has the larger degree, or the larger bit length
+@example("1/z^3")
+@example("(z+1)/(z^5+2)")
+@example("1/(z+2^90)")
+@example("(2^9*z)/(z+2^90)")
+# the imaginary part has the larger bit length
+@example("1+2^70*i")
+@example("z+(1/2^70)*i")
+def test_size_reader_agrees_with_the_two_pass_reader(text):
+    try:
+        value = exprparse._Parser(text).expr()
+    except ParseError:  # division by zero or a limit
+        assume(False)
+    for v in (value, exprparse._lift(value)):
+        assert exprparse._size(v) == _two_pass_size(v)

@@ -84,3 +84,27 @@ def test_str_rendering():
     assert str(gauss(0, 1)) == "i"
     assert str(gauss(0, -1)) == "-i"
     assert str(ZERO) == "0"
+
+
+@pytest.mark.parametrize("x", [
+    GaussianRational(7), GaussianRational(Fraction(-5, 6)), gauss("2/3", -4),
+    gauss(0, "-1/7"), ZERO,
+])
+@pytest.mark.parametrize("y", [
+    3, -4, Fraction(-9, 2), gauss("5/3"), gauss(-6), gauss(2, -3), I,
+])
+def test_division_equals_the_product_by_the_inverse(x, y):
+    # a real divisor takes the componentwise path; the result must be the
+    # same, down to whether each component is an int or a Fraction
+    got = x / y
+    want = x * GaussianRational.coerce(y).inverse()
+    assert (type(got.re), got.re, type(got.im), got.im) == (
+        type(want.re), want.re, type(want.im), want.im)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), ZERO])
+def test_division_by_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        gauss(3, 4) / zero
+    with pytest.raises(ZeroDivisionError):
+        gauss("1/2") / zero

@@ -238,7 +238,6 @@ def test_packed_keys_match_the_tuple_reference(pa, pb, v):
         assert canonical_pair(got.leading_coefficient()) == lead
         assert got.used_vars() == tuple(w for j, w in enumerate(TABLE) if any(e[j] for e in want))
         assert got.degree(v) == max((e[i] for e in want), default=-1)
-        assert got.total_degree() == max((sum(e) for e in want), default=-1)
         slices = [{e[:i] + (0,) + e[i + 1:]: c for e, c in want.items() if e[i] == k}
                   for k in range(got.degree(v) + 1)]
         assert [to_ref(c, TABLE) for c in got.coefficients(v)] == slices
